@@ -22,12 +22,12 @@
 //! The baseline discipline ([`evenly_partitioned`]) splits cache and
 //! bandwidth evenly over all cores and packs VCPUs best-fit decreasing.
 
-use crate::kmeans::kmeans;
+use crate::kmeans::{kmeans, Features};
 use crate::packing::{best_fit_open, sort_decreasing, Item};
 use crate::result::{AllocationOutcome, CoreAssignment, SystemAllocation};
-use vc2m_rng::Rng;
 use vc2m_analysis::core_check::{core_schedulable, core_utilization, UTILIZATION_EPS};
-use vc2m_model::{Alloc, Platform, VcpuSpec};
+use vc2m_model::{Alloc, Platform, ResourceSpace, Surface, VcpuSpec};
+use vc2m_rng::Rng;
 
 /// Tuning knobs of the three-phase heuristic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,10 +65,10 @@ pub fn heuristic<R: Rng>(
     let space = platform.resources();
     let reference_total: f64 = vcpus.iter().map(|v| v.utilization(space.reference())).sum();
 
-    // Cluster VCPUs once; cluster geometry does not depend on m.
-    let features: Vec<Vec<f64>> =
-        vc2m_model::Surface::batch_slowdown_rows(vcpus.iter().map(|v| v.budget_surface()));
-    let feature_refs: Vec<&[f64]> = features.iter().map(|f| f.as_slice()).collect();
+    // Features are computed once; only the cluster count depends on m.
+    let features = Features::from_rows(Surface::batch_slowdown_rows(
+        vcpus.iter().map(|v| v.budget_surface()),
+    ));
 
     for m in 1..=platform.max_usable_cores() {
         // Necessary condition: even with all resources, total
@@ -77,27 +77,53 @@ pub fn heuristic<R: Rng>(
             continue;
         }
         let k = m.min(vcpus.len());
-        let clusters = kmeans(&feature_refs, k, rng).members();
-
-        for _ in 0..config.max_permutations {
-            let mut order: Vec<usize> = (0..clusters.len()).collect();
-            rng.shuffle(&mut order);
-            let mut assignment = pack_by_clusters(&vcpus, &clusters, &order, m);
-
-            for _ in 0..config.max_balance_rounds {
-                let (allocs, schedulable) = allocate_resources(&vcpus, &assignment, platform, m);
-                if schedulable {
-                    let allocation = build(&vcpus, assignment, allocs);
-                    debug_assert!(allocation.verify(platform).is_ok());
-                    return AllocationOutcome::schedulable(allocation);
-                }
-                if !balance_load(&vcpus, &mut assignment, &allocs) {
-                    break; // no benefit in balancing: new permutation
-                }
-            }
+        let clusters = kmeans(&features, k, rng).members();
+        if let Ok(allocation) = search_core_count(&vcpus, &clusters, platform, m, config, rng) {
+            return AllocationOutcome::schedulable(allocation);
         }
     }
     AllocationOutcome::unschedulable()
+}
+
+/// Phases 1–3 at core count `m`: `config.max_permutations` random
+/// cluster orders, each packed and then refined by Phase-2/3 rounds.
+///
+/// Every permutation draws its shuffle, but Phases 2 and 3 are a pure
+/// function of the packing and draw nothing, so a packing that already
+/// failed at this `m` is skipped: it would fail the same way again.
+/// Returns the first schedulable allocation, or the number of distinct
+/// packings that failed.
+fn search_core_count<R: Rng>(
+    vcpus: &[VcpuSpec],
+    clusters: &[Vec<usize>],
+    platform: &Platform,
+    m: usize,
+    config: HeuristicConfig,
+    rng: &mut R,
+) -> Result<SystemAllocation, usize> {
+    let mut failed: Vec<Vec<Vec<usize>>> = Vec::new();
+    for _ in 0..config.max_permutations {
+        let mut order: Vec<usize> = (0..clusters.len()).collect();
+        rng.shuffle(&mut order);
+        let packing = pack_by_clusters(vcpus, clusters, &order, m);
+        if failed.contains(&packing) {
+            continue;
+        }
+        let mut assignment = packing.clone();
+        for _ in 0..config.max_balance_rounds {
+            let (allocs, schedulable) = allocate_resources(vcpus, &assignment, platform, m);
+            if schedulable {
+                let allocation = build(vcpus, assignment, allocs);
+                debug_assert!(allocation.verify(platform).is_ok());
+                return Ok(allocation);
+            }
+            if !balance_load(vcpus, &mut assignment, &allocs) {
+                break; // no benefit in balancing: new permutation
+            }
+        }
+        failed.push(packing);
+    }
+    Err(failed.len())
 }
 
 /// Phase 1: packs clusters (in `order`) onto `m` cores, worst-fit in
@@ -130,9 +156,46 @@ fn pack_by_clusters(
     cores
 }
 
+/// Phase-2 view of one core at its current allocation: whether it is
+/// schedulable and, if not, the utilization one more partition of each
+/// resource would save (`None` at that resource's maximum).
+struct CoreState {
+    schedulable: bool,
+    cache_gain: Option<f64>,
+    bw_gain: Option<f64>,
+}
+
+impl CoreState {
+    fn of(vcpus: &[VcpuSpec], members: &[usize], alloc: Alloc, space: &ResourceSpace) -> Self {
+        let on_core = || members.iter().map(|&i| &vcpus[i]);
+        if core_schedulable(on_core(), alloc) {
+            return CoreState {
+                schedulable: true,
+                cache_gain: None,
+                bw_gain: None,
+            };
+        }
+        let now = core_utilization(on_core(), alloc);
+        let gain = |upgraded: Alloc| now - core_utilization(on_core(), upgraded);
+        CoreState {
+            schedulable: false,
+            cache_gain: (alloc.cache < space.cache_max())
+                .then(|| gain(Alloc::new(alloc.cache + 1, alloc.bandwidth))),
+            bw_gain: (alloc.bandwidth < space.bw_max())
+                .then(|| gain(Alloc::new(alloc.cache, alloc.bandwidth + 1))),
+        }
+    }
+}
+
 /// Phase 2: greedy marginal-utility resource allocation. Every core
 /// starts at `(Cmin, Bmin)`; spare partitions go one at a time to the
 /// unschedulable core with the highest utilization reduction.
+///
+/// A core's state depends only on its own VCPUs and allocation, so it
+/// is computed once per core and then only for the core just upgraded.
+/// Candidates are scanned in core order, cache before bandwidth, and a
+/// later one wins only with a strictly larger gain; the pools are
+/// checked at selection time.
 ///
 /// Returns the per-core allocations and whether every core ended up
 /// schedulable.
@@ -146,52 +209,41 @@ fn allocate_resources(
     let mut allocs = vec![space.minimum(); m];
     let mut cache_left = space.cache_max() - space.cache_min() * m as u32;
     let mut bw_left = space.bw_max() - space.bw_min() * m as u32;
-
-    let util = |k: usize, a: Alloc| core_utilization(assignment[k].iter().map(|&i| &vcpus[i]), a);
-    let sched = |k: usize, a: Alloc| {
-        core_schedulable(
-            assignment[k]
-                .iter()
-                .map(|&i| &vcpus[i])
-                .collect::<Vec<_>>()
-                .iter()
-                .copied(),
-            a,
-        )
-    };
+    let mut states: Vec<CoreState> = (0..m)
+        .map(|k| CoreState::of(vcpus, &assignment[k], allocs[k], &space))
+        .collect();
 
     loop {
-        let unschedulable: Vec<usize> = (0..m).filter(|&k| !sched(k, allocs[k])).collect();
-        if unschedulable.is_empty() {
+        let mut all_schedulable = true;
+        let mut best: Option<(usize, bool, f64)> = None; // (core, is_cache, gain)
+        for (k, state) in states.iter().enumerate().filter(|(_, s)| !s.schedulable) {
+            all_schedulable = false;
+            let candidates = [
+                (true, state.cache_gain.filter(|_| cache_left > 0)),
+                (false, state.bw_gain.filter(|_| bw_left > 0)),
+            ];
+            for (is_cache, gain) in candidates {
+                if let Some(gain) = gain {
+                    if best.is_none_or(|(_, _, g)| gain > g) {
+                        best = Some((k, is_cache, gain));
+                    }
+                }
+            }
+        }
+        if all_schedulable {
             return (allocs, true);
         }
-        // Best single-partition upgrade across unschedulable cores.
-        let mut best: Option<(usize, bool, f64)> = None; // (core, is_cache, gain)
-        for &k in &unschedulable {
-            let now = util(k, allocs[k]);
-            if cache_left > 0 && allocs[k].cache < space.cache_max() {
-                let upgraded = Alloc::new(allocs[k].cache + 1, allocs[k].bandwidth);
-                let gain = now - util(k, upgraded);
-                if best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((k, true, gain));
-                }
-            }
-            if bw_left > 0 && allocs[k].bandwidth < space.bw_max() {
-                let upgraded = Alloc::new(allocs[k].cache, allocs[k].bandwidth + 1);
-                let gain = now - util(k, upgraded);
-                if best.is_none_or(|(_, _, g)| gain > g) {
-                    best = Some((k, false, gain));
-                }
-            }
-        }
         match best {
-            Some((k, true, gain)) if gain > UTILIZATION_EPS => {
-                allocs[k] = Alloc::new(allocs[k].cache + 1, allocs[k].bandwidth);
-                cache_left -= 1;
-            }
-            Some((k, false, gain)) if gain > UTILIZATION_EPS => {
-                allocs[k] = Alloc::new(allocs[k].cache, allocs[k].bandwidth + 1);
-                bw_left -= 1;
+            Some((k, is_cache, gain)) if gain > UTILIZATION_EPS => {
+                let Alloc { cache, bandwidth } = allocs[k];
+                allocs[k] = if is_cache {
+                    cache_left -= 1;
+                    Alloc::new(cache + 1, bandwidth)
+                } else {
+                    bw_left -= 1;
+                    Alloc::new(cache, bandwidth + 1)
+                };
+                states[k] = CoreState::of(vcpus, &assignment[k], allocs[k], &space);
             }
             // No spare partition has any impact on utilization.
             _ => return (allocs, false),
@@ -210,9 +262,8 @@ fn balance_load(vcpus: &[VcpuSpec], assignment: &mut [Vec<usize>], allocs: &[All
 
     for k in 0..m {
         loop {
-            let source_vcpus: Vec<&VcpuSpec> = assignment[k].iter().map(|&i| &vcpus[i]).collect();
             if moves_left == 0
-                || core_schedulable(source_vcpus.iter().copied(), allocs[k])
+                || core_schedulable(assignment[k].iter().map(|&i| &vcpus[i]), allocs[k])
                 || assignment[k].is_empty()
             {
                 break;
@@ -232,17 +283,7 @@ fn balance_load(vcpus: &[VcpuSpec], assignment: &mut [Vec<usize>], allocs: &[All
             // utilization.
             let dest = (0..m)
                 .filter(|&j| j != k)
-                .filter(|&j| {
-                    core_schedulable(
-                        assignment[j]
-                            .iter()
-                            .map(|&i| &vcpus[i])
-                            .collect::<Vec<_>>()
-                            .iter()
-                            .copied(),
-                        allocs[j],
-                    )
-                })
+                .filter(|&j| core_schedulable(assignment[j].iter().map(|&i| &vcpus[i]), allocs[j]))
                 .map(|j| {
                     let after =
                         core_utilization(assignment[j].iter().map(|&i| &vcpus[i]), allocs[j])
@@ -509,5 +550,31 @@ mod tests {
             &mut DetRng::seed_from_u64(7),
         );
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn repeated_packings_are_skipped_but_still_shuffled() {
+        // Two clusters of two 0.6 VCPUs: 2.4 cannot fit two cores, and
+        // flat surfaces leave Phase 2 nothing to gain. The ten
+        // permutations can only produce the two cluster orders.
+        let vcpus: Vec<VcpuSpec> = (0..4).map(|i| flat_vcpu(i, 10.0, 6.0)).collect();
+        let clusters = vec![vec![0, 1], vec![2, 3]];
+        let config = HeuristicConfig::default();
+        let mut searched = rng();
+        let outcome = search_core_count(
+            &vcpus,
+            &clusters,
+            &Platform::platform_a(),
+            2,
+            config,
+            &mut searched,
+        );
+        assert_eq!(outcome.err(), Some(2), "exactly two distinct packings run");
+        // Every permutation still drew its shuffle.
+        let mut shuffled = rng();
+        for _ in 0..config.max_permutations {
+            shuffled.shuffle(&mut [0usize, 1]);
+        }
+        assert_eq!(searched.next_u64(), shuffled.next_u64());
     }
 }

@@ -15,7 +15,7 @@
 //!
 //! VCPU parameters come from the selected [`VcpuSizing`] analysis.
 
-use crate::kmeans::kmeans;
+use crate::kmeans::{kmeans, Features};
 use crate::packing::{best_fit_open, sort_decreasing, Item};
 use crate::AllocError;
 use vc2m_analysis::{existing, regulated, AnalysisCache};
@@ -88,10 +88,10 @@ pub fn clustered<R: Rng>(
     let m = m.min(tasks.len()).max(1);
 
     // Cluster by slowdown vector (batch-evaluated over the taskset).
-    let features: Vec<Vec<f64>> =
-        Surface::batch_slowdown_rows(tasks.iter().map(|t| t.wcet_surface()));
-    let feature_refs: Vec<&[f64]> = features.iter().map(|f| f.as_slice()).collect();
-    let clustering = kmeans(&feature_refs, m, rng);
+    let features = Features::from_rows(Surface::batch_slowdown_rows(
+        tasks.iter().map(|t| t.wcet_surface()),
+    ));
+    let clustering = kmeans(&features, m, rng);
     let clusters = clustering.members();
 
     // VCPU quota per non-empty cluster: proportional to utilization

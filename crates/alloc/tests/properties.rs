@@ -1,7 +1,7 @@
 //! Property-based tests for the allocation algorithms, driven by the
 //! in-tree seeded case harness (`vc2m_rng::cases`).
 
-use vc2m_alloc::kmeans::kmeans;
+use vc2m_alloc::kmeans::{kmeans, Features};
 use vc2m_alloc::packing::{best_fit_open, sort_decreasing, worst_fit_fixed, Item};
 use vc2m_alloc::Solution;
 use vc2m_model::{Platform, TaskSet, VmId, VmSpec};
@@ -17,9 +17,8 @@ fn kmeans_assignment_is_a_partition() {
             .collect();
         let k = rng.gen_range(1usize..6);
         let seed = rng.gen_range(0u64..100);
-        let refs: Vec<&[f64]> = points.iter().map(|p| p.as_slice()).collect();
         let mut kmeans_rng = DetRng::seed_from_u64(seed);
-        let clustering = kmeans(&refs, k, &mut kmeans_rng);
+        let clustering = kmeans(&Features::from_rows(&points), k, &mut kmeans_rng);
         assert_eq!(clustering.assignment().len(), points.len());
         // Every point in exactly one cluster, clusters within range.
         let members = clustering.members();
