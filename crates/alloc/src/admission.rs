@@ -71,7 +71,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use vc2m_analysis::core_check::{self, UTILIZATION_EPS};
 use vc2m_analysis::{AnalysisCache, DirtyCores};
-use vc2m_model::{Alloc, Platform, VcpuId, VcpuSpec, VmId, VmSpec};
+use vc2m_model::{Alloc, Platform, Surface, VcpuId, VcpuSpec, VmId, VmSpec};
 use vc2m_rng::{DetRng, Rng, SplitMix64};
 use vc2m_simcore::MetricsRegistry;
 
@@ -366,18 +366,37 @@ fn fnv_mix(hash: &mut u64, word: u64) {
     *hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
 }
 
-/// Content signature of a VM spec: id plus every task's id, period
-/// bits, and full WCET surface bits. Two VMs with equal signatures are
-/// interchangeable inputs to the solver.
+/// Folds every value bit of `surface` into `hash`. Value `i` goes to
+/// FNV lane `i % 4`, so the four multiply chains run independently;
+/// the lanes then fold into `hash` in lane order.
+fn fnv_mix_surface(hash: &mut u64, surface: &Surface) {
+    let mut lanes = [0xCBF2_9CE4_8422_2325u64; 4];
+    let mut values = surface.as_slice().chunks_exact(lanes.len());
+    for group in &mut values {
+        for (lane, value) in lanes.iter_mut().zip(group) {
+            fnv_mix(lane, value.to_bits());
+        }
+    }
+    for (lane, value) in lanes.iter_mut().zip(values.remainder()) {
+        fnv_mix(lane, value.to_bits());
+    }
+    for lane in lanes {
+        fnv_mix(hash, lane);
+    }
+}
+
+/// Content signature of a VM spec: id, VCPU cap, plus every task's
+/// id, period bits, and full WCET surface bits. Two VMs with equal
+/// signatures are interchangeable inputs to the solver.
 fn vm_signature(vm: &VmSpec) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     fnv_mix(&mut hash, vm.id().0 as u64);
+    // The cap picks flattening or clustering under `Solution::Auto`.
+    fnv_mix(&mut hash, vm.max_vcpus() as u64);
     for task in vm.tasks().iter() {
         fnv_mix(&mut hash, task.id().0 as u64);
         fnv_mix(&mut hash, task.period().to_bits());
-        for (_, wcet) in task.wcet_surface().iter() {
-            fnv_mix(&mut hash, wcet.to_bits());
-        }
+        fnv_mix_surface(&mut hash, task.wcet_surface());
     }
     hash
 }
@@ -639,9 +658,12 @@ impl AdmissionEngine {
     }
 
     /// Total admitted reference utilization (working-set order sum —
-    /// deterministic).
+    /// deterministic). Folded from `0.0`, so an empty engine reports
+    /// `0`, not the `-0` an empty float `sum` gives.
     fn total_load(&self) -> f64 {
-        self.vms.iter().map(|v| v.reference_utilization()).sum()
+        self.vms
+            .iter()
+            .fold(0.0, |load, v| load + v.reference_utilization())
     }
 
     /// Canonical within-batch order: decreasing utilization, then
@@ -842,9 +864,7 @@ impl AdmissionEngine {
             fnv_mix(&mut hash, vcpu.id().0 as u64);
             fnv_mix(&mut hash, vcpu.vm().0 as u64);
             fnv_mix(&mut hash, vcpu.period().to_bits());
-            for (_, budget) in vcpu.budget_surface().iter() {
-                fnv_mix(&mut hash, budget.to_bits());
-            }
+            fnv_mix_surface(&mut hash, vcpu.budget_surface());
         }
         for core in &self.cores {
             fnv_mix(&mut hash, u64::from(core.alloc.cache));
@@ -1555,6 +1575,20 @@ mod tests {
         assert_eq!(e.stats().memo_hits, 1, "stale memo entry must not hit");
         assert!(matches!(after.verdict, AdmissionVerdict::Admitted { .. }));
         e.allocation().verify(e.platform()).unwrap();
+    }
+
+    #[test]
+    fn empty_engine_logs_zero_load() {
+        let mut e = engine();
+        // Over the platform's four cores: rejected before any solve.
+        let rejected = e.submit(AdmissionRequest::Arrival(vm(1, 9.0, 5))).clone();
+        assert!(matches!(rejected.verdict, AdmissionVerdict::Rejected { .. }));
+        let unknown = e.submit(AdmissionRequest::Departure(VmId(2))).clone();
+        assert!(matches!(unknown.verdict, AdmissionVerdict::Rejected { .. }));
+        for decision in [rejected, unknown] {
+            let line = decision.log_line();
+            assert!(line.ends_with(" load=0.000000"), "{line}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::kmeans::{kmeans, Features};
 use crate::packing::{best_fit_open, sort_decreasing, Item};
 use crate::result::{AllocationOutcome, CoreAssignment, SystemAllocation};
 use vc2m_analysis::core_check::{core_schedulable, core_utilization, UTILIZATION_EPS};
-use vc2m_model::{Alloc, Platform, ResourceSpace, Surface, VcpuSpec};
+use vc2m_model::{Alloc, Platform, ResourceSpace, VcpuSpec};
 use vc2m_rng::Rng;
 
 /// Tuning knobs of the three-phase heuristic.
@@ -66,9 +66,7 @@ pub fn heuristic<R: Rng>(
     let reference_total: f64 = vcpus.iter().map(|v| v.utilization(space.reference())).sum();
 
     // Features are computed once; only the cluster count depends on m.
-    let features = Features::from_rows(Surface::batch_slowdown_rows(
-        vcpus.iter().map(|v| v.budget_surface()),
-    ));
+    let features = Features::from_surfaces(vcpus.iter().map(VcpuSpec::budget_surface));
 
     for m in 1..=platform.max_usable_cores() {
         // Necessary condition: even with all resources, total
@@ -101,11 +99,24 @@ fn search_core_count<R: Rng>(
     config: HeuristicConfig,
     rng: &mut R,
 ) -> Result<SystemAllocation, usize> {
+    // Only the cluster order varies between permutations, so each
+    // cluster's VCPUs are sorted once.
+    let sorted: Vec<Vec<Item>> = clusters
+        .iter()
+        .map(|members| {
+            let mut items: Vec<Item> = members
+                .iter()
+                .map(|&i| Item::new(i, vcpus[i].reference_utilization()))
+                .collect();
+            sort_decreasing(&mut items);
+            items
+        })
+        .collect();
     let mut failed: Vec<Vec<Vec<usize>>> = Vec::new();
     for _ in 0..config.max_permutations {
         let mut order: Vec<usize> = (0..clusters.len()).collect();
         rng.shuffle(&mut order);
-        let packing = pack_by_clusters(vcpus, clusters, &order, m);
+        let packing = pack_by_clusters(&sorted, &order, m);
         if failed.contains(&packing) {
             continue;
         }
@@ -128,22 +139,15 @@ fn search_core_count<R: Rng>(
 
 /// Phase 1: packs clusters (in `order`) onto `m` cores, worst-fit in
 /// decreasing reference utilization, with core loads carried across
-/// clusters.
-fn pack_by_clusters(
-    vcpus: &[VcpuSpec],
-    clusters: &[Vec<usize>],
-    order: &[usize],
-    m: usize,
-) -> Vec<Vec<usize>> {
-    let mut cores: Vec<Vec<usize>> = vec![Vec::new(); m];
+/// clusters. `sorted` holds each cluster's VCPUs as items sized by
+/// reference utilization, already in decreasing order.
+fn pack_by_clusters(sorted: &[Vec<Item>], order: &[usize], m: usize) -> Vec<Vec<usize>> {
+    // Room for every VCPU on every core: no core reallocates mid-pack.
+    let total: usize = sorted.iter().map(Vec::len).sum();
+    let mut cores: Vec<Vec<usize>> = (0..m).map(|_| Vec::with_capacity(total)).collect();
     let mut loads = vec![0.0f64; m];
     for &cluster in order {
-        let mut items: Vec<Item> = clusters[cluster]
-            .iter()
-            .map(|&i| Item::new(i, vcpus[i].reference_utilization()))
-            .collect();
-        sort_decreasing(&mut items);
-        for item in items {
+        for item in &sorted[cluster] {
             let (best, _) = loads
                 .iter()
                 .enumerate()
@@ -166,23 +170,35 @@ struct CoreState {
 }
 
 impl CoreState {
+    /// One pass over the members, in order, reads each budget surface
+    /// at `alloc` and at both upgrades through precomputed offsets. The
+    /// three utilization sums accumulate in member order, the order
+    /// `core_schedulable` and `core_utilization` sum in, so the verdict
+    /// and the gains are theirs bit for bit.
     fn of(vcpus: &[VcpuSpec], members: &[usize], alloc: Alloc, space: &ResourceSpace) -> Self {
-        let on_core = || members.iter().map(|&i| &vcpus[i]);
-        if core_schedulable(on_core(), alloc) {
-            return CoreState {
-                schedulable: true,
-                cache_gain: None,
-                bw_gain: None,
-            };
+        let at = space.index_of(alloc);
+        let cache_up = (alloc.cache < space.cache_max()).then_some(at + space.bw_levels());
+        let bw_up = (alloc.bandwidth < space.bw_max()).then_some(at + 1);
+        let (mut feasible, mut now, mut cache_sum, mut bw_sum) = (true, 0.0, 0.0, 0.0);
+        for &i in members {
+            let vcpu = &vcpus[i];
+            debug_assert_eq!(vcpu.budget_surface().space(), space);
+            let (budgets, period) = (vcpu.budget_surface().as_slice(), vcpu.period());
+            feasible &= vcpu.fits_period(budgets[at]);
+            now += budgets[at] / period;
+            if let Some(up) = cache_up {
+                cache_sum += budgets[up] / period;
+            }
+            if let Some(up) = bw_up {
+                bw_sum += budgets[up] / period;
+            }
         }
-        let now = core_utilization(on_core(), alloc);
-        let gain = |upgraded: Alloc| now - core_utilization(on_core(), upgraded);
+        let schedulable = feasible && now <= 1.0 + UTILIZATION_EPS;
+        let gain = |up: Option<usize>, sum: f64| up.filter(|_| !schedulable).map(|_| now - sum);
         CoreState {
-            schedulable: false,
-            cache_gain: (alloc.cache < space.cache_max())
-                .then(|| gain(Alloc::new(alloc.cache + 1, alloc.bandwidth))),
-            bw_gain: (alloc.bandwidth < space.bw_max())
-                .then(|| gain(Alloc::new(alloc.cache, alloc.bandwidth + 1))),
+            schedulable,
+            cache_gain: gain(cache_up, cache_sum),
+            bw_gain: gain(bw_up, bw_sum),
         }
     }
 }

@@ -10,21 +10,25 @@
 //! initialization drives all randomness through the caller's RNG, and
 //! Lloyd iterations run to convergence or a fixed cap.
 //!
-//! Points and centroids live in point-major buffers. The assignment
-//! step computes the distances from a pair of points to a block of up
-//! to four centroids at once, with one accumulator per
-//! (point, centroid) pair. Each accumulator still sums its squared
+//! Points are stored twice: point-major, and interleaved four points at
+//! a time. One kernel computes every squared distance: a group of four
+//! points against one centroid, one accumulator per point, so k-means++
+//! measures its newest seed and the assignment step each centroid one
+//! column at a time. Each accumulator still sums its squared
 //! differences over the dimensions in order, with a separate multiply
 //! and add, so every distance is bit-identical to the scalar
 //! `distance_sq`; the chains are merely independent instead of one
-//! long serial one.
+//! long serial one. That is also why the first Lloyd iteration, whose
+//! centroids are the seeds themselves, reuses the columns k-means++
+//! already computed.
 
+use vc2m_model::Surface;
 use vc2m_rng::Rng;
 
 /// Maximum Lloyd iterations before giving up on convergence.
 const MAX_ITERATIONS: usize = 50;
 
-/// Centroids per block of the distance kernel.
+/// Points per group of the distance kernel.
 const LANES: usize = 4;
 
 /// Equal-length feature rows stored point-major in one buffer: row `i`
@@ -32,6 +36,10 @@ const LANES: usize = 4;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Features {
     data: Vec<f64>,
+    /// The same values in groups of `LANES` points: entry `g * dim + d`
+    /// holds dimension `d` of points `g * LANES ..`. A short last group
+    /// repeats its last point.
+    groups: Vec<[f64; LANES]>,
     dim: usize,
     len: usize,
 }
@@ -47,24 +55,56 @@ impl Features {
         I: IntoIterator,
         I::Item: AsRef<[f64]>,
     {
-        let mut data = Vec::new();
-        let mut dim = None;
-        let mut len = 0;
+        let mut features = Features::empty();
         for row in rows {
-            let row = row.as_ref();
-            assert_eq!(
-                *dim.get_or_insert(row.len()),
-                row.len(),
-                "all points must share one dimension"
-            );
-            data.extend_from_slice(row);
-            len += 1;
+            features.push(row.as_ref().iter().copied());
         }
+        features.grouped()
+    }
+
+    /// One row per surface: its slowdown vector, the same values as
+    /// [`Surface::slowdown_values`], written straight into the buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the surfaces span resource spaces of different sizes.
+    pub fn from_surfaces<'a>(surfaces: impl IntoIterator<Item = &'a Surface>) -> Self {
+        let mut features = Features::empty();
+        for surface in surfaces {
+            let reference = surface.reference();
+            features.push(surface.as_slice().iter().map(|v| v / reference));
+        }
+        features.grouped()
+    }
+
+    fn empty() -> Self {
         Features {
-            data,
-            dim: dim.unwrap_or(0),
-            len,
+            data: Vec::new(),
+            groups: Vec::new(),
+            dim: 0,
+            len: 0,
         }
+    }
+
+    /// Fills `groups` from `data`.
+    fn grouped(mut self) -> Self {
+        let (n, dim) = (self.len, self.dim);
+        let mut groups = Vec::with_capacity(n.div_ceil(LANES) * dim);
+        for first in (0..n).step_by(LANES) {
+            let rows: [&[f64]; LANES] = std::array::from_fn(|l| self.row((first + l).min(n - 1)));
+            groups.extend((0..dim).map(|d| rows.map(|row| row[d])));
+        }
+        self.groups = groups;
+        self
+    }
+
+    fn push(&mut self, row: impl ExactSizeIterator<Item = f64>) {
+        if self.len == 0 {
+            self.dim = row.len();
+        }
+        assert_eq!(self.dim, row.len(), "all points must share one dimension");
+        self.data.extend(row);
+        self.len += 1;
     }
 
     /// Number of points.
@@ -151,21 +191,46 @@ pub fn kmeans<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Clustering {
     assert!(k > 0, "k must be positive for a non-empty point set");
     let dim = points.dim();
     let k = k.min(n);
+    if k == 1 {
+        // The first seed is still drawn; after that every point sits
+        // in the only cluster, which cannot empty, so nothing moves.
+        let _ = rng.gen_range(0..n);
+        return Clustering {
+            assignment: vec![0; n],
+            k,
+        };
+    }
 
-    let mut centroids = init_plus_plus(points, k, rng);
+    // `columns[c * n + i]` is the squared distance from point `i` to
+    // centroid `c`. The first iteration's centroids are the seeds
+    // themselves, whose columns seeding already computed.
+    let (mut centroids, mut columns) = init_plus_plus(points, k, rng);
     let mut assignment = vec![0usize; n];
-    let mut distances = Vec::with_capacity(n * k);
     let mut sums = vec![0.0; k * dim];
     let mut counts = vec![0usize; k];
-    for _ in 0..MAX_ITERATIONS {
+    for iteration in 0..MAX_ITERATIONS {
+        if iteration > 0 {
+            columns.clear();
+            for c in 0..k {
+                push_column(points, &centroids[c * dim..(c + 1) * dim], &mut columns);
+            }
+        }
         let mut changed = false;
-        distance_table(points, &centroids, k, &mut distances);
-        for (i, row) in distances.chunks_exact(k).enumerate() {
-            let closest = nearest(row);
+        for i in 0..n {
+            let closest = nearest((0..k).map(|c| columns[c * n + i]));
             if assignment[i] != closest {
                 assignment[i] = closest;
                 changed = true;
             }
+        }
+        counts.fill(0);
+        for &c in &assignment {
+            counts[c] += 1;
+        }
+        // Converged with no cluster to refill: the loop ends here, and
+        // no one would read the centroids an update computes.
+        if !changed && counts.iter().all(|&count| count > 0) {
+            break;
         }
         // Recompute centroids; refill an empty cluster by stealing the
         // point farthest from its centroid — but only when that point
@@ -174,9 +239,7 @@ pub fn kmeans<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Clustering {
         // meaningful to split; empty clusters are then left empty and
         // callers skip them.)
         sums.fill(0.0);
-        counts.fill(0);
         for (i, &c) in assignment.iter().enumerate() {
-            counts[c] += 1;
             for (s, v) in sums[c * dim..(c + 1) * dim].iter_mut().zip(points.row(i)) {
                 *s += v;
             }
@@ -223,21 +286,22 @@ pub fn kmeans<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Clustering {
     Clustering { assignment, k }
 }
 
-/// k-means++ seeding. Returns `k` centroids, point-major.
+/// k-means++ seeding. Returns `k` centroids, point-major, and the
+/// squared distance from every point to each of them, column-major
+/// (`columns[c * n + i]` for point `i` and centroid `c`).
 ///
 /// Each point keeps its squared distance to the nearest centroid so
 /// far, lowered as each centroid is chosen: the same running
 /// `f64::min` the from-scratch fold over all centroids computes.
-fn init_plus_plus<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Vec<f64> {
+fn init_plus_plus<R: Rng>(points: &Features, k: usize, rng: &mut R) -> (Vec<f64>, Vec<f64>) {
     let (n, dim) = (points.len(), points.dim());
     let mut centroids = Vec::with_capacity(k * dim);
+    let mut columns = Vec::with_capacity(k * n);
     centroids.extend_from_slice(points.row(rng.gen_range(0..n)));
     let mut weights = vec![f64::INFINITY; n];
-    let mut newest = Vec::with_capacity(n);
-    for _ in 1..k {
-        let last = &centroids[centroids.len() - dim..];
-        distance_table(points, last, 1, &mut newest);
-        for (w, d) in weights.iter_mut().zip(&newest) {
+    for c in 1..k {
+        push_column(points, &centroids[(c - 1) * dim..], &mut columns);
+        for (w, d) in weights.iter_mut().zip(&columns[(c - 1) * n..]) {
             *w = w.min(*d);
         }
         let total: f64 = weights.iter().sum();
@@ -257,14 +321,15 @@ fn init_plus_plus<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Vec<f64> 
         };
         centroids.extend_from_slice(points.row(chosen));
     }
-    centroids
+    push_column(points, &centroids[(k - 1) * dim..], &mut columns);
+    (centroids, columns)
 }
 
-/// Index of the smallest distance in `row`, the first on ties.
-fn nearest(row: &[f64]) -> usize {
+/// Index of the smallest of `distances`, the first on ties.
+fn nearest(distances: impl Iterator<Item = f64>) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
-    for (i, &d) in row.iter().enumerate() {
+    for (i, d) in distances.enumerate() {
         if d < best_d {
             best_d = d;
             best = i;
@@ -278,57 +343,25 @@ fn distance_sq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Squared distance from every point to each of the `k` centroids
-/// (point-major, `k × dim`), written to `out[i * k + c]`. Every entry
-/// is bit-identical to `distance_sq(points.row(i), centroid c)`.
-fn distance_table(points: &Features, centroids: &[f64], k: usize, out: &mut Vec<f64>) {
+/// Appends the squared distance from every point to `centroid`, in
+/// point order, computed one group of `LANES` points at a time. Every
+/// entry is bit-identical to `distance_sq(points.row(i), centroid)`.
+fn push_column(points: &Features, centroid: &[f64], out: &mut Vec<f64>) {
     let (n, dim) = (points.len(), points.dim());
-    debug_assert_eq!(centroids.len(), k * dim);
-    out.clear();
-    out.resize(n * k, 0.0);
-    // Centroids transposed into blocks of LANES: entry `d` of block `b`
-    // holds dimension `d` of centroids `b * LANES ..`. Lanes past `k`
-    // stay zero and their distances are dropped.
-    let blocks = k.div_ceil(LANES);
-    let mut lanes = vec![[0.0; LANES]; blocks * dim];
-    for c in 0..k {
-        let (block, lane) = (c / LANES, c % LANES);
-        for (d, &v) in centroids[c * dim..(c + 1) * dim].iter().enumerate() {
-            lanes[block * dim + d][lane] = v;
+    for group in 0..n.div_ceil(LANES) {
+        let mut acc = [0.0; LANES];
+        for (lanes, &c) in points.groups[group * dim..(group + 1) * dim]
+            .iter()
+            .zip(centroid)
+        {
+            for (sum, &x) in acc.iter_mut().zip(lanes) {
+                let dx = x - c;
+                *sum += dx * dx;
+            }
         }
+        // The repeats that pad a short last group are dropped.
+        out.extend_from_slice(&acc[..LANES.min(n - group * LANES)]);
     }
-    for i in (0..n).step_by(2) {
-        // An odd last point is paired with itself.
-        let j = (i + 1).min(n - 1);
-        for block in 0..blocks {
-            let acc = pair_distances(
-                points.row(i),
-                points.row(j),
-                &lanes[block * dim..(block + 1) * dim],
-            );
-            let first = block * LANES;
-            let width = LANES.min(k - first);
-            out[i * k + first..i * k + first + width].copy_from_slice(&acc[0][..width]);
-            out[j * k + first..j * k + first + width].copy_from_slice(&acc[1][..width]);
-        }
-    }
-}
-
-/// The distance kernel: squared distances from points `a` and `b` to
-/// the `LANES` centroids of one transposed block, with one independent
-/// accumulator per (point, lane).
-#[inline]
-fn pair_distances(a: &[f64], b: &[f64], block: &[[f64; LANES]]) -> [[f64; LANES]; 2] {
-    let mut acc = [[0.0; LANES]; 2];
-    for ((&x, &y), lane) in a.iter().zip(b).zip(block) {
-        for l in 0..LANES {
-            let dx = x - lane[l];
-            acc[0][l] += dx * dx;
-            let dy = y - lane[l];
-            acc[1][l] += dy * dy;
-        }
-    }
-    acc
 }
 
 #[cfg(test)]
@@ -445,19 +478,269 @@ mod tests {
             for k in 1..=8 {
                 let centroids: Vec<f64> =
                     (0..k * dim).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
-                let mut table = Vec::new();
-                distance_table(&points, &centroids, k, &mut table);
-                assert_eq!(table.len(), n * k);
+                let mut columns = Vec::new();
+                for c in 0..k {
+                    push_column(&points, &centroids[c * dim..(c + 1) * dim], &mut columns);
+                }
+                assert_eq!(columns.len(), n * k);
                 for i in 0..n {
                     for c in 0..k {
                         let scalar = distance_sq(points.row(i), &centroids[c * dim..(c + 1) * dim]);
                         assert_eq!(
-                            table[i * k + c].to_bits(),
+                            columns[c * n + i].to_bits(),
                             scalar.to_bits(),
                             "point {i} of {n}, centroid {c} of {k}, dim {dim}"
                         );
                     }
                 }
+            }
+        });
+    }
+
+    /// The clustering as it was before the column kernel, copied
+    /// verbatim: a pair-of-points by four-centroid kernel, and every
+    /// Lloyd iteration, `k == 1` included, from scratch.
+    mod previous {
+        use super::super::{Clustering, Features};
+        use vc2m_rng::Rng;
+
+        const MAX_ITERATIONS: usize = 50;
+        const LANES: usize = 4;
+
+        /// Runs k-means over `points`, producing at most `k` clusters.
+        ///
+        /// Empty inputs yield an empty clustering; `k` is clamped to the
+        /// number of points. Duplicate points are fine (k-means++ falls back
+        /// to uniform choice when all remaining distances are zero).
+        ///
+        /// # Panics
+        ///
+        /// Panics if `k` is zero while points are non-empty.
+        pub fn kmeans<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Clustering {
+            let n = points.len();
+            if n == 0 {
+                return Clustering {
+                    assignment: Vec::new(),
+                    k: 0,
+                };
+            }
+            assert!(k > 0, "k must be positive for a non-empty point set");
+            let dim = points.dim();
+            let k = k.min(n);
+
+            let mut centroids = init_plus_plus(points, k, rng);
+            let mut assignment = vec![0usize; n];
+            let mut distances = Vec::with_capacity(n * k);
+            let mut sums = vec![0.0; k * dim];
+            let mut counts = vec![0usize; k];
+            for _ in 0..MAX_ITERATIONS {
+                let mut changed = false;
+                distance_table(points, &centroids, k, &mut distances);
+                for (i, row) in distances.chunks_exact(k).enumerate() {
+                    let closest = nearest(row);
+                    if assignment[i] != closest {
+                        assignment[i] = closest;
+                        changed = true;
+                    }
+                }
+                // Recompute centroids; refill an empty cluster by stealing the
+                // point farthest from its centroid — but only when that point
+                // is at a strictly positive distance and leaves at least one
+                // point behind. (With identical points there is nothing
+                // meaningful to split; empty clusters are then left empty and
+                // callers skip them.)
+                sums.fill(0.0);
+                counts.fill(0);
+                for (i, &c) in assignment.iter().enumerate() {
+                    counts[c] += 1;
+                    for (s, v) in sums[c * dim..(c + 1) * dim].iter_mut().zip(points.row(i)) {
+                        *s += v;
+                    }
+                }
+                for c in 0..k {
+                    if counts[c] == 0 {
+                        let candidate = (0..n)
+                            .filter(|&i| counts[assignment[i]] >= 2)
+                            .map(|i| {
+                                let own = assignment[i];
+                                (
+                                    i,
+                                    distance_sq(points.row(i), &centroids[own * dim..(own + 1) * dim]),
+                                )
+                            })
+                            .max_by(|(i, a), (j, b)| {
+                                a.partial_cmp(b)
+                                    .expect("distances are finite")
+                                    .then(i.cmp(j))
+                            });
+                        if let Some((far, dist)) = candidate {
+                            if dist > 0.0 {
+                                counts[assignment[far]] -= 1;
+                                assignment[far] = c;
+                                counts[c] = 1;
+                                centroids[c * dim..(c + 1) * dim].copy_from_slice(points.row(far));
+                                changed = true;
+                            }
+                        }
+                    } else {
+                        let count = counts[c] as f64;
+                        for (d, s) in centroids[c * dim..(c + 1) * dim]
+                            .iter_mut()
+                            .zip(&sums[c * dim..(c + 1) * dim])
+                        {
+                            *d = s / count;
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            Clustering { assignment, k }
+        }
+
+        /// k-means++ seeding. Returns `k` centroids, point-major.
+        ///
+        /// Each point keeps its squared distance to the nearest centroid so
+        /// far, lowered as each centroid is chosen: the same running
+        /// `f64::min` the from-scratch fold over all centroids computes.
+        fn init_plus_plus<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Vec<f64> {
+            let (n, dim) = (points.len(), points.dim());
+            let mut centroids = Vec::with_capacity(k * dim);
+            centroids.extend_from_slice(points.row(rng.gen_range(0..n)));
+            let mut weights = vec![f64::INFINITY; n];
+            let mut newest = Vec::with_capacity(n);
+            for _ in 1..k {
+                let last = &centroids[centroids.len() - dim..];
+                distance_table(points, last, 1, &mut newest);
+                for (w, d) in weights.iter_mut().zip(&newest) {
+                    *w = w.min(*d);
+                }
+                let total: f64 = weights.iter().sum();
+                let chosen = if total <= 0.0 {
+                    rng.gen_range(0..n)
+                } else {
+                    let mut target = rng.gen_f64() * total;
+                    let mut chosen = n - 1;
+                    for (i, w) in weights.iter().enumerate() {
+                        if target < *w {
+                            chosen = i;
+                            break;
+                        }
+                        target -= w;
+                    }
+                    chosen
+                };
+                centroids.extend_from_slice(points.row(chosen));
+            }
+            centroids
+        }
+
+        /// Index of the smallest distance in `row`, the first on ties.
+        fn nearest(row: &[f64]) -> usize {
+            let mut best = 0;
+            let mut best_d = f64::INFINITY;
+            for (i, &d) in row.iter().enumerate() {
+                if d < best_d {
+                    best_d = d;
+                    best = i;
+                }
+            }
+            best
+        }
+
+        /// Squared Euclidean distance, summed over the dimensions in order.
+        fn distance_sq(a: &[f64], b: &[f64]) -> f64 {
+            a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+        }
+
+        /// Squared distance from every point to each of the `k` centroids
+        /// (point-major, `k × dim`), written to `out[i * k + c]`. Every entry
+        /// is bit-identical to `distance_sq(points.row(i), centroid c)`.
+        fn distance_table(points: &Features, centroids: &[f64], k: usize, out: &mut Vec<f64>) {
+            let (n, dim) = (points.len(), points.dim());
+            debug_assert_eq!(centroids.len(), k * dim);
+            out.clear();
+            out.resize(n * k, 0.0);
+            // Centroids transposed into blocks of LANES: entry `d` of block `b`
+            // holds dimension `d` of centroids `b * LANES ..`. Lanes past `k`
+            // stay zero and their distances are dropped.
+            let blocks = k.div_ceil(LANES);
+            let mut lanes = vec![[0.0; LANES]; blocks * dim];
+            for c in 0..k {
+                let (block, lane) = (c / LANES, c % LANES);
+                for (d, &v) in centroids[c * dim..(c + 1) * dim].iter().enumerate() {
+                    lanes[block * dim + d][lane] = v;
+                }
+            }
+            for i in (0..n).step_by(2) {
+                // An odd last point is paired with itself.
+                let j = (i + 1).min(n - 1);
+                for block in 0..blocks {
+                    let acc = pair_distances(
+                        points.row(i),
+                        points.row(j),
+                        &lanes[block * dim..(block + 1) * dim],
+                    );
+                    let first = block * LANES;
+                    let width = LANES.min(k - first);
+                    out[i * k + first..i * k + first + width].copy_from_slice(&acc[0][..width]);
+                    out[j * k + first..j * k + first + width].copy_from_slice(&acc[1][..width]);
+                }
+            }
+        }
+
+        /// The distance kernel: squared distances from points `a` and `b` to
+        /// the `LANES` centroids of one transposed block, with one independent
+        /// accumulator per (point, lane).
+        #[inline]
+        fn pair_distances(a: &[f64], b: &[f64], block: &[[f64; LANES]]) -> [[f64; LANES]; 2] {
+            let mut acc = [[0.0; LANES]; 2];
+            for ((&x, &y), lane) in a.iter().zip(b).zip(block) {
+                for l in 0..LANES {
+                    let dx = x - lane[l];
+                    acc[0][l] += dx * dx;
+                    let dy = y - lane[l];
+                    acc[1][l] += dy * dy;
+                }
+            }
+            acc
+        }
+    }
+
+    #[test]
+    fn matches_previous_implementation_and_rng_position() {
+        check(256, |rng| {
+            let n = rng.gen_range(1usize..=24); // odd and even counts
+            let dim = rng.gen_range(1usize..=12);
+            // A few distinct rows, repeated: duplicates force uniform
+            // re-draws in seeding and empty clusters in Lloyd.
+            let distinct = rng.gen_range(1usize..=n);
+            let pool: Vec<Vec<f64>> = (0..distinct)
+                .map(|_| (0..dim).map(|_| rng.gen_range(-3.0f64..3.0)).collect())
+                .collect();
+            let raw: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    if i < distinct {
+                        pool[i].clone()
+                    } else {
+                        pool[rng.gen_range(0..distinct)].clone()
+                    }
+                })
+                .collect();
+            let points = features(&raw);
+            for k in 1..=8 {
+                let seed = rng.next_u64();
+                let (mut now_rng, mut then_rng) =
+                    (DetRng::seed_from_u64(seed), DetRng::seed_from_u64(seed));
+                let now = kmeans(&points, k, &mut now_rng);
+                let then = previous::kmeans(&points, k, &mut then_rng);
+                assert_eq!(now, then, "n {n}, distinct {distinct}, k {k}");
+                assert_eq!(
+                    now_rng.next_u64(),
+                    then_rng.next_u64(),
+                    "RNG position: n {n}, distinct {distinct}, k {k}"
+                );
             }
         });
     }

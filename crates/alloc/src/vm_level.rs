@@ -19,7 +19,7 @@ use crate::kmeans::{kmeans, Features};
 use crate::packing::{best_fit_open, sort_decreasing, Item};
 use crate::AllocError;
 use vc2m_analysis::{existing, regulated, AnalysisCache};
-use vc2m_model::{Alloc, Surface, Task, TaskSet, VcpuId, VcpuSpec, VmSpec};
+use vc2m_model::{Alloc, Task, TaskSet, VcpuId, VcpuSpec, VmSpec};
 use vc2m_rng::Rng;
 
 /// Which analysis computes a VCPU's `(Π, Θ(c,b))` from its tasks.
@@ -87,10 +87,8 @@ pub fn clustered<R: Rng>(
     let tasks: Vec<&Task> = vm.tasks().iter().collect();
     let m = m.min(tasks.len()).max(1);
 
-    // Cluster by slowdown vector (batch-evaluated over the taskset).
-    let features = Features::from_rows(Surface::batch_slowdown_rows(
-        tasks.iter().map(|t| t.wcet_surface()),
-    ));
+    // Cluster by slowdown vector.
+    let features = Features::from_surfaces(tasks.iter().map(|t| t.wcet_surface()));
     let clustering = kmeans(&features, m, rng);
     let clusters = clustering.members();
 

@@ -24,7 +24,7 @@ use vc2m_alloc::{
     allocate_with_degradation, AdmissionConfig, AdmissionEngine, AdmissionPath, AdmissionRequest,
     AdmissionVerdict, DegradationPolicy, Solution,
 };
-use vc2m_model::{Platform, Task, TaskId, TaskSet, VmId, VmSpec};
+use vc2m_model::{Platform, Task, TaskId, TaskSet, VmId, VmSpec, WcetSurface};
 use vc2m_rng::{cases::check, DetRng, Rng};
 use vc2m_workload::{TasksetConfig, TasksetGenerator, UtilizationDist};
 
@@ -337,4 +337,45 @@ fn fast_and_reference_agree_on_random_streams() {
         }
         assert_eq!(fast.allocation(), reference.allocation());
     });
+}
+
+/// The VCPU cap is part of what the memo keys on: `Solution::Auto`
+/// flattens a VM whose tasks fit its cap and clusters it otherwise, so
+/// a re-arrival under a different cap is a different solver input.
+/// VM 7 (three tasks at period 10, WCET 5) is rejected with one VCPU
+/// and admitted, flattened, with 512; the memo must not replay the
+/// first verdict for the second arrival.
+#[test]
+fn memo_keys_on_the_vcpu_cap() {
+    let space = Platform::platform_a().resources();
+    let vm7 = |max_vcpus: usize| {
+        let tasks: TaskSet = (0..3)
+            .map(|i| {
+                let wcet = WcetSurface::flat(&space, 5.0).expect("positive WCET");
+                Task::new(TaskId(7 * TASK_ID_STRIDE + i), 10.0, wcet).expect("WCET fits period")
+            })
+            .collect();
+        VmSpec::with_max_vcpus(VmId(7), tasks, max_vcpus).expect("positive cap")
+    };
+    let run = |config: AdmissionConfig| {
+        let mut engine = AdmissionEngine::new(Platform::platform_a(), config);
+        let capped = engine.submit(AdmissionRequest::Arrival(vm7(1))).clone();
+        assert!(
+            matches!(capped.verdict, AdmissionVerdict::Rejected { .. }),
+            "{:?}",
+            capped.verdict
+        );
+        let uncapped = engine.submit(AdmissionRequest::Arrival(vm7(512))).clone();
+        assert!(
+            matches!(uncapped.verdict, AdmissionVerdict::Admitted { .. }),
+            "{:?}",
+            uncapped.verdict
+        );
+        engine
+    };
+    let on = run(AdmissionConfig::new(42));
+    let off = run(AdmissionConfig::new(42).without_memo());
+    assert_eq!(on.stats().memo_hits, 0);
+    assert_eq!(on.log_text(), off.log_text());
+    assert_eq!(on.allocation(), off.allocation());
 }

@@ -11,8 +11,9 @@ use vc2m_alloc::hypervisor_level::{heuristic, HeuristicConfig};
 use vc2m_alloc::packing::{sort_decreasing, Item};
 use vc2m_alloc::{AllocationOutcome, CoreAssignment, SystemAllocation};
 use vc2m_analysis::core_check::{core_schedulable, core_utilization, UTILIZATION_EPS};
-use vc2m_model::{Alloc, BudgetSurface, Platform, Surface, TaskId, VcpuId, VcpuSpec, VmId};
+use vc2m_model::{Alloc, BudgetSurface, Platform, TaskId, VcpuId, VcpuSpec, VmId};
 use vc2m_rng::{cases::check, DetRng, Rng};
+use vc2m_workload::ParsecBenchmark;
 
 mod oracle {
     use super::*;
@@ -29,8 +30,10 @@ mod oracle {
         let space = platform.resources();
         let reference_total: f64 = vcpus.iter().map(|v| v.utilization(space.reference())).sum();
 
-        let features: Vec<Vec<f64>> =
-            Surface::batch_slowdown_rows(vcpus.iter().map(|v| v.budget_surface()));
+        let features: Vec<Vec<f64>> = vcpus
+            .iter()
+            .map(|v| v.budget_surface().slowdown_values())
+            .collect();
         let feature_refs: Vec<&[f64]> = features.iter().map(|f| f.as_slice()).collect();
 
         for m in 1..=platform.max_usable_cores() {
@@ -401,15 +404,105 @@ fn random_vcpus(rng: &mut DetRng, platform: &Platform) -> Vec<VcpuSpec> {
         .collect()
 }
 
+/// 1–6 steep VCPUs whose total reference utilization sits just under
+/// one core: at `m = 1` Phase 2 climbs until a resource reaches its
+/// maximum, so its gain is `None` on an unschedulable core. Most of
+/// these VCPUs are infeasible at `(Cmin, Bmin)`.
+fn starved_vcpus(rng: &mut DetRng, platform: &Platform) -> Vec<VcpuSpec> {
+    let n = rng.gen_range(1usize..=6);
+    let load = rng.gen_range(0.85f64..1.0);
+    (0..n)
+        .map(|id| {
+            let period = [10.0, 20.0, 40.0][rng.gen_range(0usize..3)];
+            let cache_slope = rng.gen_range(0.5f64..3.0);
+            let bw_slope = rng.gen_range(0.5f64..3.0);
+            vcpu(
+                id,
+                platform,
+                period,
+                load / n as f64 * period,
+                cache_slope,
+                bw_slope,
+            )
+        })
+        .collect()
+}
+
+/// 2–24 VCPUs drawn from at most three templates that fix the slopes
+/// and the reference budget, so VCPUs of one template have bitwise
+/// equal feature rows whatever their period. A template may also get
+/// a near copy with a slightly different budget.
+fn duplicated_vcpus(rng: &mut DetRng, platform: &Platform) -> Vec<VcpuSpec> {
+    const PERIODS: [f64; 5] = [10.0, 20.0, 25.0, 40.0, 50.0];
+    let templates: Vec<(f64, f64, f64)> = (0..rng.gen_range(1usize..=3))
+        .map(|_| {
+            (
+                rng.gen_range(0.5f64..6.0),
+                rng.gen_range(0.0f64..1.5),
+                rng.gen_range(0.0f64..0.8),
+            )
+        })
+        .collect();
+    let n = rng.gen_range(2usize..=24);
+    (0..n)
+        .map(|id| {
+            let (mut budget, cache_slope, bw_slope) = templates[rng.gen_range(0..templates.len())];
+            if rng.gen_f64() < 0.1 {
+                budget *= 1.0 + rng.gen_range(0.0f64..0.01);
+            }
+            let fitting: Vec<f64> = PERIODS
+                .into_iter()
+                .filter(|&p| budget <= 0.98 * p)
+                .collect();
+            let period = fitting[rng.gen_range(0..fitting.len())];
+            vcpu(id, platform, period, budget, cache_slope, bw_slope)
+        })
+        .collect()
+}
+
+/// 1–32 VCPUs whose budget surfaces are PARSEC benchmark slowdown
+/// profiles, sized the way the taskset generator sizes tasks: the
+/// utilization drawn is the one at the worst allocation.
+fn profiled_vcpus(rng: &mut DetRng, platform: &Platform) -> Vec<VcpuSpec> {
+    let space = platform.resources();
+    let n = rng.gen_range(1usize..=32);
+    let load = rng.gen_range(0.2f64..1.15) * platform.cores() as f64;
+    (0..n)
+        .map(|id| {
+            let period = [10.0, 20.0, 25.0, 40.0, 50.0][rng.gen_range(0usize..5)];
+            let utilization = (load / n as f64 * rng.gen_range(0.5f64..1.5)).min(0.98);
+            let slowdown = ParsecBenchmark::sample(rng)
+                .profile()
+                .slowdown_surface(&space);
+            let budget = slowdown.scaled(utilization * period / slowdown.max_slowdown());
+            VcpuSpec::new(VcpuId(id), VmId(id % 3), period, budget, vec![TaskId(id)]).unwrap()
+        })
+        .collect()
+}
+
 #[test]
 fn heuristic_matches_from_scratch_oracle() {
-    check(160, |rng| {
+    check(240, |rng| {
         let platform = [
             Platform::platform_a(),
             Platform::platform_b(),
             Platform::platform_c(),
         ][rng.gen_range(0usize..3)];
-        let vcpus = random_vcpus(rng, &platform);
+        let vcpus = match rng.gen_range(0usize..6) {
+            0 | 1 => random_vcpus(rng, &platform),
+            2 => starved_vcpus(rng, &platform),
+            3 => duplicated_vcpus(rng, &platform),
+            // One VCPU: every k-means call has k = 1.
+            4 => vec![vcpu(
+                0,
+                &platform,
+                20.0,
+                rng.gen_range(1.0f64..19.6),
+                rng.gen_range(0.0f64..2.0),
+                rng.gen_range(0.0f64..2.0),
+            )],
+            _ => profiled_vcpus(rng, &platform),
+        };
         let config = if rng.gen_f64() < 0.5 {
             HeuristicConfig::default()
         } else {

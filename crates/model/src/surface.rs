@@ -96,6 +96,12 @@ impl Surface {
         self.values[self.space.index_of(alloc)]
     }
 
+    /// Every value in the row-major order of [`ResourceSpace::index_of`]:
+    /// entry `space.index_of(alloc)` is `self.at(alloc)`.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.values
+    }
+
     /// Value at the reference allocation `(C, B)` — the reference WCET
     /// e*ᵢ for tasks, or the reference budget Θ*ⱼ for VCPUs.
     pub fn reference(&self) -> f64 {
@@ -133,16 +139,6 @@ impl Surface {
     pub fn slowdown_values(&self) -> Vec<f64> {
         let reference = self.reference();
         self.values.iter().map(|v| v / reference).collect()
-    }
-
-    /// Batch slowdown-surface evaluation: one feature row per surface,
-    /// in input order. The allocation algorithms feed a whole
-    /// taskset's (or VCPU set's) surfaces through this before
-    /// clustering.
-    pub fn batch_slowdown_rows<'a>(
-        surfaces: impl IntoIterator<Item = &'a Surface>,
-    ) -> Vec<Vec<f64>> {
-        surfaces.into_iter().map(Surface::slowdown_values).collect()
     }
 
     /// The maximum slowdown factor s^max = max eᵢ(c,b) / e*ᵢ.
@@ -410,9 +406,5 @@ mod tests {
                 .collect();
             assert_eq!(bits, via_vector);
         }
-        let rows = Surface::batch_slowdown_rows([&a, &b]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], a.slowdown_values());
-        assert_eq!(rows[1], b.slowdown_values());
     }
 }

@@ -116,7 +116,14 @@ impl VcpuSpec {
     ///
     /// Panics if `alloc` is outside the platform's resource space.
     pub fn is_feasible_at(&self, alloc: Alloc) -> bool {
-        self.budget(alloc) <= self.period_ms + 1e-12
+        self.fits_period(self.budget(alloc))
+    }
+
+    /// Whether `budget` fits within the VCPU's period: the test
+    /// [`VcpuSpec::is_feasible_at`] applies to the budget at an
+    /// allocation.
+    pub fn fits_period(&self, budget: f64) -> bool {
+        budget <= self.period_ms + 1e-12
     }
 
     /// The VCPU's slowdown vector Sⱼ = \[Θⱼ(c,b)/Θ*ⱼ\] (clustering
