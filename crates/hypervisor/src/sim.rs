@@ -165,13 +165,15 @@ struct Running {
     vcpu: usize,
     task: Option<usize>,
     start: SimTime,
+    /// The planned end of the segment (completion, budget exhaustion,
+    /// server deadline, or traffic overflow): the core's timer.
+    end: SimTime,
 }
 
 #[derive(Debug, Clone)]
 struct SimCore {
     vcpus: Vec<usize>,
     running: Option<Running>,
-    generation: u64,
     throttled: bool,
     /// When the current throttle/stall began (for time accounting).
     throttled_since: Option<SimTime>,
@@ -217,11 +219,10 @@ enum ResolvedFault {
     },
 }
 
+/// A heap event. Run-segment ends are not events: each core's running
+/// segment carries its own end (see [`HypervisorSim::advance`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
-    /// A planned run segment on a core ended (completion, budget
-    /// exhaustion, server deadline, or traffic overflow).
-    SegmentEnd { core: usize, generation: u64 },
     /// A VCPU's period boundary: replenish its budget.
     ServerReplenish { vcpu: usize },
     /// The bandwidth refiller's period boundary.
@@ -238,7 +239,7 @@ enum Event {
     DeadlineCheck { task: usize, job: u64 },
 }
 
-// Same-instant ordering: account run segments first, then replenish
+// Same-instant ordering: end run segments first, then replenish
 // CPU budgets, then refill bandwidth (fault expiries behave like
 // refill wakes), then inject faults, then release jobs (so an overrun
 // window opening at t already covers releases at t), then check
@@ -285,10 +286,19 @@ const MISS_TOLERANCE: SimDuration = SimDuration(1_000);
 /// and merges with its peers at regulation barriers.
 #[derive(Debug, Clone)]
 struct ShardScope {
-    /// Owned core indices, ascending.
-    cores: Vec<usize>,
     /// `local[k]` for every core of the full system.
     local: Vec<bool>,
+}
+
+/// Buffers of the refill phases, kept across regulation periods so the
+/// event loop does not allocate.
+#[derive(Debug, Clone, Default)]
+struct RefillScratch {
+    /// Cores suspended in phase 0, then every core phase 3
+    /// reschedules.
+    suspended: Vec<usize>,
+    /// Cores the regulator woke in phase 1.
+    woken: Vec<usize>,
 }
 
 /// One record of a shard's trace ring, tagged with its canonical
@@ -399,6 +409,10 @@ pub struct HypervisorSim {
     jobs_released: u64,
     throttle_events: u64,
     context_switches: u64,
+    /// The cores this simulation advances, ascending: every core on the
+    /// serial path, the shard's group on a shard clone.
+    own: Vec<usize>,
+    refill_scratch: RefillScratch,
     /// Set on shard clones of a sharded run; `None` on the serial path.
     scope: Option<ShardScope>,
     /// Tag-merging trace ring of a shard clone; `None` on the serial
@@ -523,7 +537,6 @@ impl HypervisorSim {
             cores.push(SimCore {
                 vcpus: core_vcpus,
                 running: None,
-                generation: 0,
                 throttled: false,
                 throttled_since: None,
                 fault_until: None,
@@ -559,6 +572,8 @@ impl HypervisorSim {
             jobs_released: 0,
             throttle_events: 0,
             context_switches: 0,
+            own: (0..core_count).collect(),
+            refill_scratch: RefillScratch::default(),
             scope: None,
             tagged: None,
         })
@@ -891,14 +906,6 @@ impl HypervisorSim {
         self.vcpu_is_local(self.tasks[task].vcpu)
     }
 
-    /// The cores this simulation advances, ascending.
-    fn own_cores(&self) -> Vec<usize> {
-        match &self.scope {
-            Some(s) => s.cores.clone(),
-            None => (0..self.cores.len()).collect(),
-        }
-    }
-
     /// Whether this shard handles `fault` at all (owns any target).
     fn fault_is_relevant(&self, fault: &ResolvedFault) -> bool {
         match fault {
@@ -919,7 +926,6 @@ impl HypervisorSim {
     /// shard queues.
     fn event_key(&self, event: &Event) -> u64 {
         match *event {
-            Event::SegmentEnd { core, .. } => core as u64,
             Event::ServerReplenish { vcpu } => vcpu as u64,
             Event::Refill => REFILL_KEY,
             Event::Reallocate { index } => index as u64,
@@ -1034,14 +1040,26 @@ impl HypervisorSim {
         }
     }
 
-    /// Drains events up to `horizon`, stopping — without popping — at
-    /// the first event whose `(time, priority, key)` is at or past the
+    /// Delivers events up to `horizon`, stopping — without delivering —
+    /// at the first one whose `(time, priority, key)` is at or past the
     /// refill point of `barrier`, when one is given. Sharded runs
     /// advance window by window with a barrier at every
     /// regulation-period boundary; the serial run passes `None` and
     /// drains to the horizon in one call.
+    ///
+    /// Two sources feed the loop: the event heap and the cores' segment
+    /// timers. A timer orders as `(end, PRIO_SEGMENT_END, core)`, the
+    /// prefix a heap segment-end event would carry, so taking the
+    /// smaller of the heap head and the earliest timer delivers in the
+    /// order of one heap holding both. A preempted segment takes its
+    /// timer with it, so no stale end is ever delivered.
     fn advance(&mut self, barrier: Option<SimTime>, horizon: SimTime) -> Result<(), SimError> {
-        while let Some((time, priority, key)) = self.queue.peek_order() {
+        loop {
+            let (time, priority, key) = match (self.next_segment_end(), self.queue.peek_order()) {
+                (Some(timer), Some(head)) => timer.min(head),
+                (Some(next), None) | (None, Some(next)) => next,
+                (None, None) => break,
+            };
             if time > horizon {
                 break;
             }
@@ -1050,13 +1068,26 @@ impl HypervisorSim {
                     break;
                 }
             }
-            let Some((now, priority, key, event)) = self.queue.pop_keyed() else {
-                break;
-            };
             self.set_tag(priority, key, 0);
-            self.handle(now, event)?;
+            if priority == PRIO_SEGMENT_END {
+                let core = key as usize;
+                self.suspend(core, time);
+                self.schedule(core, time);
+            } else if let Some((now, _, _, event)) = self.queue.pop_keyed() {
+                self.handle(now, event)?;
+            }
         }
         Ok(())
+    }
+
+    /// The earliest segment timer of this simulation's cores, as the
+    /// ordering prefix `(end, PRIO_SEGMENT_END, core)`.
+    fn next_segment_end(&self) -> Option<(SimTime, u64, u64)> {
+        self.own
+            .iter()
+            .filter_map(|&core| self.cores[core].running.map(|r| (r.end, core)))
+            .min()
+            .map(|(end, core)| (end, PRIO_SEGMENT_END, core as u64))
     }
 
     /// One regulation barrier of a shard: performs the refill phases
@@ -1078,7 +1109,8 @@ impl HypervisorSim {
     /// work. A flush-induced throttle opens its interval *at* the
     /// horizon and closes immediately — zero length, as it must be.
     fn finish(&mut self, horizon: SimTime) {
-        for core in self.own_cores() {
+        for i in 0..self.own.len() {
+            let core = self.own[i];
             self.set_tag(PRIO_FLUSH, core as u64, 0);
             self.suspend(core, horizon);
             if let Some(since) = self.cores[core].throttled_since.take() {
@@ -1127,13 +1159,6 @@ impl HypervisorSim {
 
     fn handle(&mut self, now: SimTime, event: Event) -> Result<(), SimError> {
         match event {
-            Event::SegmentEnd { core, generation } => {
-                if self.cores[core].generation != generation {
-                    return Ok(()); // stale: the segment was already preempted
-                }
-                self.suspend(core, now);
-                self.schedule(core, now);
-            }
             Event::ServerReplenish { vcpu } => {
                 let core = self.vcpus[vcpu].core;
                 // If this server is mid-segment, close the segment
@@ -1279,8 +1304,13 @@ impl HypervisorSim {
     /// barrier from the summed per-shard wake counts, slotted between
     /// the phase-0 and phase-2 lanes by its tag subkey.
     fn refill_phases(&mut self, now: SimTime, record: bool) -> usize {
-        let own = self.own_cores();
-        let mut suspended = Vec::new();
+        let own = std::mem::take(&mut self.own);
+        let RefillScratch {
+            mut suspended,
+            mut woken,
+        } = std::mem::take(&mut self.refill_scratch);
+        suspended.clear();
+        woken.clear();
         for &core in &own {
             self.set_subkey(core as u64);
             let generates_traffic = self.cores[core]
@@ -1292,14 +1322,14 @@ impl HypervisorSim {
                 suspended.push(core);
             }
         }
-        let woken = self
-            .probes
-            .time(HandlerKind::BwReplenish, || self.regulator.replenish_cores(&own));
+        self.probes.time(HandlerKind::BwReplenish, || {
+            self.regulator.replenish_cores(&own, &mut woken);
+        });
         if record {
             self.trace(now, TraceEvent::Refill { woken: woken.len() });
         }
         let woken_count = woken.len();
-        for core in woken {
+        for &core in &woken {
             self.set_subkey(2 * TAG_SPAN + core as u64);
             self.cores[core].throttled = false;
             // A concurrent fault stall keeps the core held (and
@@ -1315,10 +1345,12 @@ impl HypervisorSim {
         suspended.extend(own.iter().copied().filter(|&c| !self.cores[c].is_held()));
         suspended.sort_unstable();
         suspended.dedup();
-        for core in suspended {
+        for &core in &suspended {
             self.set_subkey(3 * TAG_SPAN + core as u64);
             self.schedule(core, now);
         }
+        self.own = own;
+        self.refill_scratch = RefillScratch { suspended, woken };
         woken_count
     }
 
@@ -1453,7 +1485,6 @@ impl HypervisorSim {
         let Some(run) = self.cores[core].running.take() else {
             return;
         };
-        self.cores[core].generation += 1;
         let elapsed = now.since(run.start);
         self.vcpus[run.vcpu].server.stop_running(elapsed);
         if elapsed > SimDuration::ZERO {
@@ -1619,17 +1650,12 @@ impl HypervisorSim {
                 limit = limit.min(cap);
             }
         }
-        let generation = self.cores[core].generation;
         self.cores[core].running = Some(Running {
             vcpu,
             task,
             start: now,
+            end: now + limit,
         });
-        self.push_event(
-            now + limit,
-            PRIO_SEGMENT_END,
-            Event::SegmentEnd { core, generation },
-        );
         self.trace(
             now,
             TraceEvent::RunSegment {

@@ -8,8 +8,9 @@
 //! independent sub-simulations between regulation-period boundaries,
 //! and a run decomposes into windows:
 //!
-//! 1. each shard drains its own event heap up to (but not through) the
-//!    barrier's refill point `(t, PRIO_REFILL, REFILL_KEY)`;
+//! 1. each shard drains its own event heap and its own cores' segment
+//!    timers up to (but not through) the barrier's refill point
+//!    `(t, PRIO_REFILL, REFILL_KEY)`;
 //! 2. at the barrier, each shard replenishes *its own* cores
 //!    ([`BwRegulator::replenish_cores`]) and re-runs its scheduler —
 //!    the refill phases touch no foreign state, so the barrier needs
@@ -58,8 +59,8 @@
 //! event that scheduled it while tagging them with an earlier
 //! canonical position. Task WCETs in this codebase are strictly
 //! positive (they come from positive utilizations over positive
-//! periods), so segment-end events always fire strictly later than
-//! the event that planned them.
+//! periods), so segment ends always fall strictly later than the event
+//! that planned them.
 //!
 //! In [`IsolationMode::Shared`] there is no regulation and therefore
 //! no barrier at all: shards run to the horizon fully independently.
@@ -441,10 +442,8 @@ impl HypervisorSim {
         for &core in group {
             local[core] = true;
         }
-        shard.scope = Some(ShardScope {
-            cores: group.to_vec(),
-            local,
-        });
+        shard.own = group.to_vec();
+        shard.scope = Some(ShardScope { local });
         shard.tagged = Some(TaggedRing::new(self.config.trace_capacity));
         shard.seed_events();
         shard
@@ -479,10 +478,8 @@ impl HypervisorSim {
             }
             merged.response_times.extend(rep.response_times);
             merged.supply_logs.extend(rep.supply_logs);
-            if let Some(scope) = &shard.scope {
-                for &core in &scope.cores {
-                    merged.core_times[core] = rep.core_times[core];
-                }
+            for &core in &shard.own {
+                merged.core_times[core] = rep.core_times[core];
             }
         }
         // Serial miss order is the pop order of `DeadlineCheck` events:

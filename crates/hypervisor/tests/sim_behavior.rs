@@ -3,7 +3,7 @@
 //! analyses' verdicts.
 
 use vc2m_alloc::{CoreAssignment, Solution, SystemAllocation};
-use vc2m_hypervisor::{HypervisorSim, SimBuildError, SimConfig, SimError};
+use vc2m_hypervisor::{CorePartition, HypervisorSim, SimBuildError, SimConfig, SimError};
 use vc2m_model::{
     Alloc, BudgetSurface, Platform, SimDuration, Task, TaskId, TaskSet, VcpuId, VcpuSpec, VmId,
     VmSpec, WcetSurface,
@@ -813,4 +813,48 @@ fn shared_mode_disables_partitioning_and_regulation() {
         .unwrap();
     assert_eq!(report.throttle_events, 0, "shared mode must never throttle");
     assert!(report.all_deadlines_met());
+}
+
+#[test]
+fn sixty_five_core_system_builds_and_runs() {
+    // Regression: the bandwidth regulator cached its throttle state in
+    // a `u64` mask, so programming core 64 overflowed the shift and
+    // building any simulation past 64 cores panicked in debug builds.
+    let platform = Platform::symmetric(65, 130).unwrap();
+    let space = platform.resources();
+    let tasks: TaskSet = (0..65)
+        .map(|i| Task::new(TaskId(i), 10.0, WcetSurface::flat(&space, 5.0).unwrap()).unwrap())
+        .collect();
+    let vcpus = (0..65)
+        .map(|i| {
+            VcpuSpec::new(
+                VcpuId(i),
+                VmId(0),
+                10.0,
+                BudgetSurface::flat(&space, 5.0).unwrap(),
+                vec![TaskId(i)],
+            )
+            .unwrap()
+        })
+        .collect();
+    let cores = (0..65)
+        .map(|k| CoreAssignment {
+            vcpus: vec![k],
+            alloc: Alloc::new(2, 1),
+        })
+        .collect();
+    let allocation = SystemAllocation::new(vcpus, cores);
+    // Traffic at twice every core's budget rate: each core throttles.
+    let config = SimConfig::default()
+        .with_horizon(SimDuration::from_ms(100.0))
+        .with_traffic_fraction(2.0);
+    let run = || HypervisorSim::new(&platform, &allocation, &tasks, config).unwrap();
+    let report = run().run().unwrap();
+    assert_eq!(report.core_times.len(), 65);
+    assert!(report.core_times.iter().all(|c| c.throttled_ms > 0.0));
+    // Two shards: cores 0-32 and 33-64.
+    let sharded = run()
+        .run_sharded_with(&CorePartition::chunks(65, 2), 2)
+        .unwrap();
+    assert!(sharded.structural_eq(&report));
 }

@@ -1,18 +1,20 @@
-//! Pins the zero-allocation guarantee of the typed trace path.
+//! Pins the zero-allocation guarantee of the event loop and of the
+//! typed trace path.
 //!
 //! The simulator used to build a `format!` `String` for every trace
 //! call site *before* the buffer could reject it, so even a disabled
 //! trace paid one heap allocation per event. With the typed
 //! [`TraceEvent`](vc2m_hypervisor::TraceEvent) (a `Copy` enum) the
 //! payload lives on the stack, and an enabled ring allocates only its
-//! preallocated storage at build time.
+//! preallocated storage at build time. The bandwidth refill, once per
+//! regulation period, reuses buffers the simulator owns.
 //!
 //! The test installs a counting global allocator and compares whole
-//! build+run allocation counts between a trace-disabled and a
-//! trace-enabled simulation: the difference must be a handful of
-//! buffer-setup allocations, not one-per-event. This file deliberately
-//! holds a single `#[test]` — a second concurrent test would pollute
-//! the counter.
+//! build+run allocation counts: between a trace-disabled and a
+//! trace-enabled simulation the difference must be a handful of
+//! buffer-setup allocations, not one-per-event; and doubling the
+//! horizon must not add any. This file deliberately holds a single
+//! `#[test]` — a second concurrent test would pollute the counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,10 +85,10 @@ fn workload() -> (TaskSet, SystemAllocation) {
 
 /// Builds and runs one simulation, returning the report plus the
 /// number of heap allocations (alloc + realloc calls) it performed.
-fn measured_run(trace_capacity: usize) -> (SimReport, u64, u64) {
+fn measured_run(horizon_ms: f64, trace_capacity: usize) -> (SimReport, u64, u64) {
     let (tasks, allocation) = workload();
     let config = SimConfig::default()
-        .with_horizon(SimDuration::from_ms(1000.0))
+        .with_horizon(SimDuration::from_ms(horizon_ms))
         .with_trace_capacity(trace_capacity);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let (report, observation) =
@@ -102,10 +104,10 @@ fn measured_run(trace_capacity: usize) -> (SimReport, u64, u64) {
 #[test]
 fn trace_payloads_never_allocate() {
     // Warm-up run so lazy one-time allocations don't skew the counts.
-    let (baseline_report, _, _) = measured_run(0);
+    let (baseline_report, _, _) = measured_run(1000.0, 0);
 
-    let (disabled_report, disabled_allocs, disabled_events) = measured_run(0);
-    let (enabled_report, enabled_allocs, enabled_events) = measured_run(4096);
+    let (disabled_report, disabled_allocs, disabled_events) = measured_run(1000.0, 0);
+    let (enabled_report, enabled_allocs, enabled_events) = measured_run(1000.0, 4096);
 
     // The comparison is meaningful only if the run emits far more
     // events than the allowed allocation delta.
@@ -131,5 +133,14 @@ fn trace_payloads_never_allocate() {
         "enabling tracing cost {delta} extra allocations over \
          {enabled_events} events (disabled {disabled_allocs}, enabled \
          {enabled_allocs}) — the event path must not allocate per event"
+    );
+
+    // Twice the simulated time, twice the events, no more allocations:
+    // nothing in the loop allocates per event or per regulation period.
+    let (_, long_allocs, long_events) = measured_run(2000.0, 0);
+    assert!(long_events > disabled_events * 3 / 2);
+    assert_eq!(
+        long_allocs, disabled_allocs,
+        "a 2000 ms run allocated {long_allocs} times, a 1000 ms run {disabled_allocs}"
     );
 }

@@ -15,7 +15,7 @@
 //!
 //! * [`PerfCounter`] — a preset overflow counter plus the overflow
 //!   status bit;
-//! * [`BwRegulator`] — per-core budgets, the throttled-core bitmask,
+//! * [`BwRegulator`] — per-core budgets and throttle flags,
 //!   the enforcer path ([`BwRegulator::record_requests`]) and the
 //!   refiller path ([`BwRegulator::replenish_all`]);
 //! * [`budget_requests_per_period`] — converts a bandwidth-partition

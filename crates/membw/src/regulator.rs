@@ -69,8 +69,8 @@ struct CoreRegulator {
 }
 
 /// The simulated bandwidth regulator: one preset performance counter
-/// per core, the throttled-core bitmask, and the enforcer/refiller
-/// logic of Figure 1.
+/// and throttle flag per core, and the enforcer/refiller logic of
+/// Figure 1.
 ///
 /// The regulator is deliberately scheduler-agnostic: it reports
 /// [`ThrottleAction`]s and un-throttle lists, and the hypervisor
@@ -80,11 +80,10 @@ struct CoreRegulator {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BwRegulator {
     config: RegulatorConfig,
+    /// Per-core state. The `throttled` flags are the shared throttle
+    /// state of Fig. 1 (a bitmask under a lock in the prototype); a
+    /// flag per core has no limit on the core count.
     cores: Vec<CoreRegulator>,
-    /// Bitmask of throttled cores (the shared state of Fig. 1, which
-    /// the prototype protects with a lock; the simulation is
-    /// single-threaded so the bitmask alone suffices).
-    throttled_mask: u64,
     periods_elapsed: u64,
     total_throttles: u64,
 }
@@ -105,7 +104,6 @@ impl BwRegulator {
         BwRegulator {
             config,
             cores,
-            throttled_mask: 0,
             periods_elapsed: 0,
             total_throttles: 0,
         }
@@ -131,11 +129,6 @@ impl BwRegulator {
         state.budget = requests_per_period;
         state.counter.reset(requests_per_period);
         state.throttled = requests_per_period == 0;
-        if state.throttled {
-            self.throttled_mask |= 1 << core;
-        } else {
-            self.throttled_mask &= !(1 << core);
-        }
         Ok(())
     }
 
@@ -176,9 +169,13 @@ impl BwRegulator {
         self.cores[core].throttled
     }
 
-    /// The bitmask of throttled cores.
-    pub fn throttled_mask(&self) -> u64 {
-        self.throttled_mask
+    /// The throttled cores, ascending.
+    pub fn throttled_cores(&self) -> impl Iterator<Item = usize> + '_ {
+        self.cores
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.throttled)
+            .map(|(core, _)| core)
     }
 
     /// The enforcer path: counts `requests` memory requests from
@@ -204,7 +201,6 @@ impl BwRegulator {
         }
         if state.counter.add(requests) {
             state.throttled = true;
-            self.throttled_mask |= 1 << core;
             self.total_throttles += 1;
             Ok(ThrottleAction::Throttle)
         } else {
@@ -218,7 +214,9 @@ impl BwRegulator {
     /// its scheduler on each to resume a VCPU).
     pub fn replenish_all(&mut self) -> Vec<usize> {
         let cores: Vec<usize> = (0..self.cores.len()).collect();
-        self.replenish_cores(&cores)
+        let mut woken = Vec::new();
+        self.replenish_cores(&cores, &mut woken);
+        woken
     }
 
     /// The refiller path restricted to a core subset: replenishes only
@@ -228,17 +226,17 @@ impl BwRegulator {
     /// exactly its own cores at a regulation barrier — keeps per-shard
     /// `periods_elapsed` equal to the serial run's.
     ///
-    /// Returns the listed cores that were throttled, in the order
-    /// given (callers pass ascending core indices for deterministic
-    /// wake order).
+    /// Appends to `woken` the listed cores that were throttled, in the
+    /// order given (callers pass ascending core indices for
+    /// deterministic wake order). A caller-owned buffer keeps the
+    /// per-period refill free of allocation.
     ///
     /// # Panics
     ///
     /// Panics if a listed core is out of range (the list is
     /// caller-constructed, never external input).
-    pub fn replenish_cores(&mut self, cores: &[usize]) -> Vec<usize> {
+    pub fn replenish_cores(&mut self, cores: &[usize], woken: &mut Vec<usize>) {
         self.periods_elapsed += 1;
-        let mut woken = Vec::new();
         for &core in cores {
             let state = &mut self.cores[core];
             if state.throttled {
@@ -247,13 +245,7 @@ impl BwRegulator {
             state.throttled = state.budget == 0;
             state.counter.reset(state.budget);
             state.used_this_period = 0;
-            if state.throttled {
-                self.throttled_mask |= 1 << core;
-            } else {
-                self.throttled_mask &= !(1 << core);
-            }
         }
-        woken
     }
 
     /// Number of regulation periods elapsed (refiller invocations).
@@ -301,11 +293,17 @@ impl fmt::Display for BwRegulator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "BwRegulator({} cores, period {}ms, throttled mask {:#b})",
+            "BwRegulator({} cores, period {}ms, throttled cores [",
             self.config.cores(),
             self.config.period_ms(),
-            self.throttled_mask
-        )
+        )?;
+        for (i, core) in self.throttled_cores().enumerate() {
+            if i > 0 {
+                f.write_str(", ")?;
+            }
+            write!(f, "{core}")?;
+        }
+        f.write_str("])")
     }
 }
 
@@ -360,7 +358,7 @@ mod tests {
         assert_eq!(r.record_requests(0, 99).unwrap(), ThrottleAction::None);
         assert_eq!(r.record_requests(0, 1).unwrap(), ThrottleAction::Throttle);
         assert!(r.is_throttled(0));
-        assert_eq!(r.throttled_mask(), 0b0001);
+        assert!(r.throttled_cores().eq([0]));
         assert_eq!(
             r.record_requests(0, 1).unwrap(),
             ThrottleAction::AlreadyThrottled
@@ -374,7 +372,7 @@ mod tests {
         r.record_requests(2, 150).unwrap();
         assert!(r.is_throttled(2));
         assert!(!r.is_throttled(0));
-        assert_eq!(r.throttled_mask(), 0b0100);
+        assert!(r.throttled_cores().eq([2]));
     }
 
     #[test]
@@ -384,7 +382,7 @@ mod tests {
         r.record_requests(3, 200).unwrap();
         let woken = r.replenish_all();
         assert_eq!(woken, vec![1, 3]);
-        assert_eq!(r.throttled_mask(), 0);
+        assert_eq!(r.throttled_cores().count(), 0);
         assert!(!r.is_throttled(1));
         assert_eq!(r.remaining(1).unwrap(), 100);
         assert_eq!(r.periods_elapsed(), 1);
@@ -407,11 +405,12 @@ mod tests {
         let mut r = regulator();
         r.record_requests(0, 200).unwrap();
         r.record_requests(2, 200).unwrap();
-        let woken = r.replenish_cores(&[0, 1]);
+        let mut woken = Vec::new();
+        r.replenish_cores(&[0, 1], &mut woken);
         assert_eq!(woken, vec![0], "only listed throttled cores wake");
         assert!(!r.is_throttled(0));
         assert!(r.is_throttled(2), "unlisted core keeps its throttle");
-        assert_eq!(r.throttled_mask(), 0b0100);
+        assert!(r.throttled_cores().eq([2]));
         assert_eq!(r.remaining(0).unwrap(), 100, "listed core refilled");
         assert_eq!(r.remaining(2).unwrap(), 0, "unlisted core not refilled");
         assert_eq!(r.periods_elapsed(), 1, "one call = one period");
@@ -431,10 +430,11 @@ mod tests {
             r.record_requests(3, 250).unwrap();
         }
         let woken_serial = serial.replenish_all();
-        let mut woken_sharded = sharded.replenish_cores(&[0, 1]);
-        woken_sharded.extend(sharded.replenish_cores(&[2, 3]));
+        let mut woken_sharded = Vec::new();
+        sharded.replenish_cores(&[0, 1], &mut woken_sharded);
+        sharded.replenish_cores(&[2, 3], &mut woken_sharded);
         assert_eq!(woken_serial, woken_sharded);
-        assert_eq!(serial.throttled_mask(), sharded.throttled_mask());
+        assert!(serial.throttled_cores().eq(sharded.throttled_cores()));
         for core in 0..4 {
             assert_eq!(
                 serial.remaining(core).unwrap(),
@@ -456,8 +456,8 @@ mod tests {
         shard_a.record_requests(1, 250).unwrap();
         shard_b.record_requests(3, 250).unwrap();
         serial.replenish_all();
-        shard_a.replenish_cores(&[0, 1]);
-        shard_b.replenish_cores(&[2, 3]);
+        shard_a.replenish_cores(&[0, 1], &mut Vec::new());
+        shard_b.replenish_cores(&[2, 3], &mut Vec::new());
         let mut merged = shard_a.clone();
         merged.merge_stats(&shard_b);
         assert_eq!(merged.total_throttles(), serial.total_throttles());
@@ -502,8 +502,33 @@ mod tests {
 
     #[test]
     fn display() {
-        let r = regulator();
+        let mut r = regulator();
         assert!(r.to_string().contains("4 cores"));
+        r.record_requests(1, 200).unwrap();
+        r.record_requests(3, 200).unwrap();
+        assert!(r.to_string().contains("throttled cores [1, 3]"));
+    }
+
+    #[test]
+    fn cores_past_64_have_their_own_throttle_state() {
+        // Regression: a cached `u64` mask overflowed at core 64 in debug
+        // builds and aliased core 64 onto core 0 in release builds.
+        let mut r = BwRegulator::new(RegulatorConfig::new(65, 1.0).unwrap());
+        r.set_budget(64, 10).unwrap();
+        r.set_budget(0, 10).unwrap();
+        assert_eq!(r.record_requests(64, 10).unwrap(), ThrottleAction::Throttle);
+        assert!(r.is_throttled(64));
+        assert!(!r.is_throttled(0));
+        assert!(r.throttled_cores().eq([64]));
+        assert_eq!(r.replenish_all(), vec![64]);
+        assert!(!r.is_throttled(64));
+        assert_eq!(r.throttled_cores().count(), 0);
+
+        r.set_budget(0, 0).unwrap();
+        r.set_budget(64, 5).unwrap();
+        assert!(r.is_throttled(0));
+        assert!(!r.is_throttled(64));
+        assert!(r.throttled_cores().eq([0]));
     }
 
     #[test]

@@ -48,6 +48,29 @@ impl MinAvgMax {
         }
     }
 
+    /// An accumulator holding `count` samples summing to `sum`, with
+    /// the given extremes; `count` 0 gives the empty accumulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` is positive and `sum`, `min` or `max` is not
+    /// finite.
+    pub fn from_parts(count: u64, sum: f64, min: f64, max: f64) -> Self {
+        if count == 0 {
+            return MinAvgMax::new();
+        }
+        assert!(
+            sum.is_finite() && min.is_finite() && max.is_finite(),
+            "summary must be finite, got sum {sum}, min {min}, max {max}"
+        );
+        MinAvgMax {
+            count,
+            sum,
+            min,
+            max,
+        }
+    }
+
     /// Records one sample.
     ///
     /// # Panics
@@ -158,6 +181,13 @@ mod tests {
         let s: MinAvgMax = [-1.0, 1.0].into_iter().collect();
         assert_eq!(s.min(), Some(-1.0));
         assert_eq!(s.avg(), Some(0.0));
+    }
+
+    #[test]
+    fn from_parts_matches_recorded_samples() {
+        let recorded: MinAvgMax = [1.0, 2.0, 6.0].into_iter().collect();
+        assert_eq!(MinAvgMax::from_parts(3, 9.0, 1.0, 6.0), recorded);
+        assert_eq!(MinAvgMax::from_parts(0, 0.0, 0.0, 0.0), MinAvgMax::new());
     }
 
     #[test]

@@ -50,7 +50,8 @@ fn part1_regulator_state_machine() -> Result<(), Box<dyn std::error::Error>> {
     let action = regulator.record_requests(0, 1)?;
     println!("one more request     -> {action:?}");
     assert_eq!(action, ThrottleAction::Throttle);
-    println!("throttled mask: {:#06b}", regulator.throttled_mask());
+    let throttled: Vec<usize> = regulator.throttled_cores().collect();
+    println!("throttled cores: {throttled:?}");
 
     // The periodic refiller replenishes every budget and reports which
     // cores the scheduler must wake.
