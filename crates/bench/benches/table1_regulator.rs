@@ -47,7 +47,8 @@ fn main() {
     );
 
     // The refiller: reset every core's counter, clear overflow status,
-    // collect the throttled cores to wake.
+    // collect the throttled cores to wake into a caller-owned buffer
+    // (the simulator reuses one across periods).
     for cores in [4usize, 16, 64] {
         run_batched(
             &format!("bw_replenish_{cores}_cores"),
@@ -58,9 +59,9 @@ fn main() {
                 for core in (0..cores).step_by(2) {
                     r.record_requests(core, 2_000).expect("core in range");
                 }
-                r
+                (r, Vec::with_capacity(cores))
             },
-            |r| r.replenish_all(),
+            |(r, woken)| r.replenish_all(woken),
         );
     }
 }

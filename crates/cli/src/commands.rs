@@ -157,10 +157,6 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         None => None,
     };
     let fault_count: usize = options.parse_or("fault-count", 8)?;
-    let threads: usize = options.parse_or("threads", 1)?;
-    if threads == 0 {
-        return Err(CliError::new("--threads must be at least 1"));
-    }
     let solutions = options.solutions()?;
     let trace_out = options.value("trace-out").map(str::to_string);
     let metrics_out = options.value("metrics-out").map(str::to_string);
@@ -205,25 +201,15 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 .with_fault_plan(plan)
                 .map_err(|e| CliError::new(format!("fault plan rejected: {e}")))?;
         }
-        // The sharded engine is conformant (bit-identical reports,
-        // traces and metrics — pinned by the hypervisor crate's
-        // differential suite), so `--threads` is purely a wall-clock
-        // choice.
         let (report, observation) = if observe {
-            let (report, observation) = if threads > 1 {
-                sim.run_observed_sharded(threads)
-            } else {
-                sim.run_observed()
-            }
-            .map_err(|e| CliError::new(format!("simulation failed: {e}")))?;
+            let (report, observation) = sim
+                .run_observed()
+                .map_err(|e| CliError::new(format!("simulation failed: {e}")))?;
             (report, Some(observation))
         } else {
-            let report = if threads > 1 {
-                sim.run_sharded(threads)
-            } else {
-                sim.run()
-            }
-            .map_err(|e| CliError::new(format!("simulation failed: {e}")))?;
+            let report = sim
+                .run()
+                .map_err(|e| CliError::new(format!("simulation failed: {e}")))?;
             (report, None)
         };
         if let Some(observation) = observation {

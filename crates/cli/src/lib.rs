@@ -84,8 +84,6 @@ SWEEP OPTIONS:
 
 SIMULATE OPTIONS:
     --horizon-ms <f64>            Simulation horizon (default: 2500)
-    --threads <usize>             Sharded parallel simulation (default: 1 = serial;
-                                  output is bit-identical at every thread count)
     --gantt                       Print an ASCII schedule chart (first 200 ms)
     --trace-out <path>            Write the event trace (last 4096 records/run)
     --metrics-out <path>          Write per-solution run metrics as JSON

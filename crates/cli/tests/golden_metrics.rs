@@ -238,56 +238,6 @@ fn faulted_simulate_metrics_json_matches_golden() {
 }
 
 #[test]
-fn sharded_simulate_output_is_byte_identical_to_serial() {
-    // `--threads N` must not change a byte of anything the command
-    // emits: stdout, the metrics JSON (pinned to the serial golden)
-    // or the trace file — the sharded engine is exactly conformant.
-    let metrics = ScratchFile::new("sim-metrics-sharded.json");
-    let trace = ScratchFile::new("sim-trace-sharded.txt");
-    let mut args = SIMULATE_ARGS.to_vec();
-    args.extend([
-        "--threads",
-        "4",
-        "--metrics-out",
-        metrics.as_str(),
-        "--trace-out",
-        trace.as_str(),
-    ]);
-    let (code, out) = run_capture(&args);
-    assert_eq!(code, 0, "output: {out}");
-
-    let serial_metrics = ScratchFile::new("sim-metrics-serial.json");
-    let serial_trace = ScratchFile::new("sim-trace-serial.txt");
-    let mut serial_args = SIMULATE_ARGS.to_vec();
-    serial_args.extend([
-        "--metrics-out",
-        serial_metrics.as_str(),
-        "--trace-out",
-        serial_trace.as_str(),
-    ]);
-    let (serial_code, serial_out) = run_capture(&serial_args);
-    assert_eq!(serial_code, 0);
-    // Everything except the "wrote <scratch path>" lines must agree.
-    let sim_lines = |text: &str| -> Vec<String> {
-        text.lines()
-            .filter(|l| !l.starts_with("wrote "))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(
-        sim_lines(&out),
-        sim_lines(&serial_out),
-        "stdout differs under --threads"
-    );
-    assert_eq!(trace.read(), serial_trace.read(), "trace differs");
-    assert_eq!(metrics.read(), serial_metrics.read(), "metrics differ");
-
-    let (bad_code, bad_out) = run_capture(&["simulate", "--threads", "0"]);
-    assert_eq!(bad_code, 2);
-    assert!(bad_out.contains("--threads must be at least 1"));
-}
-
-#[test]
 fn fault_seed_rejects_garbage() {
     let (code, out) = run_capture(&[
         "simulate",

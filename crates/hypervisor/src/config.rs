@@ -72,16 +72,10 @@ impl SimConfig {
     }
 
     /// Returns a copy with traffic generation at `fraction` of each
-    /// core's budget rate (> 1 forces throttling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is negative or non-finite.
+    /// core's budget rate (> 1 forces throttling). A negative or
+    /// non-finite fraction is rejected by [`SimConfig::validate`] when
+    /// the simulation is built.
     pub fn with_traffic_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            fraction.is_finite() && fraction >= 0.0,
-            "traffic fraction must be non-negative, got {fraction}"
-        );
         self.traffic_fraction = fraction;
         self
     }
@@ -155,9 +149,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
     fn negative_traffic_rejected() {
-        let _ = SimConfig::default().with_traffic_fraction(-0.1);
+        // The builder takes any value; building the simulation returns
+        // the typed error instead of panicking.
+        let allocation = vc2m_alloc::SystemAllocation::new(Vec::new(), Vec::new());
+        let tasks: vc2m_model::TaskSet = std::iter::empty().collect();
+        for fraction in [-0.1, f64::NAN] {
+            let config = SimConfig::default().with_traffic_fraction(fraction);
+            let built = crate::HypervisorSim::new(
+                &vc2m_model::Platform::platform_a(),
+                &allocation,
+                &tasks,
+                config,
+            );
+            assert!(
+                matches!(
+                    built,
+                    Err(crate::SimBuildError::Config(
+                        SimConfigError::InvalidTrafficFraction { .. }
+                    ))
+                ),
+                "fraction {fraction}: {built:?}"
+            );
+        }
     }
 
     #[test]

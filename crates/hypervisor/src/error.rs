@@ -7,7 +7,7 @@
 //! design — demands that every such path surface as a typed error the
 //! caller can handle, log, and degrade around. [`SimError`] is that
 //! type: it is returned by the `with_*` configuration builders and by
-//! `run`/`run_traced`/`run_observed`, whose in-run failure modes
+//! `run`/`run_observed`, whose in-run failure modes
 //! (today: an overcommitted dynamic reallocation) are only detectable
 //! when the event fires.
 
@@ -18,8 +18,8 @@ use vc2m_model::{TaskId, VcpuId, VmId};
 /// A malformed [`SimConfig`](crate::SimConfig).
 ///
 /// The config struct has public fields (sweep drivers build it
-/// directly), so the builder-method assertions can be bypassed;
-/// [`SimConfig::validate`](crate::SimConfig::validate) re-checks every
+/// directly) and its builder methods accept any value;
+/// [`SimConfig::validate`](crate::SimConfig::validate) checks every
 /// field and is called by the simulator constructor before any state
 /// is built.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,13 +112,6 @@ pub enum SimError {
         /// What was wrong.
         detail: String,
     },
-    /// A sharded run was given a core partition that is not a
-    /// permutation of the simulated cores (a core missing, duplicated,
-    /// out of range, or an empty group).
-    InvalidPartition {
-        /// What was wrong.
-        detail: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -151,9 +144,6 @@ impl fmt::Display for SimError {
                  (cache {cache_total}/{cache_max}, bw {bw_total}/{bw_max})"
             ),
             SimError::InvalidFault { detail } => write!(f, "invalid fault: {detail}"),
-            SimError::InvalidPartition { detail } => {
-                write!(f, "invalid core partition: {detail}")
-            }
         }
     }
 }
@@ -200,12 +190,6 @@ mod tests {
                     detail: "factor NaN".into(),
                 },
                 "factor NaN",
-            ),
-            (
-                SimError::InvalidPartition {
-                    detail: "core 3 appears twice".into(),
-                },
-                "appears twice",
             ),
         ];
         for (err, needle) in cases {

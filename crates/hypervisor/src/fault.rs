@@ -358,25 +358,6 @@ pub struct FaultStats {
     pub load_spike_jobs: u64,
 }
 
-impl FaultStats {
-    /// Adds another accumulator's counts into this one. Sharded runs
-    /// attribute every fault to exactly one owning shard (a load spike
-    /// spanning shards counts plan-level stats in the shard owning its
-    /// lowest-indexed target task, per-job stats where each job
-    /// lands), so absorbing all per-shard accumulators reproduces the
-    /// serial totals.
-    pub fn absorb(&mut self, other: &FaultStats) {
-        self.injected += other.injected;
-        self.overruns += other.overruns;
-        self.overrun_jobs += other.overrun_jobs;
-        self.replenish_delays += other.replenish_delays;
-        self.throttle_faults += other.throttle_faults;
-        self.core_stalls += other.core_stalls;
-        self.load_spikes += other.load_spikes;
-        self.load_spike_jobs += other.load_spike_jobs;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

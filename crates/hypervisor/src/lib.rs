@@ -81,5 +81,5 @@ pub use fault::{
 };
 pub use regulation::{RegulationViolation, SupplyLog};
 pub use report::{DeadlineMiss, HandlerKind, SimReport};
-pub use sim::{CorePartition, HypervisorSim, SimBuildError};
+pub use sim::{HypervisorSim, SimBuildError};
 pub use trace::{SimObservation, TraceEvent};

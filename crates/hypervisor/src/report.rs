@@ -106,15 +106,14 @@ impl SimReport {
 
     /// Exact field-wise equality over every **deterministic** field,
     /// ignoring only `handler_overheads` — the one field holding
-    /// wall-clock measurements, which legitimately differ run to run
-    /// (and, under sharded execution, in sample count: each shard
-    /// times its own refill barrier).
+    /// wall-clock measurements, which legitimately differ run to run.
     ///
-    /// This is the single notion of report equality every conformance
-    /// suite pins: serial-vs-serial replay, parallel-vs-serial
-    /// sharding, and fault-containment baselines all compare with it.
-    /// Float fields compare bitwise (via `PartialEq` on `f64`), so
-    /// "equal" here means *bit-identical*, not approximately equal.
+    /// This is the single notion of report equality the suites pin:
+    /// replay determinism, observation passivity (a traced run reports
+    /// what an untraced one does) and fault-containment baselines all
+    /// compare with it. Float fields compare bitwise (via `PartialEq`
+    /// on `f64`), so "equal" here means *bit-identical*, not
+    /// approximately equal.
     pub fn structural_eq(&self, other: &SimReport) -> bool {
         self.deadline_misses == other.deadline_misses
             && self.jobs_completed == other.jobs_completed

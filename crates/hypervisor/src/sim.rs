@@ -22,17 +22,13 @@
 //! verdicts: an allocation declared schedulable must produce zero
 //! deadline misses.
 
-mod shard;
-
-pub use shard::CorePartition;
-
 use crate::config::{IsolationMode, SimConfig};
 use crate::error::{SimConfigError, SimError};
 use crate::fault::{Fault, FaultKind, FaultPlan, FaultStats};
 use crate::probes::Probes;
 use crate::report::{DeadlineMiss, HandlerKind, SimReport};
 use crate::trace::{SimObservation, TraceEvent};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use vc2m_alloc::SystemAllocation;
@@ -255,40 +251,22 @@ const PRIO_FAULT: u64 = 3;
 const PRIO_RELEASE: u64 = 4;
 const PRIO_DEADLINE: u64 = 5;
 
-// Canonical keys order simultaneous equal-priority events by content,
-// so the serial delivery order is reconstructible from independently
-// advancing shards (see [`shard`]). Within the shared priority class 2
-// the order is: reallocations (key = index), then the bandwidth refill
-// (`REFILL_KEY`), then fault-stall expiries (`FAULT_CLEAR_BASE +
-// core`) — matching the historical insertion order, where the refill
-// chain and reallocations are seeded up front while `FaultClear` is
-// pushed mid-run.
+// Keys order simultaneous equal-priority events by content, never by
+// insertion history, so the delivery order (and every golden pinned
+// over it) follows from the events alone. Within the shared priority
+// class 2 the order is: reallocations (key = index), then the bandwidth
+// refill (`REFILL_KEY`), then fault-stall expiries (`FAULT_CLEAR_BASE +
+// core`) — the historical insertion order, where the refill chain and
+// reallocations are seeded up front while `FaultClear` is pushed
+// mid-run.
 const REFILL_KEY: u64 = 1 << 60;
 const FAULT_CLEAR_BASE: u64 = REFILL_KEY + 1;
-
-// Trace-tag subkey lanes for records emitted *within* one event's
-// handling (see `TaggedRing`): the refill phases stamp
-// `phase * TAG_SPAN + core`, a load spike stamps `1 + task` per
-// released job. Core/task indices stay far below `TAG_SPAN`.
-const TAG_SPAN: u64 = 1 << 32;
-
-// Horizon-flush trace records sort after every real event priority.
-const PRIO_FLUSH: u64 = PRIO_DEADLINE + 1;
 
 /// Numeric-residue tolerance at a deadline: real-valued budgets meet
 /// integer-nanosecond time, so up to ~a microsecond of a job can
 /// remain at its deadline purely from rounding. See the
 /// `DeadlineCheck` handler.
 const MISS_TOLERANCE: SimDuration = SimDuration(1_000);
-
-/// Restricts a simulation clone to one core group of a sharded run:
-/// the shard advances only events whose target lives on an owned core
-/// and merges with its peers at regulation barriers.
-#[derive(Debug, Clone)]
-struct ShardScope {
-    /// `local[k]` for every core of the full system.
-    local: Vec<bool>,
-}
 
 /// Buffers of the refill phases, kept across regulation periods so the
 /// event loop does not allocate.
@@ -299,77 +277,6 @@ struct RefillScratch {
     suspended: Vec<usize>,
     /// Cores the regulator woke in phase 1.
     woken: Vec<usize>,
-}
-
-/// One record of a shard's trace ring, tagged with its canonical
-/// position in the serial emission order: the `(time, priority, key)`
-/// ordering prefix of the event being handled when it was emitted, a
-/// `subkey` separating emission lanes within one handler (refill
-/// phases, load-spike job releases), and the shard-local emission
-/// counter `order`. Sorting the union of shard rings by
-/// `(time, priority, key, subkey, order)` reproduces the serial ring.
-#[derive(Debug, Clone, Copy)]
-struct ShardTraceRecord {
-    time: SimTime,
-    priority: u64,
-    key: u64,
-    subkey: u64,
-    order: u64,
-    event: TraceEvent,
-}
-
-impl ShardTraceRecord {
-    fn sort_key(&self) -> (SimTime, u64, u64, u64, u64) {
-        (self.time, self.priority, self.key, self.subkey, self.order)
-    }
-}
-
-/// A shard's bounded trace ring. Mirrors `TraceBuffer` eviction (keep
-/// the newest `capacity` records, count the rest as dropped) but tags
-/// each record for the cross-shard merge. A shard's records are
-/// emitted in ascending tag order, so a record evicted *locally* can
-/// never belong to the newest `capacity` records *globally* — which is
-/// what makes merging the per-shard rings exact.
-#[derive(Debug, Clone)]
-struct TaggedRing {
-    ring: VecDeque<ShardTraceRecord>,
-    capacity: usize,
-    emitted: u64,
-    priority: u64,
-    key: u64,
-    subkey: u64,
-}
-
-impl TaggedRing {
-    fn new(capacity: usize) -> Self {
-        TaggedRing {
-            ring: VecDeque::new(),
-            capacity,
-            emitted: 0,
-            priority: 0,
-            key: 0,
-            subkey: 0,
-        }
-    }
-
-    fn push(&mut self, time: SimTime, event: TraceEvent) {
-        let order = self.emitted;
-        self.emitted += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(ShardTraceRecord {
-            time,
-            priority: self.priority,
-            key: self.key,
-            subkey: self.subkey,
-            order,
-            event,
-        });
-    }
 }
 
 /// The simulated hypervisor (see the [crate docs](crate) for the
@@ -409,15 +316,7 @@ pub struct HypervisorSim {
     jobs_released: u64,
     throttle_events: u64,
     context_switches: u64,
-    /// The cores this simulation advances, ascending: every core on the
-    /// serial path, the shard's group on a shard clone.
-    own: Vec<usize>,
     refill_scratch: RefillScratch,
-    /// Set on shard clones of a sharded run; `None` on the serial path.
-    scope: Option<ShardScope>,
-    /// Tag-merging trace ring of a shard clone; `None` on the serial
-    /// path (which records into `trace` directly).
-    tagged: Option<TaggedRing>,
 }
 
 impl HypervisorSim {
@@ -572,24 +471,8 @@ impl HypervisorSim {
             jobs_released: 0,
             throttle_events: 0,
             context_switches: 0,
-            own: (0..core_count).collect(),
             refill_scratch: RefillScratch::default(),
-            scope: None,
-            tagged: None,
         })
-    }
-
-    /// Runs the simulation and also returns the retained event trace
-    /// (useful for debugging scheduling behavior; enable tracing via
-    /// [`SimConfig::with_trace_capacity`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`HypervisorSim::run`].
-    pub fn run_traced(mut self) -> Result<(SimReport, Vec<(SimTime, TraceEvent)>), SimError> {
-        let report = self.run_inner()?;
-        let trace = self.trace.iter().map(|r| (r.time, r.payload)).collect();
-        Ok((report, trace))
     }
 
     /// Runs the simulation and returns the report together with the
@@ -618,40 +501,18 @@ impl HypervisorSim {
 
     /// Builds the metrics registry from the finished run. Strictly a
     /// read-out of already-accumulated state — nothing here may touch
-    /// simulation behavior.
+    /// simulation behavior. Wall-clock handler overheads are left out
+    /// deliberately: the registry holds only deterministic values, so
+    /// its JSON rendering can be golden-pinned.
     fn collect_metrics(&self, report: &SimReport) -> MetricsRegistry {
-        Self::render_metrics(
-            &self.config,
-            report,
-            self.trace.len() as u64,
-            self.trace.dropped(),
-            &self.regulator,
-            self.fault_plan.is_some().then_some(self.fault_stats),
-        )
-    }
-
-    /// Renders the deterministic run counters into a registry — the
-    /// single formatting point shared by the serial read-out and the
-    /// sharded merge, so both produce byte-identical exports from equal
-    /// inputs. Wall-clock handler overheads are left out deliberately:
-    /// the registry holds only deterministic values, so its JSON
-    /// rendering can be golden-pinned.
-    fn render_metrics(
-        config: &SimConfig,
-        report: &SimReport,
-        trace_recorded: u64,
-        trace_dropped: u64,
-        regulator: &BwRegulator,
-        fault_stats: Option<FaultStats>,
-    ) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         m.counter_add("sim.jobs.released", report.jobs_released);
         m.counter_add("sim.jobs.completed", report.jobs_completed);
         m.counter_add("sim.deadline.misses", report.deadline_misses.len() as u64);
         m.counter_add("sim.throttle.events", report.throttle_events);
         m.counter_add("sim.context.switches", report.context_switches);
-        m.counter_add("sim.trace.recorded", trace_recorded);
-        m.counter_add("sim.trace.dropped", trace_dropped);
+        m.counter_add("sim.trace.recorded", self.trace.len() as u64);
+        m.counter_add("sim.trace.dropped", self.trace.dropped());
         m.gauge_set("sim.horizon_ms", report.horizon_ms);
         for (k, ct) in report.core_times.iter().enumerate() {
             m.gauge_set(&format!("sim.core{k}.busy_ms"), ct.busy_ms);
@@ -660,13 +521,14 @@ impl HypervisorSim {
         for (task, response) in &report.response_times {
             m.observe_summary(&format!("sim.response_ms.{task}"), response);
         }
-        if config.isolation == IsolationMode::Isolated {
-            regulator.export_metrics("membw.", &mut m);
+        if self.config.isolation == IsolationMode::Isolated {
+            self.regulator.export_metrics("membw.", &mut m);
         }
         // Fault counters appear exactly when a plan was attached, so
         // fault-free runs keep their metrics renderings byte-identical
         // to before fault injection existed (golden-pinned).
-        if let Some(s) = fault_stats {
+        if self.fault_plan.is_some() {
+            let s = &self.fault_stats;
             m.counter_add("faults.injected", s.injected);
             m.counter_add("faults.overruns", s.overruns);
             m.counter_add("faults.overrun_jobs", s.overrun_jobs);
@@ -881,49 +743,16 @@ impl HypervisorSim {
     fn run_inner(&mut self) -> Result<SimReport, SimError> {
         self.seed_events();
         let horizon = SimTime::ZERO + self.config.horizon;
-        self.advance(None, horizon)?;
+        self.advance(horizon)?;
         self.finish(horizon);
         Ok(self.build_report())
     }
 
-    // ---- Scope helpers -------------------------------------------------
-    //
-    // A serial run has no scope: every core, VCPU and task is local. A
-    // shard clone owns a core subset; a VCPU or task is local exactly
-    // when its core is, so any core partition cleanly partitions the
-    // whole entity graph (cores couple only through the regulation
-    // barrier).
-
-    fn core_is_local(&self, core: usize) -> bool {
-        self.scope.as_ref().is_none_or(|s| s.local[core])
-    }
-
-    fn vcpu_is_local(&self, vcpu: usize) -> bool {
-        self.core_is_local(self.vcpus[vcpu].core)
-    }
-
-    fn task_is_local(&self, task: usize) -> bool {
-        self.vcpu_is_local(self.tasks[task].vcpu)
-    }
-
-    /// Whether this shard handles `fault` at all (owns any target).
-    fn fault_is_relevant(&self, fault: &ResolvedFault) -> bool {
-        match fault {
-            ResolvedFault::WcetOverrun { task, .. } => self.task_is_local(*task),
-            ResolvedFault::ReplenishDelay { vcpu, .. } => self.vcpu_is_local(*vcpu),
-            ResolvedFault::ThrottleFault { core } | ResolvedFault::CoreStall { core, .. } => {
-                self.core_is_local(*core)
-            }
-            ResolvedFault::LoadSpike { tasks } => tasks.iter().any(|&t| self.task_is_local(t)),
-        }
-    }
-
     // ---- Event keying --------------------------------------------------
 
-    /// The canonical key of `event`: derived from content, never from
-    /// insertion history, so simultaneous equal-priority events order
-    /// identically whether they live in one queue or are split across
-    /// shard queues.
+    /// The ordering key of `event`: derived from content, never from
+    /// insertion history, so simultaneous equal-priority events are
+    /// delivered in an order fixed by the events themselves.
     fn event_key(&self, event: &Event) -> u64 {
         match *event {
             Event::ServerReplenish { vcpu } => vcpu as u64,
@@ -941,31 +770,9 @@ impl HypervisorSim {
         self.queue.push_keyed(time, priority, key, event);
     }
 
-    /// Points the tagged trace ring (if any) at a new canonical
-    /// position. No-op on the serial path.
-    fn set_tag(&mut self, priority: u64, key: u64, subkey: u64) {
-        if let Some(tag) = &mut self.tagged {
-            tag.priority = priority;
-            tag.key = key;
-            tag.subkey = subkey;
-        }
-    }
-
-    /// Advances only the emission lane within the current event's tag.
-    fn set_subkey(&mut self, subkey: u64) {
-        if let Some(tag) = &mut self.tagged {
-            tag.subkey = subkey;
-        }
-    }
-
     // ---- Run phases ----------------------------------------------------
 
-    /// Seeds the initial event population. Scope-aware: a shard seeds
-    /// only releases/replenishments of its own tasks and VCPUs and the
-    /// faults it owns a target of, never the `Refill` chain (barriers
-    /// replace it) — but *every* reallocation, because reallocation
-    /// validity depends on the global allocation table and each shard
-    /// must track it identically (see [`Self::apply_reallocation`]).
+    /// Seeds the initial event population.
     fn seed_events(&mut self) {
         // Release synchronization (Section 3.2): align each VCPU's
         // first release with its earliest task release.
@@ -986,9 +793,6 @@ impl HypervisorSim {
         }
         if self.config.record_supply {
             for v in 0..self.vcpus.len() {
-                if !self.vcpu_is_local(v) {
-                    continue;
-                }
                 let server = &self.vcpus[v].server;
                 self.supply_logs[v] = Some(crate::regulation::SupplyLog::new(
                     server.period(),
@@ -999,9 +803,6 @@ impl HypervisorSim {
         // Initial events: task releases at their offsets, server
         // replenishments at the first period boundaries, the refiller.
         for t in 0..self.tasks.len() {
-            if !self.task_is_local(t) {
-                continue;
-            }
             let offset = self.tasks[t].offset;
             self.push_event(
                 SimTime::ZERO + offset,
@@ -1010,16 +811,10 @@ impl HypervisorSim {
             );
         }
         for v in 0..self.vcpus.len() {
-            if !self.vcpu_is_local(v) {
-                continue;
-            }
             let deadline = self.vcpus[v].server.deadline();
             self.push_event(deadline, PRIO_REPLENISH, Event::ServerReplenish { vcpu: v });
         }
-        if self.scope.is_none()
-            && self.config.isolation == IsolationMode::Isolated
-            && !self.cores.is_empty()
-        {
+        if self.config.isolation == IsolationMode::Isolated && !self.cores.is_empty() {
             self.push_event(
                 SimTime::ZERO + self.config.regulation_period,
                 PRIO_REFILL,
@@ -1031,21 +826,13 @@ impl HypervisorSim {
             self.push_event(at, PRIO_REALLOC, Event::Reallocate { index });
         }
         for index in 0..self.resolved_faults.len() {
-            let (at, fault) = &self.resolved_faults[index];
-            if !self.fault_is_relevant(fault) {
-                continue;
-            }
-            let at = *at;
+            let at = self.resolved_faults[index].0;
             self.push_event(at, PRIO_FAULT, Event::FaultInject { index });
         }
     }
 
-    /// Delivers events up to `horizon`, stopping — without delivering —
-    /// at the first one whose `(time, priority, key)` is at or past the
-    /// refill point of `barrier`, when one is given. Sharded runs
-    /// advance window by window with a barrier at every
-    /// regulation-period boundary; the serial run passes `None` and
-    /// drains to the horizon in one call.
+    /// Delivers every event up to `horizon`, in `(time, priority, key)`
+    /// order.
     ///
     /// Two sources feed the loop: the event heap and the cores' segment
     /// timers. A timer orders as `(end, PRIO_SEGMENT_END, core)`, the
@@ -1053,7 +840,7 @@ impl HypervisorSim {
     /// smaller of the heap head and the earliest timer delivers in the
     /// order of one heap holding both. A preempted segment takes its
     /// timer with it, so no stale end is ever delivered.
-    fn advance(&mut self, barrier: Option<SimTime>, horizon: SimTime) -> Result<(), SimError> {
+    fn advance(&mut self, horizon: SimTime) -> Result<(), SimError> {
         loop {
             let (time, priority, key) = match (self.next_segment_end(), self.queue.peek_order()) {
                 (Some(timer), Some(head)) => timer.min(head),
@@ -1063,40 +850,26 @@ impl HypervisorSim {
             if time > horizon {
                 break;
             }
-            if let Some(b) = barrier {
-                if (time, priority, key) >= (b, PRIO_REFILL, REFILL_KEY) {
-                    break;
-                }
-            }
-            self.set_tag(priority, key, 0);
             if priority == PRIO_SEGMENT_END {
                 let core = key as usize;
                 self.suspend(core, time);
                 self.schedule(core, time);
-            } else if let Some((now, _, _, event)) = self.queue.pop_keyed() {
+            } else if let Some((now, _, event)) = self.queue.pop() {
                 self.handle(now, event)?;
             }
         }
         Ok(())
     }
 
-    /// The earliest segment timer of this simulation's cores, as the
-    /// ordering prefix `(end, PRIO_SEGMENT_END, core)`.
+    /// The earliest segment timer of the cores, as the ordering prefix
+    /// `(end, PRIO_SEGMENT_END, core)`.
     fn next_segment_end(&self) -> Option<(SimTime, u64, u64)> {
-        self.own
+        self.cores
             .iter()
-            .filter_map(|&core| self.cores[core].running.map(|r| (r.end, core)))
+            .enumerate()
+            .filter_map(|(core, c)| c.running.map(|r| (r.end, core)))
             .min()
             .map(|(end, core)| (end, PRIO_SEGMENT_END, core as u64))
-    }
-
-    /// One regulation barrier of a shard: performs the refill phases
-    /// over the shard's own cores. The `Refill` trace record itself is
-    /// synthesized by the coordinator from the summed per-shard wake
-    /// counts (see [`shard`]), so it is not emitted here.
-    fn barrier_refill(&mut self, now: SimTime) -> usize {
-        self.set_tag(PRIO_REFILL, REFILL_KEY, 0);
-        self.refill_phases(now, false)
     }
 
     /// Horizon flush: close in-flight run segments and open
@@ -1109,9 +882,7 @@ impl HypervisorSim {
     /// work. A flush-induced throttle opens its interval *at* the
     /// horizon and closes immediately — zero length, as it must be.
     fn finish(&mut self, horizon: SimTime) {
-        for i in 0..self.own.len() {
-            let core = self.own[i];
-            self.set_tag(PRIO_FLUSH, core as u64, 0);
+        for core in 0..self.cores.len() {
             self.suspend(core, horizon);
             if let Some(since) = self.cores[core].throttled_since.take() {
                 self.cores[core].throttled_ns += horizon.since(since).as_ns();
@@ -1119,12 +890,8 @@ impl HypervisorSim {
         }
     }
 
-    /// Reads the finished run out into a report. Scope-aware: a shard
-    /// reports only its own tasks' response times and supply logs
-    /// (foreign `core_times` entries are zero and are replaced by the
-    /// owning shard's at merge).
+    /// Reads the finished run out into a report.
     fn build_report(&mut self) -> SimReport {
-        let local: Vec<bool> = (0..self.tasks.len()).map(|t| self.task_is_local(t)).collect();
         SimReport {
             deadline_misses: std::mem::take(&mut self.misses),
             jobs_completed: self.jobs_completed,
@@ -1135,9 +902,7 @@ impl HypervisorSim {
             response_times: self
                 .tasks
                 .iter()
-                .zip(&local)
-                .filter(|(_, &l)| l)
-                .map(|(t, _)| (t.id, t.response.clone()))
+                .map(|t| (t.id, t.response.clone()))
                 .collect(),
             supply_logs: self
                 .vcpus
@@ -1188,7 +953,7 @@ impl HypervisorSim {
                 self.schedule(core, now);
             }
             Event::Refill => {
-                self.refill_phases(now, true);
+                self.refill_phases(now);
                 self.push_event(
                     now + self.config.regulation_period,
                     PRIO_REFILL,
@@ -1291,28 +1056,20 @@ impl HypervisorSim {
     }
 
     /// The bandwidth refiller's period boundary, in its fixed phase
-    /// order over the cores this simulation owns (all of them on the
-    /// serial path): (0) close in-flight segments of traffic-generating
-    /// tasks so their requests are charged to the period that just
-    /// ended, not lumped into a later one; (1) replenish budgets —
-    /// and, when `record` is set, emit the `Refill` trace record;
+    /// order over all cores: (0) close in-flight segments of
+    /// traffic-generating tasks so their requests are charged to the
+    /// period that just ended, not lumped into a later one;
+    /// (1) replenish budgets and emit the `Refill` trace record;
     /// (2) wake throttled cores; (3) re-run the scheduler on every
-    /// unheld core, ascending. Returns the number of cores woken.
-    ///
-    /// The serial event loop passes `record = true`; shard barriers
-    /// pass `false` and let the coordinator synthesize one record per
-    /// barrier from the summed per-shard wake counts, slotted between
-    /// the phase-0 and phase-2 lanes by its tag subkey.
-    fn refill_phases(&mut self, now: SimTime, record: bool) -> usize {
-        let own = std::mem::take(&mut self.own);
+    /// unheld core, ascending.
+    fn refill_phases(&mut self, now: SimTime) {
         let RefillScratch {
             mut suspended,
             mut woken,
         } = std::mem::take(&mut self.refill_scratch);
         suspended.clear();
         woken.clear();
-        for &core in &own {
-            self.set_subkey(core as u64);
+        for core in 0..self.cores.len() {
             let generates_traffic = self.cores[core]
                 .running
                 .and_then(|r| r.task)
@@ -1323,14 +1080,10 @@ impl HypervisorSim {
             }
         }
         self.probes.time(HandlerKind::BwReplenish, || {
-            self.regulator.replenish_cores(&own, &mut woken);
+            self.regulator.replenish_all(&mut woken);
         });
-        if record {
-            self.trace(now, TraceEvent::Refill { woken: woken.len() });
-        }
-        let woken_count = woken.len();
+        self.trace(now, TraceEvent::Refill { woken: woken.len() });
         for &core in &woken {
-            self.set_subkey(2 * TAG_SPAN + core as u64);
             self.cores[core].throttled = false;
             // A concurrent fault stall keeps the core held (and
             // its idle interval open); its FaultClear closes
@@ -1342,49 +1095,29 @@ impl HypervisorSim {
                 self.trace(now, TraceEvent::Unthrottle { core });
             }
         }
-        suspended.extend(own.iter().copied().filter(|&c| !self.cores[c].is_held()));
+        suspended.extend((0..self.cores.len()).filter(|&c| !self.cores[c].is_held()));
         suspended.sort_unstable();
         suspended.dedup();
         for &core in &suspended {
-            self.set_subkey(3 * TAG_SPAN + core as u64);
             self.schedule(core, now);
         }
-        self.own = own;
         self.refill_scratch = RefillScratch { suspended, woken };
-        woken_count
     }
 
     /// Injects the `index`-th resolved fault at `now` (see
     /// [`fault`](crate::fault) for the taxonomy and containment
-    /// semantics). Scope-aware: single-target faults are only ever
-    /// seeded in the shard owning the target; a load spike spanning
-    /// shards is seeded in each, with the shard owning the
-    /// lowest-indexed target acting as *owner* — it alone counts the
-    /// plan-level stats and emits the `FaultInjected` record, while
-    /// every shard releases the spike jobs of its own tasks.
+    /// semantics).
     fn inject_fault(&mut self, index: usize, now: SimTime) {
         let fault = self.resolved_faults[index].1.clone();
-        let owner = match &fault {
-            ResolvedFault::WcetOverrun { task, .. } => self.task_is_local(*task),
-            ResolvedFault::ReplenishDelay { vcpu, .. } => self.vcpu_is_local(*vcpu),
-            ResolvedFault::ThrottleFault { core } | ResolvedFault::CoreStall { core, .. } => {
-                self.core_is_local(*core)
-            }
-            ResolvedFault::LoadSpike { tasks } => {
-                tasks.first().is_some_and(|&t| self.task_is_local(t))
-            }
+        self.fault_stats.injected += 1;
+        let kind = match &fault {
+            ResolvedFault::WcetOverrun { .. } => FaultKind::WcetOverrun,
+            ResolvedFault::ReplenishDelay { .. } => FaultKind::ReplenishDelay,
+            ResolvedFault::ThrottleFault { .. } => FaultKind::ThrottleFault,
+            ResolvedFault::CoreStall { .. } => FaultKind::CoreStall,
+            ResolvedFault::LoadSpike { .. } => FaultKind::LoadSpike,
         };
-        if owner {
-            self.fault_stats.injected += 1;
-            let kind = match &fault {
-                ResolvedFault::WcetOverrun { .. } => FaultKind::WcetOverrun,
-                ResolvedFault::ReplenishDelay { .. } => FaultKind::ReplenishDelay,
-                ResolvedFault::ThrottleFault { .. } => FaultKind::ThrottleFault,
-                ResolvedFault::CoreStall { .. } => FaultKind::CoreStall,
-                ResolvedFault::LoadSpike { .. } => FaultKind::LoadSpike,
-            };
-            self.trace(now, TraceEvent::FaultInjected { kind });
-        }
+        self.trace(now, TraceEvent::FaultInjected { kind });
         match fault {
             ResolvedFault::WcetOverrun {
                 task,
@@ -1416,14 +1149,8 @@ impl HypervisorSim {
                 self.stall_core(core, now + duration, now);
             }
             ResolvedFault::LoadSpike { tasks } => {
-                if owner {
-                    self.fault_stats.load_spikes += 1;
-                }
+                self.fault_stats.load_spikes += 1;
                 for task in tasks {
-                    if !self.task_is_local(task) {
-                        continue;
-                    }
-                    self.set_subkey(1 + task as u64);
                     let (deadline, job_index, overran) = {
                         let t = &mut self.tasks[task];
                         let job_index = t.next_index;
@@ -1689,18 +1416,6 @@ impl HypervisorSim {
             });
         }
 
-        // Every shard of a sharded run processes every reallocation so
-        // the global-budget validation above runs against the same
-        // allocation table everywhere (reallocations are totally
-        // ordered by their canonical keys, and `core_allocs` is mutated
-        // by nothing else — so a failing reallocation fails in every
-        // shard, identically, and nothing past it is processed). For a
-        // foreign core only the bookkeeping applies.
-        if !self.core_is_local(core) {
-            self.core_allocs[core] = alloc;
-            return Ok(());
-        }
-
         // Close the in-flight segment so consumption is accounted at
         // the old parameters.
         self.suspend(core, now);
@@ -1745,14 +1460,8 @@ impl HypervisorSim {
     /// whether or not the buffer is enabled — the disabled-path
     /// guarantee the `trace_alloc` test pins. A disabled buffer counts
     /// the push as dropped, so `recorded + dropped` is always the total
-    /// number of events the run emitted. Shard clones record into
-    /// their tagged ring instead, carrying the canonical position for
-    /// the cross-shard merge.
+    /// number of events the run emitted.
     fn trace(&mut self, now: SimTime, event: TraceEvent) {
-        if let Some(tag) = &mut self.tagged {
-            tag.push(now, event);
-        } else {
-            self.trace.push(now, event);
-        }
+        self.trace.push(now, event);
     }
 }

@@ -1,6 +1,7 @@
 //! Seeded property tests for the fault-injection subsystem: plan
-//! determinism, run determinism under faults, and the overrun
-//! containment invariant.
+//! determinism, run determinism under faults, the overrun containment
+//! invariant, and the delivery order of a fault expiry among
+//! simultaneous events.
 //!
 //! **Containment argument.** The core's EDF scheduler picks servers by
 //! `(deadline, period, index)` only — never by job content — and a
@@ -17,7 +18,7 @@
 use vc2m_alloc::{CoreAssignment, SystemAllocation};
 use vc2m_hypervisor::{
     Fault, FaultKind, FaultPlan, FaultPlanSpec, FaultTargets, HypervisorSim, SimConfig, SimError,
-    SimReport,
+    SimReport, TraceEvent,
 };
 use vc2m_model::{
     Alloc, BudgetSurface, Platform, SimDuration, SimTime, Task, TaskId, TaskSet, VcpuId, VcpuSpec,
@@ -402,4 +403,58 @@ fn replenish_delay_starves_only_until_the_late_replenishment() {
         );
     }
     assert!(report.jobs_completed > 0);
+}
+
+#[test]
+fn simultaneous_reallocation_refill_and_stall_expiry_follow_the_key_order() {
+    // At 10 ms three priority-class-2 events coincide on core 0: a
+    // scheduled reallocation, the bandwidth refill and the expiry of a
+    // stall injected at 5 ms. The stall's `FaultClear` is pushed at
+    // 5 ms, before the 10 ms refill is pushed at 9 ms, so insertion
+    // order alone would deliver it first; the content-derived keys
+    // deliver the reallocation, then the refill, then the expiry.
+    let (allocation, tasks) = multi_vm_system(&[(10.0, 2.0), (10.0, 3.0)]);
+    let at = SimTime::from_ms(10.0);
+    let alloc = Alloc::new(8, 8);
+    let plan = FaultPlan::new().inject(
+        SimTime::from_ms(5.0),
+        Fault::CoreStall {
+            core: 0,
+            duration: SimDuration::from_ms(5.0),
+        },
+    );
+    let config = SimConfig::default()
+        .with_horizon(SimDuration::from_ms(20.0))
+        .with_trace_capacity(1024);
+    let (_, observation) = HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, config)
+        .expect("realizable")
+        .with_reallocation(10.0, 0, alloc)
+        .expect("valid reallocation")
+        .with_fault_plan(plan)
+        .expect("valid plan")
+        .run_observed()
+        .expect("contained");
+    assert_eq!(observation.trace_dropped, 0);
+    let class_2: Vec<TraceEvent> = observation
+        .trace
+        .iter()
+        .filter(|(time, _)| *time == at)
+        .map(|&(_, event)| event)
+        .filter(|event| {
+            matches!(
+                event,
+                TraceEvent::Reallocate { .. }
+                    | TraceEvent::Refill { .. }
+                    | TraceEvent::Unthrottle { .. }
+            )
+        })
+        .collect();
+    assert_eq!(
+        class_2,
+        vec![
+            TraceEvent::Reallocate { core: 0, alloc },
+            TraceEvent::Refill { woken: 0 },
+            TraceEvent::Unthrottle { core: 0 },
+        ]
+    );
 }

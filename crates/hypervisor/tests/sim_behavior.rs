@@ -3,7 +3,7 @@
 //! analyses' verdicts.
 
 use vc2m_alloc::{CoreAssignment, Solution, SystemAllocation};
-use vc2m_hypervisor::{CorePartition, HypervisorSim, SimBuildError, SimConfig, SimError};
+use vc2m_hypervisor::{HypervisorSim, SimBuildError, SimConfig, SimError};
 use vc2m_model::{
     Alloc, BudgetSurface, Platform, SimDuration, Task, TaskId, TaskSet, VcpuId, VcpuSpec, VmId,
     VmSpec, WcetSurface,
@@ -848,13 +848,10 @@ fn sixty_five_core_system_builds_and_runs() {
     let config = SimConfig::default()
         .with_horizon(SimDuration::from_ms(100.0))
         .with_traffic_fraction(2.0);
-    let run = || HypervisorSim::new(&platform, &allocation, &tasks, config).unwrap();
-    let report = run().run().unwrap();
+    let report = HypervisorSim::new(&platform, &allocation, &tasks, config)
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(report.core_times.len(), 65);
     assert!(report.core_times.iter().all(|c| c.throttled_ms > 0.0));
-    // Two shards: cores 0-32 and 33-64.
-    let sharded = run()
-        .run_sharded_with(&CorePartition::chunks(65, 2), 2)
-        .unwrap();
-    assert!(sharded.structural_eq(&report));
 }

@@ -36,7 +36,8 @@
 //! assert_eq!(regulator.record_requests(0, 1)?, ThrottleAction::Throttle);
 //! assert!(regulator.is_throttled(0));
 //! // The refiller un-throttles it at the next period boundary.
-//! let woken = regulator.replenish_all();
+//! let mut woken = Vec::new();
+//! regulator.replenish_all(&mut woken);
 //! assert_eq!(woken, vec![0]);
 //! # Ok(())
 //! # }

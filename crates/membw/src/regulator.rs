@@ -209,36 +209,14 @@ impl BwRegulator {
     }
 
     /// The refiller path: at a regulation-period boundary, replenishes
-    /// every core's budget, clears overflow status, and returns the
-    /// list of cores that were throttled (the hypervisor must invoke
-    /// its scheduler on each to resume a VCPU).
-    pub fn replenish_all(&mut self) -> Vec<usize> {
-        let cores: Vec<usize> = (0..self.cores.len()).collect();
-        let mut woken = Vec::new();
-        self.replenish_cores(&cores, &mut woken);
-        woken
-    }
-
-    /// The refiller path restricted to a core subset: replenishes only
-    /// the listed cores, leaving every other core's budget, counter and
-    /// throttle status untouched. One call counts as one elapsed
-    /// period, so a sharded simulation — where each shard replenishes
-    /// exactly its own cores at a regulation barrier — keeps per-shard
-    /// `periods_elapsed` equal to the serial run's.
-    ///
-    /// Appends to `woken` the listed cores that were throttled, in the
-    /// order given (callers pass ascending core indices for
-    /// deterministic wake order). A caller-owned buffer keeps the
-    /// per-period refill free of allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a listed core is out of range (the list is
-    /// caller-constructed, never external input).
-    pub fn replenish_cores(&mut self, cores: &[usize], woken: &mut Vec<usize>) {
+    /// every core's budget and clears overflow status. Appends to
+    /// `woken` the cores that were throttled, ascending (the hypervisor
+    /// must invoke its scheduler on each to resume a VCPU). A
+    /// caller-owned buffer keeps the per-period refill free of
+    /// allocation.
+    pub fn replenish_all(&mut self, woken: &mut Vec<usize>) {
         self.periods_elapsed += 1;
-        for &core in cores {
-            let state = &mut self.cores[core];
+        for (core, state) in self.cores.iter_mut().enumerate() {
             if state.throttled {
                 woken.push(core);
             }
@@ -251,22 +229,6 @@ impl BwRegulator {
     /// Number of regulation periods elapsed (refiller invocations).
     pub fn periods_elapsed(&self) -> u64 {
         self.periods_elapsed
-    }
-
-    /// Folds another regulator's cumulative *statistics* into this one
-    /// (sharded-simulation merge): throttle totals add, since each
-    /// shard throttles a disjoint core subset. `periods_elapsed` is
-    /// left alone — every shard replenishes at every barrier, so the
-    /// per-shard clocks already agree with the serial run's.
-    ///
-    /// Per-core budget/counter state is *not* merged; the receiver is
-    /// only meaningful as a statistics source afterwards.
-    pub fn merge_stats(&mut self, other: &BwRegulator) {
-        debug_assert_eq!(
-            self.periods_elapsed, other.periods_elapsed,
-            "shards must have clocked the same number of barriers"
-        );
-        self.total_throttles += other.total_throttles;
     }
 
     /// Total throttle events since setup.
@@ -380,7 +342,8 @@ mod tests {
         let mut r = regulator();
         r.record_requests(1, 200).unwrap();
         r.record_requests(3, 200).unwrap();
-        let woken = r.replenish_all();
+        let mut woken = Vec::new();
+        r.replenish_all(&mut woken);
         assert_eq!(woken, vec![1, 3]);
         assert_eq!(r.throttled_cores().count(), 0);
         assert!(!r.is_throttled(1));
@@ -395,73 +358,30 @@ mod tests {
         let mut r = regulator();
         r.set_budget(0, 0).unwrap();
         assert!(r.is_throttled(0));
-        let woken = r.replenish_all();
+        let mut woken = Vec::new();
+        r.replenish_all(&mut woken);
         assert_eq!(woken, vec![0], "refiller still reports it");
         assert!(r.is_throttled(0), "but it stays throttled");
     }
 
     #[test]
-    fn replenish_cores_touches_only_the_subset() {
+    fn replenish_appends_to_the_caller_buffer() {
+        // The refill appends after whatever the caller left in the
+        // buffer, and one call counts as one elapsed period.
         let mut r = regulator();
-        r.record_requests(0, 200).unwrap();
-        r.record_requests(2, 200).unwrap();
-        let mut woken = Vec::new();
-        r.replenish_cores(&[0, 1], &mut woken);
-        assert_eq!(woken, vec![0], "only listed throttled cores wake");
-        assert!(!r.is_throttled(0));
-        assert!(r.is_throttled(2), "unlisted core keeps its throttle");
-        assert!(r.throttled_cores().eq([2]));
-        assert_eq!(r.remaining(0).unwrap(), 100, "listed core refilled");
-        assert_eq!(r.remaining(2).unwrap(), 0, "unlisted core not refilled");
-        assert_eq!(r.periods_elapsed(), 1, "one call = one period");
-    }
-
-    #[test]
-    fn sharded_replenish_matches_replenish_all() {
-        // Two regulators driven identically; one replenishes all cores
-        // at once, the other replenishes the same boundary as two
-        // disjoint core-subset calls. End state must be identical
-        // (periods_elapsed differs by design: per-shard clocks each
-        // count every boundary).
-        let mut serial = regulator();
-        let mut sharded = regulator();
-        for r in [&mut serial, &mut sharded] {
-            r.record_requests(1, 250).unwrap();
-            r.record_requests(3, 250).unwrap();
-        }
-        let woken_serial = serial.replenish_all();
-        let mut woken_sharded = Vec::new();
-        sharded.replenish_cores(&[0, 1], &mut woken_sharded);
-        sharded.replenish_cores(&[2, 3], &mut woken_sharded);
-        assert_eq!(woken_serial, woken_sharded);
-        assert!(serial.throttled_cores().eq(sharded.throttled_cores()));
+        r.record_requests(1, 250).unwrap();
+        r.record_requests(3, 250).unwrap();
+        let mut woken = vec![7];
+        r.replenish_all(&mut woken);
+        assert_eq!(woken, vec![7, 1, 3]);
+        assert_eq!(r.throttled_cores().count(), 0);
         for core in 0..4 {
-            assert_eq!(
-                serial.remaining(core).unwrap(),
-                sharded.remaining(core).unwrap()
-            );
+            assert_eq!(r.remaining(core).unwrap(), 100);
         }
-    }
-
-    #[test]
-    fn merge_stats_adds_disjoint_throttle_totals() {
-        // Serial regulator vs two shard clones covering disjoint core
-        // subsets: after identical traffic and one boundary each, the
-        // merged statistics equal the serial ones.
-        let mut serial = regulator();
-        let mut shard_a = regulator();
-        let mut shard_b = regulator();
-        serial.record_requests(1, 250).unwrap();
-        serial.record_requests(3, 250).unwrap();
-        shard_a.record_requests(1, 250).unwrap();
-        shard_b.record_requests(3, 250).unwrap();
-        serial.replenish_all();
-        shard_a.replenish_cores(&[0, 1], &mut Vec::new());
-        shard_b.replenish_cores(&[2, 3], &mut Vec::new());
-        let mut merged = shard_a.clone();
-        merged.merge_stats(&shard_b);
-        assert_eq!(merged.total_throttles(), serial.total_throttles());
-        assert_eq!(merged.periods_elapsed(), serial.periods_elapsed());
+        woken.clear();
+        r.replenish_all(&mut woken);
+        assert!(woken.is_empty(), "nothing throttled, nothing woken");
+        assert_eq!(r.periods_elapsed(), 2);
     }
 
     #[test]
@@ -495,7 +415,7 @@ mod tests {
         let mut r = regulator();
         for _ in 0..3 {
             assert_eq!(r.record_requests(0, 100).unwrap(), ThrottleAction::Throttle);
-            r.replenish_all();
+            r.replenish_all(&mut Vec::new());
         }
         assert_eq!(r.total_throttles(), 3);
     }
@@ -520,7 +440,9 @@ mod tests {
         assert!(r.is_throttled(64));
         assert!(!r.is_throttled(0));
         assert!(r.throttled_cores().eq([64]));
-        assert_eq!(r.replenish_all(), vec![64]);
+        let mut woken = Vec::new();
+        r.replenish_all(&mut woken);
+        assert_eq!(woken, vec![64]);
         assert!(!r.is_throttled(64));
         assert_eq!(r.throttled_cores().count(), 0);
 
@@ -535,7 +457,7 @@ mod tests {
     fn metrics_export_reflects_counters() {
         let mut r = regulator();
         r.record_requests(0, 200).unwrap();
-        r.replenish_all();
+        r.replenish_all(&mut Vec::new());
         let mut m = MetricsRegistry::new();
         r.export_metrics("membw.", &mut m);
         assert_eq!(m.counter("membw.periods_elapsed"), Some(1));

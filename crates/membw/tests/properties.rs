@@ -53,7 +53,8 @@ fn regulator_guarantees_budget_every_period() {
                 r.record_requests(0, 1).unwrap(),
                 ThrottleAction::AlreadyThrottled
             );
-            let woken = r.replenish_all();
+            let mut woken = Vec::new();
+            r.replenish_all(&mut woken);
             assert_eq!(woken, vec![0]);
             assert!(!r.is_throttled(0));
         }

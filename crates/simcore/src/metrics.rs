@@ -122,33 +122,6 @@ impl MetricsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Folds `other` into `self`, **order-independently**: counters
-    /// add, histograms merge (count-weighted, commutative), and
-    /// same-named gauges fold by `f64::max`. The max fold (rather than
-    /// last-writer-wins) makes `merge(a, b) == merge(b, a)`, which is
-    /// what lets sharded runs merge per-shard registries in any
-    /// completion order and still render byte-identical exports —
-    /// gauges that genuinely differ per shard (a per-core busy time, a
-    /// high-water mark) resolve to the same value regardless of which
-    /// shard finished first.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in &other.counters {
-            *self.entry_counter(name) += value;
-        }
-        for (name, value) in &other.gauges {
-            self.gauges
-                .entry(name.clone())
-                .and_modify(|g| *g = g.max(*value))
-                .or_insert(*value);
-        }
-        for (name, summary) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_default()
-                .merge(summary);
-        }
-    }
-
     fn entry_counter(&mut self, name: &str) -> &mut u64 {
         if !self.counters.contains_key(name) {
             self.counters.insert(name.to_string(), 0);
@@ -206,53 +179,6 @@ mod tests {
         let h = m.histogram("r").unwrap();
         assert_eq!(h.count(), 3);
         assert_eq!(h.max(), Some(5.0));
-    }
-
-    #[test]
-    fn merge_folds_all_kinds() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("c", 1);
-        a.gauge_set("g", 1.0);
-        a.observe("h", 1.0);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("c", 2);
-        b.counter_add("only_b", 7);
-        b.gauge_set("g", 9.0);
-        b.observe("h", 3.0);
-        a.merge(&b);
-        assert_eq!(a.counter("c"), Some(3));
-        assert_eq!(a.counter("only_b"), Some(7));
-        assert_eq!(a.gauge("g"), Some(9.0));
-        assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.histogram("h").unwrap().max(), Some(3.0));
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let mut a = MetricsRegistry::new();
-        a.counter_add("c", 5);
-        a.counter_add("only_a", 1);
-        a.gauge_set("g.shared", 4.5);
-        a.gauge_set("g.only_a", -1.0);
-        a.observe("h", 2.0);
-        a.observe("h", 8.0);
-        let mut b = MetricsRegistry::new();
-        b.counter_add("c", 11);
-        b.gauge_set("g.shared", 1.25);
-        b.gauge_set("g.only_b", 0.5);
-        b.observe("h", 5.0);
-        b.observe("h.only_b", 3.0);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge(a, b) must equal merge(b, a)");
-        // The shared gauge folded by max, not last-writer-wins.
-        assert_eq!(ab.gauge("g.shared"), Some(4.5));
-        assert_eq!(ab.gauge("g.only_a"), Some(-1.0));
-        assert_eq!(ab.counter("c"), Some(16));
-        assert_eq!(ab.histogram("h").unwrap().count(), 3);
     }
 
     #[test]

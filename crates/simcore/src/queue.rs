@@ -53,12 +53,13 @@ impl<E> Ord for Entry<E> {
 /// last popped event) and rejects pushes into the past, which would
 /// indicate a causality bug in the caller.
 ///
-/// The canonical key exists for *sharded* simulation: a key derived
-/// from event **content** (e.g. the target core or task index) makes
-/// the delivery order at simultaneous instants reconstructible from
-/// independently-advancing sub-queues, which a history-dependent
-/// insertion sequence number is not. Callers that never shard may use
-/// [`EventQueue::push`] (key 0) and rely on insertion order alone.
+/// The canonical key lets a caller fix the delivery order at
+/// simultaneous instants by event **content** (e.g. the target core or
+/// task index) rather than by insertion history: the order then
+/// follows from which events exist, not from the path that scheduled
+/// them, so it survives refactors of the code that pushes events.
+/// Callers content with insertion order may use [`EventQueue::push`]
+/// (key 0).
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
@@ -107,8 +108,8 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` at `time` with tie-break `priority` and a
     /// content-derived canonical `key`: among simultaneous
     /// equal-priority events, smaller keys fire first, and equal keys
-    /// fire in insertion order. See the type docs for why sharded
-    /// simulation needs content-based keys.
+    /// fire in insertion order. See the type docs for what
+    /// content-based keys are for.
     ///
     /// # Panics
     ///
@@ -135,20 +136,10 @@ impl<E> EventQueue<E> {
     ///
     /// Returns `None` when the queue is empty.
     pub fn pop(&mut self) -> Option<(SimTime, u64, E)> {
-        self.pop_keyed().map(|(time, priority, _, payload)| (time, priority, payload))
-    }
-
-    /// Removes and returns the earliest event as
-    /// `(time, priority, key, payload)`, advancing the queue's current
-    /// time. Sharded simulation uses the key to tag trace records for
-    /// the deterministic cross-group merge.
-    ///
-    /// Returns `None` when the queue is empty.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, u64, E)> {
         let entry = self.heap.pop()?;
         debug_assert!(entry.time >= self.now);
         self.now = entry.time;
-        Some((entry.time, entry.priority, entry.key, entry.payload))
+        Some((entry.time, entry.priority, entry.payload))
     }
 
     /// The fire time of the earliest pending event, if any, without
@@ -158,9 +149,8 @@ impl<E> EventQueue<E> {
     }
 
     /// The `(time, priority, key)` ordering prefix of the earliest
-    /// pending event, if any, without removing it. Sharded simulation
-    /// compares this against a barrier bound to decide whether the
-    /// next event fires before or after a merge point.
+    /// pending event, if any, without removing it, for callers that
+    /// merge the queue with another ordered source of events.
     pub fn peek_order(&self) -> Option<(SimTime, u64, u64)> {
         self.heap.peek().map(|e| (e.time, e.priority, e.key))
     }

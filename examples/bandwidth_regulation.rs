@@ -55,7 +55,8 @@ fn part1_regulator_state_machine() -> Result<(), Box<dyn std::error::Error>> {
 
     // The periodic refiller replenishes every budget and reports which
     // cores the scheduler must wake.
-    let woken = regulator.replenish_all();
+    let mut woken = Vec::new();
+    regulator.replenish_all(&mut woken);
     println!("refill boundary     -> wake cores {woken:?}\n");
     Ok(())
 }
