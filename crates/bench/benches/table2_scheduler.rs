@@ -43,8 +43,12 @@ fn bench_simulated_second() {
 }
 
 fn bench_scheduling_decision() {
-    // The bare decision path: an EDF pick over a ready queue of the
-    // size a single core sees (24 or 96 VCPUs over 4 cores).
+    // The simulator's decision path: `HypervisorSim::schedule` reads
+    // its server from the front of the core's `ReadyQueue`, and the
+    // server's replenishment re-files it one period later. One
+    // iteration is that pair, at the queue length a single core sees
+    // (24 or 96 VCPUs over 4 cores): peek the head, remove it, and
+    // re-insert it with its deadline advanced by its period.
     use vc2m::model::SimTime;
     use vc2m::sched::edf::{EdfKey, ReadyQueue};
     for per_core in [6usize, 24] {
@@ -52,16 +56,20 @@ fn bench_scheduling_decision() {
             &format!("edf_pick_{per_core}_per_core"),
             10_000,
             || {
-                let mut q = ReadyQueue::new();
+                let mut q = ReadyQueue::with_capacity(per_core);
                 for i in 0..per_core {
                     q.insert(EdfKey::new(SimTime::from_ms(10.0 + i as f64), 10_000_000, i));
                 }
                 q
             },
             |q| {
-                let key = *q.peek().expect("non-empty");
-                q.remove(&key);
-                q.insert(key);
+                let head = *q.peek().expect("non-empty");
+                q.remove(&head);
+                q.insert(EdfKey::new(
+                    head.deadline + SimDuration(head.period_ns),
+                    head.period_ns,
+                    head.index,
+                ));
             },
         );
     }

@@ -28,7 +28,7 @@ use crate::fault::{Fault, FaultKind, FaultPlan, FaultStats};
 use crate::probes::Probes;
 use crate::report::{DeadlineMiss, HandlerKind, SimReport};
 use crate::trace::{SimObservation, TraceEvent};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use vc2m_alloc::SystemAllocation;
@@ -37,6 +37,7 @@ use vc2m_membw::{budget_requests_per_period, BwRegulator, RegulatorConfig, Throt
 use vc2m_model::{
     Alloc, BudgetSurface, Platform, SimDuration, SimTime, Task, TaskId, TaskSet, VmId, WcetSurface,
 };
+use vc2m_sched::edf::{EdfKey, ReadyQueue};
 use vc2m_sched::server::{PeriodicServer, ServerState};
 use vc2m_simcore::{EventQueue, MetricsRegistry, MinAvgMax, TraceBuffer};
 
@@ -121,6 +122,10 @@ struct SimTask {
     /// Pending jobs, oldest first (FIFO = EDF for implicit deadlines).
     pending: Vec<Job>,
     next_index: u64,
+    /// Index of the latest job released by the period chain (not by a
+    /// load spike): its deadline check is delivered at the next
+    /// release (see [`HypervisorSim::advance`]).
+    last_regular: Option<u64>,
     response: MinAvgMax,
     /// Active WCET-overrun fault: jobs released before `overrun_until`
     /// carry `overrun_factor ×` their declared demand.
@@ -154,6 +159,9 @@ struct SimVcpu {
     /// A pending replenishment-delay fault: the next replenishment is
     /// postponed by this much.
     pending_replenish_delay: Option<SimDuration>,
+    /// The key this VCPU is filed under in its core's ready order, if
+    /// it is filed (see [`HypervisorSim::refile`]).
+    filed: Option<EdfKey>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -169,6 +177,10 @@ struct Running {
 #[derive(Debug, Clone)]
 struct SimCore {
     vcpus: Vec<usize>,
+    /// The core's servers that are not `Depleted`, in EDF order
+    /// `(deadline, period, vcpu)`: the scheduler reads its choice from
+    /// the front.
+    ready: ReadyQueue,
     running: Option<Running>,
     throttled: bool,
     /// When the current throttle/stall began (for time accounting).
@@ -231,8 +243,21 @@ enum Event {
     FaultClear { core: usize },
     /// A task releases its next job.
     JobRelease { task: usize },
-    /// A job's deadline passes: check for a miss.
+    /// A load-spike job's deadline passes: check for a miss. Regular
+    /// jobs' checks are not heap events (see
+    /// [`HypervisorSim::advance`]).
     DeadlineCheck { task: usize, job: u64 },
+}
+
+/// Where [`HypervisorSim::advance`] takes its next delivery from.
+#[derive(Debug, Clone, Copy)]
+enum Source {
+    /// A core's segment timer.
+    Timer,
+    /// The event heap.
+    Heap,
+    /// The folded deadline checks.
+    Due,
 }
 
 // Same-instant ordering: end run segments first, then replenish
@@ -264,8 +289,8 @@ const FAULT_CLEAR_BASE: u64 = REFILL_KEY + 1;
 
 /// Numeric-residue tolerance at a deadline: real-valued budgets meet
 /// integer-nanosecond time, so up to ~a microsecond of a job can
-/// remain at its deadline purely from rounding. See the
-/// `DeadlineCheck` handler.
+/// remain at its deadline purely from rounding. See
+/// [`HypervisorSim::check_deadline`].
 const MISS_TOLERANCE: SimDuration = SimDuration(1_000);
 
 /// Buffers of the refill phases, kept across regulation periods so the
@@ -317,6 +342,9 @@ pub struct HypervisorSim {
     throttle_events: u64,
     context_switches: u64,
     refill_scratch: RefillScratch,
+    /// Folded deadline checks `(deadline, task, job)` of regular jobs,
+    /// in delivery order (see [`HypervisorSim::advance`]).
+    due_checks: VecDeque<(SimTime, usize, u64)>,
 }
 
 impl HypervisorSim {
@@ -418,6 +446,7 @@ impl HypervisorSim {
                         request_rate: config.traffic_fraction * budget_rate,
                         pending: Vec::new(),
                         next_index: 0,
+                        last_regular: None,
                         response: MinAvgMax::new(),
                         overrun_factor: 1.0,
                         overrun_until: SimTime::ZERO,
@@ -431,9 +460,11 @@ impl HypervisorSim {
                     vm: spec.vm(),
                     budget_surface: spec.budget_surface().clone(),
                     pending_replenish_delay: None,
+                    filed: None,
                 });
             }
             cores.push(SimCore {
+                ready: ReadyQueue::with_capacity(core_vcpus.len()),
                 vcpus: core_vcpus,
                 running: None,
                 throttled: false,
@@ -448,6 +479,7 @@ impl HypervisorSim {
         let trace = TraceBuffer::with_capacity(config.trace_capacity);
         let supply_logs = vec![None; sim_vcpus.len()];
         let core_count = cores.len();
+        let task_count = sim_tasks.len();
         Ok(HypervisorSim {
             config,
             tasks: sim_tasks,
@@ -472,6 +504,9 @@ impl HypervisorSim {
             throttle_events: 0,
             context_switches: 0,
             refill_scratch: RefillScratch::default(),
+            // Releases at one instant append at most one check per
+            // task, and those are delivered before time moves on.
+            due_checks: VecDeque::with_capacity(task_count),
         })
     }
 
@@ -791,6 +826,9 @@ impl HypervisorSim {
                 }
             }
         }
+        for v in 0..self.vcpus.len() {
+            self.refile(v);
+        }
         if self.config.record_supply {
             for v in 0..self.vcpus.len() {
                 let server = &self.vcpus[v].server;
@@ -834,28 +872,65 @@ impl HypervisorSim {
     /// Delivers every event up to `horizon`, in `(time, priority, key)`
     /// order.
     ///
-    /// Two sources feed the loop: the event heap and the cores' segment
-    /// timers. A timer orders as `(end, PRIO_SEGMENT_END, core)`, the
-    /// prefix a heap segment-end event would carry, so taking the
-    /// smaller of the heap head and the earliest timer delivers in the
-    /// order of one heap holding both. A preempted segment takes its
-    /// timer with it, so no stale end is ever delivered.
+    /// Three sources feed the loop, and it takes the smallest head:
+    ///
+    /// * the event heap;
+    /// * the cores' segment timers. A timer orders as
+    ///   `(end, PRIO_SEGMENT_END, core)`, the prefix a heap segment-end
+    ///   event would carry. A preempted segment takes its timer with
+    ///   it, so no stale end is ever delivered;
+    /// * the folded deadline checks. A regular job's deadline is the
+    ///   instant its task's next job is released, so instead of a heap
+    ///   event per job, each `JobRelease` at `d` appends the previous
+    ///   regular job's check, ordered as `(d, PRIO_DEADLINE, task)`.
+    ///   Releases at one instant pop in task order, before any check
+    ///   at that instant, so the list is sorted as appended. The heap
+    ///   still holds the checks of load-spike jobs. On an exact tie the
+    ///   heap goes first: a spike check tied with a folded one was
+    ///   pushed by its fault at priority 3, before the release at
+    ///   priority 4 that pushed the regular check, so it came first in
+    ///   the single heap too.
+    ///
+    /// The merge delivers in the order of one heap holding all three.
     fn advance(&mut self, horizon: SimTime) -> Result<(), SimError> {
         loop {
-            let (time, priority, key) = match (self.next_segment_end(), self.queue.peek_order()) {
-                (Some(timer), Some(head)) => timer.min(head),
-                (Some(next), None) | (None, Some(next)) => next,
-                (None, None) => break,
+            // A later source takes over only when strictly smaller, so
+            // the heap wins an exact tie with a folded check. Timers
+            // never tie: no other source has priority 0.
+            let mut next = self.queue.peek_order().map(|order| (order, Source::Heap));
+            if let Some(&(time, task, _)) = self.due_checks.front() {
+                let order = (time, PRIO_DEADLINE, task as u64);
+                if next.is_none_or(|(head, _)| order < head) {
+                    next = Some((order, Source::Due));
+                }
+            }
+            if let Some(order) = self.next_segment_end() {
+                if next.is_none_or(|(head, _)| order < head) {
+                    next = Some((order, Source::Timer));
+                }
+            }
+            let Some(((time, _, key), source)) = next else {
+                break;
             };
             if time > horizon {
                 break;
             }
-            if priority == PRIO_SEGMENT_END {
-                let core = key as usize;
-                self.suspend(core, time);
-                self.schedule(core, time);
-            } else if let Some((now, _, event)) = self.queue.pop() {
-                self.handle(now, event)?;
+            match source {
+                Source::Timer => {
+                    let core = key as usize;
+                    self.suspend(core, time);
+                    self.schedule(core, time);
+                }
+                Source::Heap => {
+                    if let Some((now, _, event)) = self.queue.pop() {
+                        self.handle(now, event)?;
+                    }
+                }
+                Source::Due => {
+                    if let Some((now, task, job)) = self.due_checks.pop_front() {
+                        self.check_deadline(now, task, job);
+                    }
+                }
             }
         }
         Ok(())
@@ -946,6 +1021,7 @@ impl HypervisorSim {
                 self.probes.time(HandlerKind::CpuBudgetReplenish, || {
                     self.vcpus[vcpu].server.replenish(now);
                 });
+                self.refile(vcpu);
                 let next = self.vcpus[vcpu].server.deadline();
                 self.push_event(next, PRIO_REPLENISH, Event::ServerReplenish { vcpu });
                 let id = self.vcpus[vcpu].server.id();
@@ -984,7 +1060,7 @@ impl HypervisorSim {
                 }
             }
             Event::JobRelease { task } => {
-                let (deadline, index, overran) = {
+                let (index, overran) = {
                     let t = &mut self.tasks[task];
                     let index = t.next_index;
                     t.next_index += 1;
@@ -996,63 +1072,70 @@ impl HypervisorSim {
                         deadline,
                         remaining,
                     });
-                    (deadline, index, overran)
+                    (index, overran)
                 };
                 if overran {
                     self.fault_stats.overrun_jobs += 1;
                 }
                 self.jobs_released += 1;
+                // The previous regular job's deadline is now.
+                if let Some(previous) = self.tasks[task].last_regular.replace(index) {
+                    self.due_checks.push_back((now, task, previous));
+                }
                 let period = self.tasks[task].period;
                 self.push_event(now + period, PRIO_RELEASE, Event::JobRelease { task });
-                self.push_event(
-                    deadline,
-                    PRIO_DEADLINE,
-                    Event::DeadlineCheck { task, job: index },
-                );
                 let core = self.vcpus[self.tasks[task].vcpu].core;
                 // A new job may preempt the current guest-level choice.
                 self.schedule(core, now);
             }
             Event::DeadlineCheck { task, job } => {
-                // Account the in-flight segment (only if it is this very
-                // job) so completions that land exactly on the deadline
-                // are not scored as misses.
-                let core = self.vcpus[self.tasks[task].vcpu].core;
-                let running_this_job = self.cores[core]
-                    .running
-                    .is_some_and(|r| r.task == Some(task));
-                if running_this_job {
-                    self.suspend(core, now);
-                }
-                // Budgets are real-valued (Θ = Π·ΣU) while simulated
-                // time is integer nanoseconds, so a job can be left
-                // with a few nanoseconds of numeric residue at its
-                // deadline. Anything below the tolerance (1 µs, i.e.
-                // 10⁻⁵ of the shortest paper-scale period) counts as
-                // completed on time and is retired here.
-                let position = self.tasks[task].pending.iter().position(|j| j.index == job);
-                if let Some(pos) = position {
-                    if self.tasks[task].pending[pos].remaining <= MISS_TOLERANCE {
-                        let done = self.tasks[task].pending.remove(pos);
-                        let response = now.since(done.release).as_ms();
-                        self.tasks[task].response.record(response);
-                        self.jobs_completed += 1;
-                    } else {
-                        self.misses.push(DeadlineMiss {
-                            task: self.tasks[task].id,
-                            job,
-                            deadline: now,
-                        });
-                        let id = self.tasks[task].id;
-                        self.trace(now, TraceEvent::Miss { task: id, job });
-                    }
-                }
-                if running_this_job {
-                    self.schedule(core, now);
-                }
+                self.check_deadline(now, task, job);
             }
         }
         Ok(())
+    }
+
+    /// A job's deadline passes: retire it if it finished (up to the
+    /// numeric residue tolerance) or record a miss.
+    fn check_deadline(&mut self, now: SimTime, task: usize, job: u64) {
+        // Account the in-flight segment if the core is running this
+        // task, so completions that land exactly on the deadline are
+        // not scored as misses. The running job is the task's FIFO
+        // head, which need not be `job`: an older job that already
+        // missed stays pending ahead of it.
+        let core = self.vcpus[self.tasks[task].vcpu].core;
+        let running_task = self.cores[core]
+            .running
+            .is_some_and(|r| r.task == Some(task));
+        if running_task {
+            self.suspend(core, now);
+        }
+        // Budgets are real-valued (Θ = Π·ΣU) while simulated
+        // time is integer nanoseconds, so a job can be left
+        // with a few nanoseconds of numeric residue at its
+        // deadline. Anything below the tolerance (1 µs, i.e.
+        // 10⁻⁵ of the shortest paper-scale period) counts as
+        // completed on time and is retired here.
+        let position = self.tasks[task].pending.iter().position(|j| j.index == job);
+        if let Some(pos) = position {
+            if self.tasks[task].pending[pos].remaining <= MISS_TOLERANCE {
+                let done = self.tasks[task].pending.remove(pos);
+                let response = now.since(done.release).as_ms();
+                self.tasks[task].response.record(response);
+                self.jobs_completed += 1;
+            } else {
+                self.misses.push(DeadlineMiss {
+                    task: self.tasks[task].id,
+                    job,
+                    deadline: now,
+                });
+                let id = self.tasks[task].id;
+                self.trace(now, TraceEvent::Miss { task: id, job });
+            }
+        }
+        if running_task {
+            self.schedule(core, now);
+        }
     }
 
     /// The bandwidth refiller's period boundary, in its fixed phase
@@ -1214,6 +1297,9 @@ impl HypervisorSim {
         };
         let elapsed = now.since(run.start);
         self.vcpus[run.vcpu].server.stop_running(elapsed);
+        if self.vcpus[run.vcpu].server.state() == ServerState::Depleted {
+            self.refile(run.vcpu);
+        }
         if elapsed > SimDuration::ZERO {
             if let Some(log) = &mut self.supply_logs[run.vcpu] {
                 log.record(run.start, now);
@@ -1273,9 +1359,33 @@ impl HypervisorSim {
         }
     }
 
+    /// Re-files `vcpu` in its core's ready order after its server's
+    /// window or state changed: a server is filed exactly when it is
+    /// not `Depleted`, under `(deadline, period, vcpu)`.
+    fn refile(&mut self, vcpu: usize) {
+        let v = &mut self.vcpus[vcpu];
+        let ready = &mut self.cores[v.core].ready;
+        if let Some(key) = v.filed.take() {
+            ready.remove(&key);
+        }
+        if v.server.state() != ServerState::Depleted {
+            let key = EdfKey::new(v.server.deadline(), v.server.period().as_ns(), vcpu);
+            ready.insert(key);
+            v.filed = Some(key);
+        }
+    }
+
     /// The scheduler: picks the highest-priority ready server on
     /// `core` (deadline, period, index), and within it the
     /// earliest-deadline pending job, preempting as needed.
+    ///
+    /// The server comes from the core's ready order: the first filed
+    /// server whose window `[deadline − period, deadline)` contains
+    /// `now`. A server exactly at its period boundary waits for its
+    /// replenishment event (same instant, later priority), and a
+    /// server whose (synchronized) first release lies in the future is
+    /// not active yet. Debug builds check every choice against
+    /// [`HypervisorSim::scan_choice`].
     fn schedule(&mut self, core: usize, now: SimTime) {
         if self.cores[core].is_held() {
             // Throttled or fault-stalled cores idle until the refiller
@@ -1287,28 +1397,13 @@ impl HypervisorSim {
         }
         let current = self.cores[core].running;
         let choice = self.probes.time(HandlerKind::Scheduling, || {
-            let mut best: Option<(u64, u64, usize)> = None; // (deadline, period, vcpu)
-            for &v in &self.cores[core].vcpus {
-                let server = &self.vcpus[v].server;
-                let ready = match server.state() {
-                    ServerState::Ready => true,
-                    ServerState::Running => current.is_some_and(|r| r.vcpu == v),
-                    ServerState::Depleted => false,
-                };
-                // A server exactly at its period boundary waits for its
-                // replenishment event (same instant, later priority);
-                // a server whose (synchronized) first release lies in
-                // the future is not active yet.
-                if !ready || server.deadline() <= now || server.release() > now {
-                    continue;
-                }
-                let key = (server.deadline().as_ns(), server.period().as_ns(), v);
-                if best.is_none_or(|b| key < b) {
-                    best = Some(key);
-                }
-            }
-            best.map(|(_, _, v)| v)
+            self.cores[core]
+                .ready
+                .iter()
+                .find(|k| k.deadline > now && k.deadline.as_ns() - k.period_ns <= now.as_ns())
+                .map(|k| k.index)
         });
+        debug_assert_eq!(choice, self.scan_choice(core, now, current));
         let Some(next_vcpu) = choice else {
             // Nothing runnable: idle the core.
             if current.is_some() {
@@ -1324,6 +1419,30 @@ impl HypervisorSim {
             self.suspend(core, now);
         }
         self.start(core, next_vcpu, next_task, now);
+    }
+
+    /// The scheduler's choice by a scan of every VCPU on `core`: the
+    /// smallest `(deadline, period, vcpu)` among servers that are
+    /// ready, or running as `current`, and active at `now`. The oracle
+    /// for the ready order.
+    fn scan_choice(&self, core: usize, now: SimTime, current: Option<Running>) -> Option<usize> {
+        let mut best: Option<(SimTime, SimDuration, usize)> = None;
+        for &v in &self.cores[core].vcpus {
+            let server = &self.vcpus[v].server;
+            let ready = match server.state() {
+                ServerState::Ready => true,
+                ServerState::Running => current.is_some_and(|r| r.vcpu == v),
+                ServerState::Depleted => false,
+            };
+            if !ready || server.deadline() <= now || server.release() > now {
+                continue;
+            }
+            let key = (server.deadline(), server.period(), v);
+            if best.is_none_or(|b| key < b) {
+                best = Some(key);
+            }
+        }
+        best.map(|(_, _, v)| v)
     }
 
     /// The earliest-deadline pending job among a VCPU's tasks.
@@ -1445,6 +1564,7 @@ impl HypervisorSim {
             let budget_ms = self.vcpus[vi].budget_surface.at(alloc);
             let budget = SimDuration::from_ms(budget_ms).min(period);
             self.vcpus[vi].server.set_full_budget(budget);
+            self.refile(vi);
             for ti in self.vcpus[vi].tasks.clone() {
                 let wcet = self.tasks[ti].wcet_surface.at(alloc);
                 self.tasks[ti].exec = SimDuration::from_ms(wcet);

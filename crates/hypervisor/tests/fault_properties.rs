@@ -1,6 +1,6 @@
 //! Seeded property tests for the fault-injection subsystem: plan
 //! determinism, run determinism under faults, the overrun containment
-//! invariant, and the delivery order of a fault expiry among
+//! invariant, and the delivery order of fault events among
 //! simultaneous events.
 //!
 //! **Containment argument.** The core's EDF scheduler picks servers by
@@ -457,4 +457,147 @@ fn simultaneous_reallocation_refill_and_stall_expiry_follow_the_key_order() {
             TraceEvent::Unthrottle { core: 0 },
         ]
     );
+}
+
+/// A one-task VM (Π = 10 ms, e = 8 ms) whose VCPU gets a 5 ms budget,
+/// so every job misses.
+fn starved_task_system() -> (SystemAllocation, TaskSet) {
+    let tasks: TaskSet = std::iter::once(
+        Task::new(TaskId(0), 10.0, WcetSurface::flat(&space(), 8.0).unwrap()).unwrap(),
+    )
+    .collect();
+    let allocation = SystemAllocation::new(
+        vec![VcpuSpec::new(
+            VcpuId(0),
+            VmId(0),
+            10.0,
+            BudgetSurface::flat(&space(), 5.0).unwrap(),
+            vec![TaskId(0)],
+        )
+        .unwrap()],
+        vec![CoreAssignment {
+            vcpus: vec![0],
+            alloc: Alloc::new(10, 10),
+        }],
+    );
+    (allocation, tasks)
+}
+
+#[test]
+fn spike_check_tied_with_a_folded_check_is_delivered_first() {
+    // A load spike at 10 ms, the instant of the task's second release,
+    // adds job 1 with the same deadline as the regular job 2: 20 ms.
+    // The spike's check is a heap event, pushed by the fault
+    // (priority 3) before the release (priority 4) that folds job 2's
+    // check, so at 20 ms job 1 must miss before job 2, as it did when
+    // both checks were heap events.
+    let (allocation, tasks) = starved_task_system();
+    let plan = FaultPlan::new().inject(SimTime::from_ms(10.0), Fault::LoadSpike { vm: VmId(0) });
+    let config = SimConfig::default()
+        .with_horizon(SimDuration::from_ms(30.0))
+        .with_trace_capacity(1024);
+    let (report, observation) =
+        HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, config)
+            .expect("realizable")
+            .with_fault_plan(plan)
+            .expect("valid plan")
+            .run_observed()
+            .expect("contained");
+    assert_eq!(observation.trace_dropped, 0);
+    let misses_at_20: Vec<TraceEvent> = observation
+        .trace
+        .iter()
+        .filter(|&&(time, event)| {
+            time == SimTime::from_ms(20.0) && matches!(event, TraceEvent::Miss { .. })
+        })
+        .map(|&(_, event)| event)
+        .collect();
+    assert_eq!(
+        misses_at_20,
+        vec![
+            TraceEvent::Miss {
+                task: TaskId(0),
+                job: 1
+            },
+            TraceEvent::Miss {
+                task: TaskId(0),
+                job: 2
+            },
+        ]
+    );
+    assert_eq!(
+        misses_of(&report, TaskId(0))[..3],
+        [
+            (0, SimTime::from_ms(10.0)),
+            (1, SimTime::from_ms(20.0)),
+            (2, SimTime::from_ms(20.0)),
+        ]
+    );
+}
+
+#[test]
+fn scheduler_skips_an_expired_server_left_queued_by_a_replenish_delay() {
+    // V0 (Π = 10, Θ = 4) and V1 (Π = 5, Θ = 2) share a core. A stall
+    // over [2, 8) ms keeps V0 from running, and V1 wins the deadline
+    // tie at 10 over [8, 10), so V0 reaches 10 ms still `Ready` with
+    // its whole budget. Its replenishment at 10 is delayed to 15, so
+    // over [10, 15) V0 stays in the ready order under its expired
+    // deadline, ahead of V1. The scheduler must skip it: only V1 runs
+    // from 10, the core idles from 12, and V0 runs again at its late
+    // replenishment.
+    let (allocation, tasks) = multi_vm_system(&[(10.0, 4.0), (5.0, 2.0)]);
+    let plan = FaultPlan::new()
+        .inject(
+            SimTime::from_ms(2.0),
+            Fault::CoreStall {
+                core: 0,
+                duration: SimDuration::from_ms(6.0),
+            },
+        )
+        .inject(
+            SimTime::from_ms(9.0),
+            Fault::ReplenishDelay {
+                vcpu: VcpuId(0),
+                delay: SimDuration::from_ms(5.0),
+            },
+        );
+    let config = SimConfig::default()
+        .with_horizon(SimDuration::from_ms(30.0))
+        .with_trace_capacity(1024);
+    let (_, observation) = HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, config)
+        .expect("realizable")
+        .with_fault_plan(plan)
+        .expect("valid plan")
+        .run_observed()
+        .expect("contained");
+    assert_eq!(observation.trace_dropped, 0);
+    let starts: Vec<(SimTime, VcpuId)> = observation
+        .trace
+        .iter()
+        .filter_map(|&(time, event)| match event {
+            TraceEvent::RunSegment { vcpu, .. } => Some((time, vcpu)),
+            _ => None,
+        })
+        .collect();
+    let in_window = |from: f64, to: f64| -> Vec<VcpuId> {
+        starts
+            .iter()
+            .filter(|&&(time, _)| SimTime::from_ms(from) <= time && time < SimTime::from_ms(to))
+            .map(|&(_, vcpu)| vcpu)
+            .collect()
+    };
+    assert!(
+        !in_window(8.0, 10.0).contains(&VcpuId(0)),
+        "V0 must keep its budget to 10 ms"
+    );
+    let skipped = in_window(10.0, 15.0);
+    assert!(
+        !skipped.is_empty() && skipped.iter().all(|&v| v == VcpuId(1)),
+        "only V1 may run while V0's window is expired: {skipped:?}"
+    );
+    let resumed = starts
+        .iter()
+        .find(|&&(time, vcpu)| vcpu == VcpuId(0) && time >= SimTime::from_ms(10.0))
+        .map(|&(time, _)| time);
+    assert_eq!(resumed, Some(SimTime::from_ms(15.0)));
 }

@@ -3,10 +3,10 @@
 //! analyses' verdicts.
 
 use vc2m_alloc::{CoreAssignment, Solution, SystemAllocation};
-use vc2m_hypervisor::{HypervisorSim, SimBuildError, SimConfig, SimError};
+use vc2m_hypervisor::{HypervisorSim, SimBuildError, SimConfig, SimError, TraceEvent};
 use vc2m_model::{
-    Alloc, BudgetSurface, Platform, SimDuration, Task, TaskId, TaskSet, VcpuId, VcpuSpec, VmId,
-    VmSpec, WcetSurface,
+    Alloc, BudgetSurface, Platform, SimDuration, SimTime, Task, TaskId, TaskSet, VcpuId, VcpuSpec,
+    VmId, VmSpec, WcetSurface,
 };
 
 fn space() -> vc2m_model::ResourceSpace {
@@ -854,4 +854,101 @@ fn sixty_five_core_system_builds_and_runs() {
         .unwrap();
     assert_eq!(report.core_times.len(), 65);
     assert!(report.core_times.iter().all(|c| c.throttled_ms > 0.0));
+}
+
+#[test]
+fn release_at_the_horizon_delivers_its_folded_deadline_check() {
+    // Π = 10, e = 8, Θ = 5: every job misses. Job 1's deadline, 20 ms,
+    // is the horizon; its check rides on the release of job 2 at that
+    // instant and must still be delivered.
+    let tasks: TaskSet = std::iter::once(flat_task(0, 10.0, 8.0)).collect();
+    let allocation = SystemAllocation::new(
+        vec![vcpu(0, 10.0, 5.0, vec![TaskId(0)])],
+        vec![CoreAssignment {
+            vcpus: vec![0],
+            alloc: Alloc::new(10, 10),
+        }],
+    );
+    let config = SimConfig::default().with_horizon(SimDuration::from_ms(20.0));
+    let report = HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, config)
+        .unwrap()
+        .run()
+        .unwrap();
+    let misses: Vec<(u64, SimTime)> = report
+        .deadline_misses
+        .iter()
+        .map(|m| (m.job, m.deadline))
+        .collect();
+    assert_eq!(
+        misses,
+        vec![(0, SimTime::from_ms(10.0)), (1, SimTime::from_ms(20.0))]
+    );
+    assert_eq!(report.jobs_released, 3);
+}
+
+#[test]
+fn deadline_checks_at_an_instant_follow_all_its_releases() {
+    // Two VCPUs on one core: V0 (Π = 10, Θ = 3) serves T0 (e = 8),
+    // which misses every job; V1 (Π = 5, Θ = 1) serves T1 (e = 1). At
+    // 10 ms both tasks release, V1 leads on its earlier deadline, and
+    // T1's release turns V1's idle segment into a T1 segment. Both
+    // checks come after both releases: T0's job 0 misses after that
+    // segment started, and then the check of T1's job 1 closes and
+    // restarts the running T1 segment.
+    let tasks: TaskSet = vec![flat_task(0, 10.0, 8.0), flat_task(1, 5.0, 1.0)]
+        .into_iter()
+        .collect();
+    let allocation = SystemAllocation::new(
+        vec![
+            vcpu(0, 10.0, 3.0, vec![TaskId(0)]),
+            vcpu(1, 5.0, 1.0, vec![TaskId(1)]),
+        ],
+        vec![CoreAssignment {
+            vcpus: vec![0, 1],
+            alloc: Alloc::new(10, 10),
+        }],
+    );
+    let config = SimConfig::default()
+        .with_horizon(SimDuration::from_ms(20.0))
+        .with_trace_capacity(1024);
+    let (_, observation) = HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, config)
+        .unwrap()
+        .run_observed()
+        .unwrap();
+    assert_eq!(observation.trace_dropped, 0);
+    let at_10: Vec<TraceEvent> = observation
+        .trace
+        .iter()
+        .filter(|&&(time, event)| {
+            time == SimTime::from_ms(10.0)
+                && matches!(
+                    event,
+                    TraceEvent::Miss { .. }
+                        | TraceEvent::RunSegment {
+                            task: Some(TaskId(1)),
+                            ..
+                        }
+                )
+        })
+        .map(|&(_, event)| event)
+        .collect();
+    assert_eq!(
+        at_10,
+        vec![
+            TraceEvent::RunSegment {
+                vcpu: VcpuId(1),
+                task: Some(TaskId(1)),
+                limit: SimDuration::from_ms(1.0),
+            },
+            TraceEvent::Miss {
+                task: TaskId(0),
+                job: 0,
+            },
+            TraceEvent::RunSegment {
+                vcpu: VcpuId(1),
+                task: Some(TaskId(1)),
+                limit: SimDuration::from_ms(1.0),
+            },
+        ]
+    );
 }

@@ -7,7 +7,6 @@
 //! then the smaller index. [`EdfKey`] encodes exactly that ordering,
 //! and [`ReadyQueue`] is a priority queue over it.
 
-use std::collections::BTreeSet;
 use vc2m_model::SimTime;
 
 /// Total priority order for EDF with the paper's deterministic
@@ -41,9 +40,13 @@ impl EdfKey {
 /// A ready queue ordered by [`EdfKey`].
 ///
 /// Entries are the keys themselves; the entity index inside the key is
-/// the handle callers use to map back to their tasks/VCPUs. Insertions
-/// and removals are `O(log n)`; the minimum (highest-priority) entry is
-/// inspected with [`ReadyQueue::peek`].
+/// the handle callers use to map back to their tasks/VCPUs. The keys
+/// live in one sorted `Vec`: a lookup is a binary search, and an insert
+/// or removal shifts the entries behind it. For the few dozen entries a
+/// core's queue holds, that memmove is cheaper than a tree's node
+/// walk, and the queue allocates nothing once it has reached its
+/// working size (see [`ReadyQueue::with_capacity`]). The minimum
+/// (highest-priority) entry is inspected with [`ReadyQueue::peek`].
 ///
 /// # Example
 ///
@@ -59,7 +62,8 @@ impl EdfKey {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReadyQueue {
-    set: BTreeSet<EdfKey>,
+    /// Distinct keys, ascending.
+    keys: Vec<EdfKey>,
 }
 
 impl ReadyQueue {
@@ -68,40 +72,64 @@ impl ReadyQueue {
         ReadyQueue::default()
     }
 
+    /// Creates an empty queue with room for `capacity` entries, so that
+    /// holding up to that many never allocates.
+    pub fn with_capacity(capacity: usize) -> Self {
+        ReadyQueue {
+            keys: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Inserts a key. Returns `false` if the identical key was already
     /// present (which indicates a double-insert bug in the caller).
     pub fn insert(&mut self, key: EdfKey) -> bool {
-        self.set.insert(key)
+        match self.keys.binary_search(&key) {
+            Ok(_) => false,
+            Err(at) => {
+                self.keys.insert(at, key);
+                true
+            }
+        }
     }
 
     /// Removes a key. Returns `false` if it was not present.
     pub fn remove(&mut self, key: &EdfKey) -> bool {
-        self.set.remove(key)
+        match self.keys.binary_search(key) {
+            Ok(at) => {
+                self.keys.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// The highest-priority entry, if any.
     pub fn peek(&self) -> Option<&EdfKey> {
-        self.set.first()
+        self.keys.first()
     }
 
     /// Removes and returns the highest-priority entry.
     pub fn pop(&mut self) -> Option<EdfKey> {
-        self.set.pop_first()
+        if self.keys.is_empty() {
+            None
+        } else {
+            Some(self.keys.remove(0))
+        }
     }
 
     /// Number of ready entries.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.keys.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.keys.is_empty()
     }
 
     /// Iterates entries in priority order.
     pub fn iter(&self) -> impl Iterator<Item = &EdfKey> {
-        self.set.iter()
+        self.keys.iter()
     }
 }
 

@@ -1,9 +1,13 @@
 //! Property-based tests for the scheduling theory: supply/demand bound
-//! functions and minimal periodic-resource budgets. Cases come from
-//! the in-tree seeded harness (`vc2m_rng::cases`).
+//! functions, minimal periodic-resource budgets, and the EDF ready
+//! queue. Cases come from the in-tree seeded harness
+//! (`vc2m_rng::cases`).
 
+use std::collections::BTreeSet;
+use vc2m_model::SimTime;
 use vc2m_rng::{cases::check, DetRng, Rng};
 use vc2m_sched::dbf::Demand;
+use vc2m_sched::edf::{EdfKey, ReadyQueue};
 use vc2m_sched::sbf::{min_budget, PeriodicResource};
 
 /// A small harmonic taskset: `(period, wcet)` pairs with periods
@@ -188,6 +192,36 @@ fn can_schedule_antitone_in_demand() {
         if r.can_schedule(&demand) && demand.len() > 1 {
             let reduced = Demand::new(demand.pairs().skip(1).collect()).expect("valid");
             assert!(r.can_schedule(&reduced));
+        }
+    });
+}
+
+/// The sorted-`Vec` ready queue behaves exactly like an ordered set of
+/// its keys: every insert/remove reports the same membership change,
+/// and `peek`, `len` and the iteration order agree after each step.
+/// Deadlines, periods and indices are drawn from tiny ranges so that
+/// equal deadlines, equal periods and repeated keys are common.
+#[test]
+fn ready_queue_matches_an_ordered_set_model() {
+    check(256, |rng| {
+        let mut queue = ReadyQueue::with_capacity(rng.gen_range(0usize..8));
+        let mut model = BTreeSet::new();
+        let steps = rng.gen_range(1usize..120);
+        for _ in 0..steps {
+            let key = EdfKey::new(
+                SimTime(rng.gen_range(0u64..6)),
+                rng.gen_range(1u64..4),
+                rng.gen_range(0usize..8),
+            );
+            match rng.gen_range(0u32..5) {
+                0..=2 => assert_eq!(queue.insert(key), model.insert(key)),
+                3 => assert_eq!(queue.remove(&key), model.remove(&key)),
+                _ => assert_eq!(queue.pop(), model.pop_first()),
+            }
+            assert_eq!(queue.peek(), model.first());
+            assert_eq!(queue.len(), model.len());
+            assert_eq!(queue.is_empty(), model.is_empty());
+            assert!(queue.iter().eq(model.iter()));
         }
     });
 }
