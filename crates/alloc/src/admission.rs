@@ -10,7 +10,7 @@
 //!
 //! The engine's state after each request is defined by the following
 //! deterministic process; the differential conformance suite replays
-//! exactly this definition with a full verifier and no caches and pins
+//! exactly this definition with a full verifier and no rejection memo and pins
 //! the optimised engine against it bit-for-bit.
 //!
 //! * **Arrival** — reject a duplicate [`VmId`]; reject immediately when
@@ -70,7 +70,7 @@ use crate::solution::Solution;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use vc2m_analysis::core_check::{self, UTILIZATION_EPS};
-use vc2m_analysis::{AnalysisCache, DirtyCores};
+use vc2m_analysis::DirtyCores;
 use vc2m_model::{Alloc, Platform, Surface, VcpuId, VcpuSpec, VmId, VmSpec};
 use vc2m_rng::{DetRng, Rng, SplitMix64};
 use vc2m_simcore::MetricsRegistry;
@@ -84,9 +84,8 @@ pub struct AdmissionConfig {
     pub solution: Solution,
     /// Seed for all randomized choices (see the module docs).
     pub seed: u64,
-    /// Reference mode: disable the analysis cache and replace every
-    /// dirty-set verification with a full [`SystemAllocation::verify`]
-    /// (departures included). Semantically identical to the fast mode
+    /// Reference mode: replace every dirty-set verification with a
+    /// full [`SystemAllocation::verify`] (departures included). Semantically identical to the fast mode
     /// — the conformance suite pins that — but with no warm-start
     /// verification shortcuts, so it serves as the slow differential
     /// oracle. Reference mode also disables the rejection memo.
@@ -120,7 +119,7 @@ impl AdmissionConfig {
 
     /// Switches to reference (slow differential oracle) mode. The
     /// oracle stays maximally naive: the rejection memo is disabled
-    /// along with the analysis cache.
+    /// too.
     pub fn reference_mode(mut self) -> Self {
         self.reference = true;
         self.memo = false;
@@ -154,8 +153,7 @@ pub enum AdmissionPath {
     /// perturbed cores were re-verified.
     Incremental,
     /// Full re-allocation of the working set via
-    /// [`allocate_with_degradation`](crate::allocate_with_degradation)
-    /// (no-shed policy).
+    /// [`allocate_with_degradation`] (no-shed policy).
     Repack,
 }
 
@@ -460,7 +458,6 @@ struct StateSnapshot {
 pub struct AdmissionEngine {
     platform: Platform,
     config: AdmissionConfig,
-    cache: AnalysisCache,
     /// Admitted VMs in admission order (the repack working set order).
     vms: Vec<VmSpec>,
     /// Mode revision per admitted VM (parallel to `vms`).
@@ -484,15 +481,9 @@ pub struct AdmissionEngine {
 impl AdmissionEngine {
     /// Creates an engine with an empty working set.
     pub fn new(platform: Platform, config: AdmissionConfig) -> Self {
-        let cache = if config.reference {
-            AnalysisCache::disabled()
-        } else {
-            AnalysisCache::enabled()
-        };
         AdmissionEngine {
             platform,
             config,
-            cache,
             vms: Vec::new(),
             revisions: Vec::new(),
             vcpus: Vec::new(),
@@ -559,15 +550,13 @@ impl AdmissionEngine {
         &self.stats
     }
 
-    /// Exports `admission.*` counters, post-state gauges, and the
-    /// warm-start analysis-cache statistics.
+    /// Exports `admission.*` counters and post-state gauges.
     pub fn export_metrics(&self, out: &mut MetricsRegistry) {
         self.stats.export_metrics(out);
         out.gauge_set("admission.vms", self.vms.len() as f64);
         out.gauge_set("admission.vcpus", self.vcpus.len() as f64);
         out.gauge_set("admission.cores", self.cores.len() as f64);
         out.gauge_set("admission.load", self.total_load());
-        self.cache.stats().export_metrics("admission.cache.", out);
     }
 
     /// Processes one request and returns its decision (also appended
@@ -1037,7 +1026,7 @@ impl AdmissionEngine {
         let produced = self
             .config
             .solution
-            .vm_level_with_cache(std::slice::from_ref(vm), &self.platform, &self.cache, &mut rng)
+            .vm_level(std::slice::from_ref(vm), &self.platform, &mut rng)
             .ok()?;
         // Renumber onto the engine's monotone VCPU id counter so ids
         // stay unique across the whole stream.
@@ -1435,7 +1424,6 @@ mod tests {
         assert_eq!(registry.counter("admission.requests"), Some(1));
         assert_eq!(registry.counter("admission.admitted_incremental"), Some(1));
         assert_eq!(registry.gauge("admission.vms"), Some(1.0));
-        assert!(registry.counter("admission.cache.lookups").is_some());
     }
 
     /// A VM whose single task sits on a WCET *plateau*: unschedulable

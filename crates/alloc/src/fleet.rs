@@ -35,10 +35,10 @@
 //!   makes the decision loop trivially parallel across shards: the
 //!   whole routing plan is computable without a single solver call, so
 //!   each host's request subsequence is fixed up front and replays
-//!   independently ([`AdmissionFleet::replay_parallel`]). Bookkeeping
-//!   noise (a rejected VM stays charged until its departure) only
-//!   shifts future placements between hosts; the engines stay the
-//!   ground truth for every admit/reject.
+//!   independently ([`AdmissionFleet::replay_parallel_armed`]).
+//!   Bookkeeping noise (a rejected VM stays charged until its
+//!   departure) only shifts future placements between hosts; the
+//!   engines stay the ground truth for every admit/reject.
 //! * **Departure / mode change** — routed to the owning host (the one
 //!   the arrival was routed to, admitted or not); the router releases
 //!   or adjusts the bookkept charge. Requests for VMs the router never
@@ -87,10 +87,10 @@
 //!
 //! # Parallel replay
 //!
-//! [`AdmissionFleet::replay_parallel`] reuses the coarse-unit executor
-//! pattern of the sweep: the routing pass (serial, cheap) assigns each
-//! decision a global ticket and buckets the work per host; worker
-//! threads claim whole hosts from an atomic ticket counter, replay
+//! [`AdmissionFleet::replay_parallel_armed`] reuses the coarse-unit
+//! executor pattern of the sweep: the routing pass (serial, cheap)
+//! assigns each decision a global ticket and buckets the work per host;
+//! worker threads claim whole hosts from an atomic ticket counter, replay
 //! each host's subsequence on a private engine, and the per-host
 //! decision vectors merge once after join by ticket order. The merged
 //! `#NNNNN`-indexed decision log is byte-identical at every thread
@@ -1377,35 +1377,29 @@ impl AdmissionFleet {
         self.decisions[first..].sort_by_key(|d| d.decision.index);
     }
 
-    /// Replays `items` over a fresh fleet in parallel: a serial
-    /// routing pass fixes every decision's host and global ticket,
-    /// worker threads claim whole hosts from an atomic counter and
-    /// replay each host's subsequence on a private engine, and the
-    /// decision vectors merge once after the join in ticket order.
+    /// Replays `items` over a fresh fleet armed with `scenario`, in
+    /// parallel: a serial routing pass fixes every decision's host and
+    /// global ticket, fires the fault plan and schedules every
+    /// evacuation — all from router bookkeeping, so the per-host plans
+    /// (including engine resets, injected verify faults, and evac
+    /// re-admissions) are fixed before any engine runs. Worker threads
+    /// then claim whole hosts from an atomic counter and replay each
+    /// host's subsequence on a private engine, and the decision vectors
+    /// merge once after the join in ticket order. Pass
+    /// [`FleetScenario::default`] for a fault-free replay.
     ///
-    /// The result is bit-identical to `new` + [`Self::replay`] at
-    /// every `threads` value (pinned by the fleet conformance suite).
+    /// The result is bit-identical to `new` + [`Self::arm`] +
+    /// [`Self::replay`] at every `threads` value (pinned by the fleet
+    /// conformance suite).
+    ///
+    /// # Errors
+    ///
+    /// * [`AllocError::ZeroThreads`] if `threads` is zero.
+    /// * [`AllocError::FaultPlan`] if `scenario` fails validation.
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is zero or a worker thread panics.
-    pub fn replay_parallel(
-        platform: Platform,
-        config: FleetConfig,
-        items: &[FleetWorkItem],
-        threads: usize,
-    ) -> AdmissionFleet {
-        Self::replay_parallel_armed(platform, config, FleetScenario::default(), items, threads)
-            .expect("the empty scenario is always valid")
-    }
-
-    /// [`Self::replay_parallel`] with a fault scenario armed: the
-    /// routing pass additionally fires the fault plan and schedules
-    /// every evacuation — all from router bookkeeping, so the per-host
-    /// plans (including engine resets, injected verify faults, and
-    /// evac re-admissions) are fixed before any engine runs, and the
-    /// result stays bit-identical to the armed serial fleet at every
-    /// thread count.
+    /// Panics if a worker thread panics.
     pub fn replay_parallel_armed(
         platform: Platform,
         config: FleetConfig,
@@ -1414,7 +1408,9 @@ impl AdmissionFleet {
         threads: usize,
     ) -> Result<AdmissionFleet, AllocError> {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        assert!(threads > 0, "need at least one thread");
+        if threads == 0 {
+            return Err(AllocError::ZeroThreads);
+        }
         let hosts = config.hosts;
         scenario.validate(hosts)?;
         // Routing pass: identical calls, in identical order, to what
@@ -1642,7 +1638,14 @@ mod tests {
         let mut serial = AdmissionFleet::new(platform, config);
         serial.replay(&items);
         for threads in [1, 2, 8] {
-            let parallel = AdmissionFleet::replay_parallel(platform, config, &items, threads);
+            let parallel = AdmissionFleet::replay_parallel_armed(
+                platform,
+                config,
+                FleetScenario::default(),
+                &items,
+                threads,
+            )
+            .unwrap();
             assert_eq!(parallel.log_text(), serial.log_text(), "threads={threads}");
             assert_eq!(parallel.aggregate_stats(), serial.aggregate_stats());
             assert_eq!(parallel.router().loads(), serial.router().loads());
@@ -1650,6 +1653,19 @@ mod tests {
                 assert_eq!(a.allocation(), b.allocation());
             }
         }
+    }
+
+    #[test]
+    fn parallel_replay_rejects_zero_threads_with_a_typed_error() {
+        let items = vec![FleetWorkItem::Single(AdmissionRequest::Arrival(vm(1, 2.0, 2)))];
+        let result = AdmissionFleet::replay_parallel_armed(
+            Platform::platform_a(),
+            FleetConfig::new(2, 42),
+            FleetScenario::default(),
+            &items,
+            0,
+        );
+        assert!(matches!(result, Err(AllocError::ZeroThreads)));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::result::AllocationOutcome;
 use crate::vm_level::{self, VcpuSizing};
 use crate::AllocError;
 use std::fmt;
-use vc2m_analysis::{flattening, AnalysisCache};
+use vc2m_analysis::flattening;
 use vc2m_model::{Alloc, Platform, VcpuSpec, VmSpec};
 use vc2m_rng::DetRng;
 
@@ -77,27 +77,7 @@ impl Solution {
     /// are reported as unschedulable, which matches how the paper's
     /// evaluation scores them.
     pub fn allocate(self, vms: &[VmSpec], platform: &Platform, seed: u64) -> AllocationOutcome {
-        self.allocate_with_cache(vms, platform, seed, &AnalysisCache::disabled())
-    }
-
-    /// [`Solution::allocate`] with an [`AnalysisCache`] threaded
-    /// through the analysis hot path.
-    ///
-    /// The cache memoizes the minimal-budget computations of the
-    /// existing-CSA analyses; results are bit-identical to the uncached
-    /// path (the sweep conformance suite pins this), and sharing one
-    /// cache across the solutions analyzing the *same* taskset — as the
-    /// paper's sweep methodology does — lets them reuse each other's
-    /// work. The RNG stream is untouched: clustering and the hypervisor
-    /// heuristic always run, only budget searches are memoized.
-    pub fn allocate_with_cache(
-        self,
-        vms: &[VmSpec],
-        platform: &Platform,
-        seed: u64,
-        cache: &AnalysisCache,
-    ) -> AllocationOutcome {
-        match self.try_allocate_with_cache(vms, platform, seed, cache) {
+        match self.try_allocate(vms, platform, seed) {
             Ok(outcome) => outcome,
             Err(AllocError::Analysis(_)) => AllocationOutcome::unschedulable(),
             Err(e) => panic!("allocation failed structurally: {e}"),
@@ -118,29 +98,11 @@ impl Solution {
         platform: &Platform,
         seed: u64,
     ) -> Result<AllocationOutcome, AllocError> {
-        self.try_allocate_with_cache(vms, platform, seed, &AnalysisCache::disabled())
-    }
-
-    /// [`Solution::try_allocate`] with an [`AnalysisCache`]; see
-    /// [`Solution::allocate_with_cache`].
-    ///
-    /// # Errors
-    ///
-    /// * [`AllocError::NoVms`] if `vms` is empty.
-    /// * [`AllocError::Analysis`] if a VM's workload violates the
-    ///   solution's analysis premise.
-    pub fn try_allocate_with_cache(
-        self,
-        vms: &[VmSpec],
-        platform: &Platform,
-        seed: u64,
-        cache: &AnalysisCache,
-    ) -> Result<AllocationOutcome, AllocError> {
         if vms.is_empty() {
             return Err(AllocError::NoVms);
         }
         let mut rng = DetRng::seed_from_u64(seed);
-        let vcpus = self.vm_level_with_cache(vms, platform, cache, &mut rng)?;
+        let vcpus = self.vm_level(vms, platform, &mut rng)?;
         Ok(match self {
             Solution::HeuristicFlattening
             | Solution::HeuristicOverheadFree
@@ -161,22 +123,6 @@ impl Solution {
         platform: &Platform,
         rng: &mut DetRng,
     ) -> Result<Vec<VcpuSpec>, AllocError> {
-        self.vm_level_with_cache(vms, platform, &AnalysisCache::disabled(), rng)
-    }
-
-    /// [`Solution::vm_level`] with an [`AnalysisCache`]; see
-    /// [`Solution::allocate_with_cache`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates VM-level analysis errors.
-    pub fn vm_level_with_cache(
-        self,
-        vms: &[VmSpec],
-        platform: &Platform,
-        cache: &AnalysisCache,
-        rng: &mut DetRng,
-    ) -> Result<Vec<VcpuSpec>, AllocError> {
         let mut vcpus: Vec<VcpuSpec> = Vec::new();
         let even = even_alloc(platform);
         for vm in vms {
@@ -188,7 +134,6 @@ impl Solution {
                     vm.tasks().len().min(platform.cores()),
                     VcpuSizing::OverheadFree,
                     first_id,
-                    cache,
                     rng,
                 )?,
                 Solution::HeuristicExisting => vm_level::clustered(
@@ -196,18 +141,16 @@ impl Solution {
                     vm.tasks().len().min(platform.cores()),
                     VcpuSizing::Existing,
                     first_id,
-                    cache,
                     rng,
                 )?,
                 Solution::EvenlyPartition => {
-                    vm_level::best_fit(vm, VcpuSizing::OverheadFree, even, first_id, cache)?
+                    vm_level::best_fit(vm, VcpuSizing::OverheadFree, even, first_id)?
                 }
                 Solution::Baseline => vm_level::best_fit(
                     vm,
                     VcpuSizing::ExistingWorstCase,
                     platform.resources().minimum(),
                     first_id,
-                    cache,
                 )?,
                 // Per-VM strategy choice: the direct mapping when the
                 // VCPU cap allows it, the well-regulated fallback
@@ -221,7 +164,6 @@ impl Solution {
                             vm.max_vcpus().min(platform.cores()),
                             VcpuSizing::OverheadFree,
                             first_id,
-                            cache,
                             rng,
                         )?
                     }
@@ -425,33 +367,5 @@ mod tests {
             let b = solution.allocate(&vms, &platform, 99);
             assert_eq!(a, b, "{solution} is not deterministic");
         }
-    }
-
-    #[test]
-    fn cached_allocation_matches_uncached() {
-        // A cache-sensitive workload so the existing-CSA analyses do
-        // real budget searches; one shared cache across all solutions,
-        // as the sweep engine uses it.
-        let platform = Platform::platform_a();
-        let space = platform.resources();
-        let surface = WcetSurface::from_fn(&space, |a| {
-            10.0 * (1.0 + 1.5 * ((8.0 - f64::from(a.cache)) / 8.0).max(0.0))
-        })
-        .unwrap();
-        let tasks: TaskSet = (0..8)
-            .map(|i| Task::new(TaskId(i), 100.0 * (1 << (i % 3)) as f64, surface.clone()).unwrap())
-            .collect();
-        let vms = vec![VmSpec::new(VmId(0), tasks).unwrap()];
-        let cache = AnalysisCache::enabled();
-        for solution in Solution::ALL {
-            let plain = solution.allocate(&vms, &platform, 7);
-            let cached = solution.allocate_with_cache(&vms, &platform, 7, &cache);
-            assert_eq!(plain, cached, "{solution} diverges under the cache");
-        }
-        assert!(
-            cache.stats().hits > 0,
-            "shared cache never hit: {:?}",
-            cache.stats()
-        );
     }
 }

@@ -18,7 +18,7 @@
 use crate::kmeans::{kmeans, Features};
 use crate::packing::{best_fit_open, sort_decreasing, Item};
 use crate::AllocError;
-use vc2m_analysis::{existing, regulated, AnalysisCache};
+use vc2m_analysis::{existing, regulated};
 use vc2m_model::{Alloc, Task, TaskSet, VcpuId, VcpuSpec, VmSpec};
 use vc2m_rng::Rng;
 
@@ -37,11 +37,6 @@ pub enum VcpuSizing {
 
 /// Computes one VCPU's parameters for `taskset` under `sizing`.
 ///
-/// The existing-CSA sizings route their minimal-budget computations
-/// through `cache` (bit-identical results either way; pass
-/// [`AnalysisCache::disabled`] to opt out). The overhead-free sizing
-/// has no budget search to memoize.
-///
 /// # Errors
 ///
 /// Propagates the underlying analysis error (empty taskset,
@@ -51,14 +46,11 @@ pub fn size_vcpu(
     id: VcpuId,
     vm: vc2m_model::VmId,
     taskset: &TaskSet,
-    cache: &AnalysisCache,
 ) -> Result<VcpuSpec, AllocError> {
     let vcpu = match sizing {
         VcpuSizing::OverheadFree => regulated::regulated_vcpu(id, vm, taskset)?,
-        VcpuSizing::Existing => existing::existing_vcpu_cached(id, vm, taskset, cache)?,
-        VcpuSizing::ExistingWorstCase => {
-            existing::existing_vcpu_worst_case_cached(id, vm, taskset, cache)?
-        }
+        VcpuSizing::Existing => existing::existing_vcpu(id, vm, taskset)?,
+        VcpuSizing::ExistingWorstCase => existing::existing_vcpu_worst_case(id, vm, taskset)?,
     };
     Ok(vcpu)
 }
@@ -81,7 +73,6 @@ pub fn clustered<R: Rng>(
     m: usize,
     sizing: VcpuSizing,
     first_id: usize,
-    cache: &AnalysisCache,
     rng: &mut R,
 ) -> Result<Vec<VcpuSpec>, AllocError> {
     let tasks: Vec<&Task> = vm.tasks().iter().collect();
@@ -159,7 +150,7 @@ pub fn clustered<R: Rng>(
     let mut vcpus = Vec::new();
     for (next_id, bin) in (first_id..).zip(bins.iter().filter(|b| !b.is_empty())) {
         let group: TaskSet = bin.iter().map(|&i| tasks[i].clone()).collect();
-        vcpus.push(size_vcpu(sizing, VcpuId(next_id), vm.id(), &group, cache)?);
+        vcpus.push(size_vcpu(sizing, VcpuId(next_id), vm.id(), &group)?);
     }
     Ok(vcpus)
 }
@@ -203,7 +194,6 @@ pub fn best_fit(
     sizing: VcpuSizing,
     packing_alloc: Alloc,
     first_id: usize,
-    cache: &AnalysisCache,
 ) -> Result<Vec<VcpuSpec>, AllocError> {
     let tasks: Vec<&Task> = vm.tasks().iter().collect();
     let mut items: Vec<Item> = tasks
@@ -216,13 +206,7 @@ pub fn best_fit(
     let mut vcpus = Vec::new();
     for (offset, bin) in bins.iter().filter(|b| !b.is_empty()).enumerate() {
         let group: TaskSet = bin.iter().map(|&i| tasks[i].clone()).collect();
-        vcpus.push(size_vcpu(
-            sizing,
-            VcpuId(first_id + offset),
-            vm.id(),
-            &group,
-            cache,
-        )?);
+        vcpus.push(size_vcpu(sizing, VcpuId(first_id + offset), vm.id(), &group)?);
     }
     Ok(vcpus)
 }
@@ -283,7 +267,7 @@ mod tests {
         tasks.extend((11..14).map(|i| sensitive_task(i, 200.0, 4.0, 0.05)));
         let vm = vm(tasks);
         let mut rng = DetRng::seed_from_u64(4);
-        let vcpus = clustered(&vm, 4, VcpuSizing::OverheadFree, 0, &AnalysisCache::disabled(), &mut rng).unwrap();
+        let vcpus = clustered(&vm, 4, VcpuSizing::OverheadFree, 0, &mut rng).unwrap();
         for v in &vcpus {
             assert!(
                 v.reference_utilization() <= 1.0 + 1e-9,
@@ -300,7 +284,7 @@ mod tests {
             .collect();
         let vm = vm(tasks);
         let mut rng = DetRng::seed_from_u64(3);
-        let vcpus = clustered(&vm, 4, VcpuSizing::OverheadFree, 0, &AnalysisCache::disabled(), &mut rng).unwrap();
+        let vcpus = clustered(&vm, 4, VcpuSizing::OverheadFree, 0, &mut rng).unwrap();
         assert!(!vcpus.is_empty() && vcpus.len() <= 4);
         let mut covered: Vec<usize> = vcpus
             .iter()
@@ -319,7 +303,7 @@ mod tests {
             .collect();
         let vm = vm(tasks);
         let mut rng = DetRng::seed_from_u64(9);
-        let vcpus = clustered(&vm, 2, VcpuSizing::OverheadFree, 0, &AnalysisCache::disabled(), &mut rng).unwrap();
+        let vcpus = clustered(&vm, 2, VcpuSizing::OverheadFree, 0, &mut rng).unwrap();
         assert_eq!(vcpus.len(), 2);
         for v in &vcpus {
             let groups: std::collections::HashSet<bool> =
@@ -335,7 +319,7 @@ mod tests {
         let tasks: Vec<Task> = (0..6).map(|i| flat_task(i, 100.0, 10.0)).collect();
         let vm = vm(tasks);
         let mut rng = DetRng::seed_from_u64(1);
-        let vcpus = clustered(&vm, 2, VcpuSizing::OverheadFree, 0, &AnalysisCache::disabled(), &mut rng).unwrap();
+        let vcpus = clustered(&vm, 2, VcpuSizing::OverheadFree, 0, &mut rng).unwrap();
         assert_eq!(vcpus.len(), 2);
         let u0 = vcpus[0].reference_utilization();
         let u1 = vcpus[1].reference_utilization();
@@ -346,7 +330,7 @@ mod tests {
     fn clustered_m_capped_by_task_count() {
         let vm = vm(vec![flat_task(0, 100.0, 10.0)]);
         let mut rng = DetRng::seed_from_u64(1);
-        let vcpus = clustered(&vm, 8, VcpuSizing::OverheadFree, 0, &AnalysisCache::disabled(), &mut rng).unwrap();
+        let vcpus = clustered(&vm, 8, VcpuSizing::OverheadFree, 0, &mut rng).unwrap();
         assert_eq!(vcpus.len(), 1);
     }
 
@@ -355,7 +339,7 @@ mod tests {
         let tasks: Vec<Task> = (0..4).map(|i| flat_task(i, 100.0, 10.0)).collect();
         let vm = vm(tasks);
         let mut rng = DetRng::seed_from_u64(1);
-        let vcpus = clustered(&vm, 4, VcpuSizing::OverheadFree, 10, &AnalysisCache::disabled(), &mut rng).unwrap();
+        let vcpus = clustered(&vm, 4, VcpuSizing::OverheadFree, 10, &mut rng).unwrap();
         let mut ids: Vec<usize> = vcpus.iter().map(|v| v.id().index()).collect();
         ids.sort_unstable();
         assert_eq!(ids, (10..10 + vcpus.len()).collect::<Vec<_>>());
@@ -366,7 +350,7 @@ mod tests {
         // Utilization 0.4 each → best-fit pairs them two per VCPU.
         let tasks: Vec<Task> = (0..4).map(|i| flat_task(i, 100.0, 40.0)).collect();
         let vm = vm(tasks);
-        let vcpus = best_fit(&vm, VcpuSizing::OverheadFree, space().reference(), 0, &AnalysisCache::disabled()).unwrap();
+        let vcpus = best_fit(&vm, VcpuSizing::OverheadFree, space().reference(), 0).unwrap();
         assert_eq!(vcpus.len(), 2);
         for v in &vcpus {
             assert_eq!(v.tasks().len(), 2);
@@ -378,7 +362,7 @@ mod tests {
     fn best_fit_worst_case_sizing_is_flat() {
         let tasks: Vec<Task> = vec![sensitive_task(0, 100.0, 10.0, 1.0)];
         let vm = vm(tasks);
-        let vcpus = best_fit(&vm, VcpuSizing::ExistingWorstCase, space().minimum(), 0, &AnalysisCache::disabled()).unwrap();
+        let vcpus = best_fit(&vm, VcpuSizing::ExistingWorstCase, space().minimum(), 0).unwrap();
         assert_eq!(vcpus.len(), 1);
         let v = &vcpus[0];
         assert_eq!(v.budget(space().minimum()), v.budget(space().reference()));
@@ -391,8 +375,8 @@ mod tests {
         // some abstraction overhead even after its period search.
         let vm = vm(vec![flat_task(0, 10.0, 1.0)]);
         let mut rng = DetRng::seed_from_u64(1);
-        let of = clustered(&vm, 1, VcpuSizing::OverheadFree, 0, &AnalysisCache::disabled(), &mut rng).unwrap();
-        let ex = clustered(&vm, 1, VcpuSizing::Existing, 0, &AnalysisCache::disabled(), &mut rng).unwrap();
+        let of = clustered(&vm, 1, VcpuSizing::OverheadFree, 0, &mut rng).unwrap();
+        let ex = clustered(&vm, 1, VcpuSizing::Existing, 0, &mut rng).unwrap();
         assert!(
             ex[0].reference_utilization() > of[0].reference_utilization() + 0.005,
             "existing {} vs overhead-free {}",

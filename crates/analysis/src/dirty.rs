@@ -12,15 +12,6 @@
 //! schedulability kernel for exactly that set (structural invariants —
 //! partition budgets, assignment completeness — are always checked in
 //! full; they are cheap and global).
-//!
-//! Interaction with the analysis cache: [`AnalysisCache`] is
-//! content-addressed (keys are exact task/resource parameters), so the
-//! dirty-set discipline needs no cache invalidation — a departed VM's
-//! entries simply stop being looked up, and a mode change re-keys
-//! automatically. The dirty set therefore only gates *which cores* are
-//! re-checked, never what the cache may answer.
-//!
-//! [`AnalysisCache`]: crate::AnalysisCache
 
 /// A deduplicated, order-preserving set of core indices to re-verify.
 ///

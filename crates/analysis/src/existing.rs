@@ -18,16 +18,6 @@
 //!   eᵢ(Cmin, Bmin)) and the budget surface is flat (used by
 //!   *Baseline (existing CSA)*).
 
-//!
-//! Both variants also come in `_cached` form
-//! ([`existing_vcpu_cached`], [`existing_vcpu_worst_case_cached`]),
-//! which route every minimal-budget computation through an
-//! [`AnalysisCache`] and batch the per-cell demand evaluation with a
-//! precomputed [`MinBudgetSolver`]. The cached paths are bit-identical
-//! to the plain ones (the sweep conformance suite pins this); with a
-//! disabled cache they simply delegate.
-
-use crate::cache::AnalysisCache;
 use crate::AnalysisError;
 use vc2m_model::{BudgetSurface, Task, TaskSet, VcpuId, VcpuSpec, VmId};
 use vc2m_sched::dbf::Demand;
@@ -266,130 +256,6 @@ pub fn existing_vcpu_worst_case_reference(
     Ok(VcpuSpec::new(id, vm, period, budget, tasks)?)
 }
 
-/// [`best_period`] with every candidate's minimal budget routed
-/// through the cache — the winning period's budget is then a guaranteed
-/// hit when the budget surface (or the worst-case variant's single
-/// budget) asks for it again.
-fn best_period_cached(demand: &Demand, p_min: f64, cache: &AnalysisCache) -> f64 {
-    let mut best = p_min;
-    let mut best_bandwidth = f64::INFINITY;
-    for divisor in PERIOD_DIVISORS {
-        let period = p_min / divisor;
-        let theta = cache.min_budget_memo(demand.periods(), demand.wcets(), period, || {
-            with_workspace(|ws| ws.min_budget(demand, period))
-        });
-        let bandwidth = match theta {
-            Some(theta) => theta / period,
-            None => f64::INFINITY,
-        };
-        if bandwidth + 1e-12 < best_bandwidth {
-            best_bandwidth = bandwidth;
-            best = period;
-        }
-    }
-    best
-}
-
-/// [`existing_vcpu`] with memoized minimal budgets.
-///
-/// Bit-identical to the plain variant: misses run a
-/// [`MinBudgetSolver`] whose arithmetic replays [`min_budget`] exactly,
-/// and hits replay a previous such result (same key bits → same value
-/// bits). The slowdown model plateaus once a task's working set fits in
-/// the allocated cache, so entire bands of the surface collapse onto
-/// one memo entry — the dominant source of hits.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::EmptyTaskset`] for an empty taskset.
-pub fn existing_vcpu_cached(
-    id: VcpuId,
-    vm: VmId,
-    taskset: &TaskSet,
-    cache: &AnalysisCache,
-) -> Result<VcpuSpec, AnalysisError> {
-    if !cache.is_enabled() {
-        return existing_vcpu(id, vm, taskset);
-    }
-    if taskset.is_empty() {
-        return Err(AnalysisError::EmptyTaskset);
-    }
-    let p_min = taskset.min_period().expect("taskset is non-empty");
-    let space = *taskset
-        .iter()
-        .next()
-        .expect("taskset is non-empty")
-        .wcet_surface()
-        .space();
-    let reference_demand = Demand::new(
-        taskset
-            .iter()
-            .map(|t| (t.period(), t.reference_wcet()))
-            .collect(),
-    )
-    .expect("task parameters are validated at construction");
-    let period = best_period_cached(&reference_demand, p_min, cache);
-    let periods: Vec<f64> = taskset.iter().map(Task::period).collect();
-    let solver = MinBudgetSolver::new(&periods, period);
-    let mut wcets = vec![0.0; periods.len()];
-    let budget = BudgetSurface::from_fn(&space, |alloc| {
-        for (wcet, t) in wcets.iter_mut().zip(taskset.iter()) {
-            *wcet = t.wcet(alloc);
-        }
-        cache
-            .min_budget_memo(&periods, &wcets, period, || solver.min_budget(&wcets))
-            .unwrap_or(INFEASIBLE_FACTOR * period)
-    })?;
-    let tasks = taskset.iter().map(Task::id).collect();
-    record_vcpu_build();
-    Ok(VcpuSpec::new(id, vm, period, budget, tasks)?)
-}
-
-/// [`existing_vcpu_worst_case`] with memoized minimal budgets;
-/// bit-identical to the plain variant.
-///
-/// # Errors
-///
-/// Returns [`AnalysisError::EmptyTaskset`] for an empty taskset.
-pub fn existing_vcpu_worst_case_cached(
-    id: VcpuId,
-    vm: VmId,
-    taskset: &TaskSet,
-    cache: &AnalysisCache,
-) -> Result<VcpuSpec, AnalysisError> {
-    if !cache.is_enabled() {
-        return existing_vcpu_worst_case(id, vm, taskset);
-    }
-    if taskset.is_empty() {
-        return Err(AnalysisError::EmptyTaskset);
-    }
-    let p_min = taskset.min_period().expect("taskset is non-empty");
-    let space = *taskset
-        .iter()
-        .next()
-        .expect("taskset is non-empty")
-        .wcet_surface()
-        .space();
-    let demand = Demand::new(
-        taskset
-            .iter()
-            .map(|t| (t.period(), t.wcet_surface().at_minimum()))
-            .collect(),
-    )
-    .expect("task parameters are validated at construction");
-    let period = best_period_cached(&demand, p_min, cache);
-    // The chosen period's budget was just memoized by the search.
-    let theta = cache
-        .min_budget_memo(demand.periods(), demand.wcets(), period, || {
-            with_workspace(|ws| ws.min_budget(&demand, period))
-        })
-        .unwrap_or(INFEASIBLE_FACTOR * period);
-    let budget = BudgetSurface::flat(&space, theta)?;
-    let tasks = taskset.iter().map(Task::id).collect();
-    record_vcpu_build();
-    Ok(VcpuSpec::new(id, vm, period, budget, tasks)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,11 +369,6 @@ mod tests {
             Err(AnalysisError::EmptyTaskset)
         ));
         assert!(existing_vcpu_worst_case(VcpuId(0), VmId(0), &TaskSet::new()).is_err());
-        let cache = AnalysisCache::enabled();
-        assert!(existing_vcpu_cached(VcpuId(0), VmId(0), &TaskSet::new(), &cache).is_err());
-        assert!(
-            existing_vcpu_worst_case_cached(VcpuId(0), VmId(0), &TaskSet::new(), &cache).is_err()
-        );
     }
 
     fn assert_bit_identical(a: &VcpuSpec, b: &VcpuSpec) {
@@ -538,52 +399,5 @@ mod tests {
         let fast_wc = existing_vcpu_worst_case(VcpuId(1), VmId(0), &ts).unwrap();
         let reference_wc = existing_vcpu_worst_case_reference(VcpuId(1), VmId(0), &ts).unwrap();
         assert_bit_identical(&fast_wc, &reference_wc);
-    }
-
-    #[test]
-    fn cached_variant_is_bit_identical_and_actually_hits() {
-        let surface = WcetSurface::from_fn(&space(), |a| 0.5 + 2.0 / f64::from(a.cache)).unwrap();
-        let t0 = Task::new(TaskId(0), 10.0, surface).unwrap();
-        let t1 = task(1, 20.0, 3.0);
-        let ts: TaskSet = vec![t0, t1].into_iter().collect();
-
-        let plain = existing_vcpu(VcpuId(0), VmId(0), &ts).unwrap();
-        let cache = AnalysisCache::enabled();
-        let cached = existing_vcpu_cached(VcpuId(0), VmId(0), &ts, &cache).unwrap();
-        assert_bit_identical(&plain, &cached);
-        // The WCETs above depend only on the cache axis, so each cache
-        // column's 20 bandwidth cells collapse onto one memo entry.
-        let stats = cache.stats();
-        assert!(stats.hits > stats.misses, "expected mostly hits: {stats:?}");
-
-        // A second analysis of the same taskset through the same cache
-        // is all hits (the cross-solution sharing case).
-        let again = existing_vcpu_cached(VcpuId(1), VmId(0), &ts, &cache).unwrap();
-        assert_bit_identical(&plain, &again);
-        assert_eq!(cache.stats().misses, stats.misses);
-    }
-
-    #[test]
-    fn cached_worst_case_is_bit_identical() {
-        let surface = WcetSurface::from_fn(&space(), |a| 0.5 + 2.0 / f64::from(a.cache)).unwrap();
-        let t = Task::new(TaskId(0), 10.0, surface).unwrap();
-        let ts: TaskSet = std::iter::once(t).collect();
-        let plain = existing_vcpu_worst_case(VcpuId(0), VmId(0), &ts).unwrap();
-        let cache = AnalysisCache::enabled();
-        let cached = existing_vcpu_worst_case_cached(VcpuId(0), VmId(0), &ts, &cache).unwrap();
-        assert_bit_identical(&plain, &cached);
-        // The period search memoized the winning period's budget, so
-        // the final budget lookup is a hit.
-        assert!(cache.stats().hits >= 1);
-    }
-
-    #[test]
-    fn disabled_cache_delegates() {
-        let ts: TaskSet = std::iter::once(task(0, 10.0, 1.0)).collect();
-        let cache = AnalysisCache::disabled();
-        let plain = existing_vcpu(VcpuId(0), VmId(0), &ts).unwrap();
-        let cached = existing_vcpu_cached(VcpuId(0), VmId(0), &ts, &cache).unwrap();
-        assert_bit_identical(&plain, &cached);
-        assert_eq!(cache.stats().lookups(), 0);
     }
 }

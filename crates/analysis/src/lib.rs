@@ -49,7 +49,6 @@
 
 mod error;
 
-pub mod cache;
 pub mod core_check;
 pub mod dirty;
 pub mod existing;
@@ -58,7 +57,6 @@ pub mod overhead;
 pub mod regulated;
 pub mod regulated_supply;
 
-pub use cache::{AnalysisCache, CacheStats};
 pub use dirty::DirtyCores;
 pub use error::AnalysisError;
 pub use vc2m_sched::kernel::KernelCounters;

@@ -307,6 +307,10 @@ fn run(trace: &AdmissionTrace, iters: usize) -> (String, Option<f64>) {
         .str("bench", "admission_bench")
         .str("scale", if full_scale_requested() { "full" } else { "quick" })
         .int("requests", trace.len() as u64)
+        .int(
+            "host_parallelism",
+            std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
+        )
         .int("seed", SEED)
         .bool("conformant", true)
         .num("decisions_per_sec", decisions_per_sec.unwrap_or(f64::NAN))

@@ -1,9 +1,11 @@
 //! Schedulability-kernel microbenchmarks: the naive allocating kernels
 //! (fresh checkpoint/demand vectors per call) against the incremental
 //! ones (SoA merge sweep + reusable [`AnalysisWorkspace`], the
-//! [`MinBudgetSolver`] floor table), the batched whole-checkpoint
-//! dbf/sbf passes against their scalar per-point loops, plus the
-//! end-to-end serial uncached sweep those kernels drive.
+//! [`MinBudgetSolver`] floor table), the batched whole-checkpoint dbf
+//! pass against its scalar per-point loop, plus the end-to-end serial
+//! sweep those kernels drive.
+//!
+//! [`MinBudgetSolver`]: vc2m::sched::sbf::MinBudgetSolver
 //!
 //! ```text
 //! cargo run --release -p vc2m-bench --bin kernel_bench            # quick preset
@@ -109,20 +111,6 @@ fn assert_vcpus_identical(fast: &VcpuSpec, reference: &VcpuSpec) {
     }
 }
 
-/// Asserts the batched supply pass matches the scalar `sbf` bit for
-/// bit over the given checkpoint stream before its timing is taken.
-fn resource_many_conformance(workload: &str, resource: &PeriodicResource, points: &[f64]) {
-    let mut batched = Vec::new();
-    resource.sbf_many(points, &mut batched);
-    for (&t, &b) in points.iter().zip(batched.iter()) {
-        assert_eq!(
-            b.to_bits(),
-            resource.sbf(t).to_bits(),
-            "sbf_many diverged from sbf at t={t} on {workload}",
-        );
-    }
-}
-
 /// A timed naive/incremental pair and its speedup on the fastest
 /// iteration — the deterministic kernels make min the noise-robust
 /// estimator (scheduler jitter only ever inflates a sample), matching
@@ -200,9 +188,9 @@ fn main() {
         );
         pairs.push((format!("can_schedule/{}", w.name), Pair { naive, incremental }));
 
-        // Batched checkpoint passes: the whole checkpoint vector in one
-        // task-major (dbf) / hoisted-blackout (sbf) sweep, against the
-        // historical one-scalar-call-per-point loop. The checkpoint
+        // Batched checkpoint pass: the whole checkpoint vector in one
+        // task-major dbf sweep, against the historical
+        // one-scalar-call-per-point loop. The checkpoint
         // stream is precomputed outside the timed region — both arms
         // pay only for demand/supply evaluation.
         let horizon = kernel::analysis_horizon(&demand, w.period);
@@ -229,20 +217,6 @@ fn main() {
             std::hint::black_box(scratch.last().copied())
         });
         pairs.push((format!("dbf_many/{}", w.name), Pair { naive, incremental }));
-
-        resource_many_conformance(w.name, &fits, &points);
-        let mut scratch = Vec::with_capacity(points.len());
-        let naive = timing::run(&format!("sbf per-point [{}]", w.name), iters, || {
-            scratch.clear();
-            scratch.extend(points.iter().map(|&t| fits.sbf(t)));
-            std::hint::black_box(scratch.last().copied())
-        });
-        let mut scratch = Vec::with_capacity(points.len());
-        let incremental = timing::run(&format!("sbf_many batched [{}]", w.name), iters, || {
-            fits.sbf_many(&points, &mut scratch);
-            std::hint::black_box(scratch.last().copied())
-        });
-        pairs.push((format!("sbf_many/{}", w.name), Pair { naive, incremental }));
     }
 
     // The repeated-probe call site the solver's floor table serves:
@@ -278,12 +252,12 @@ fn main() {
     });
     pairs.push(("vcpu_surface/harmonic-8".into(), Pair { naive, incremental }));
 
-    // End-to-end: the serial, cache-disabled quick sweep — every
-    // budget search hits the kernels directly, so this wall time is
-    // the macro view of the same optimization (BENCH_sweep.json tracks
-    // it across the cache/parallel variants).
-    let config = SweepConfig::quick(platform, UtilizationDist::Uniform).with_cache(false);
-    let sweep = timing::run("sweep serial uncached (quick)", sweep_iters, || {
+    // End-to-end: the serial quick sweep — every budget search hits
+    // the kernels directly, so this wall time is the macro view of the
+    // same optimization (BENCH_sweep.json tracks it across thread
+    // counts).
+    let config = SweepConfig::quick(platform, UtilizationDist::Uniform);
+    let sweep = timing::run("sweep serial (quick)", sweep_iters, || {
         run_sweep(&config)
     });
 
@@ -299,6 +273,10 @@ fn main() {
         .str("bench", "kernel_bench")
         .str("scale", if full_scale_requested() { "full" } else { "quick" })
         .int("iters", pairs[0].1.naive.iters())
+        .int(
+            "host_parallelism",
+            std::thread::available_parallelism().map_or(1, |n| n.get()) as u64,
+        )
         .bool("conformant", true)
         .num("speedup_geomean", headline)
         .raw(

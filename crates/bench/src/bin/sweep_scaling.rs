@@ -1,5 +1,4 @@
-//! End-to-end sweep scaling: the serial, cache-disabled sweep (the
-//! engine's historical behaviour) against the interface cache and the
+//! End-to-end sweep scaling: the serial sweep against the
 //! coarse-grained (whole-utilization-point) parallel scheduler, on
 //! identical work.
 //!
@@ -13,10 +12,10 @@
 //! the run aborts otherwise — so the timings compare genuinely
 //! equivalent computations. Results land in
 //! `results/BENCH_sweep.json`: per-run wall-clock, speedup over the
-//! serial uncached baseline, cache hit rates, and the host's available
-//! parallelism (a 4-thread run on a 1-core container documents itself).
-//! The headline speedup is derived from the runs table — the most
-//! parallel cached variant — never from a hard-coded run name. Setting
+//! serial baseline, and the host's available parallelism (a 4-thread
+//! run on a 1-core container documents itself). The headline speedup
+//! is derived from the runs table — the most parallel variant — never
+//! from a hard-coded run name. Setting
 //! `VC2M_SWEEP_SPEEDUP_FLOOR=<f64>` turns the headline into a hard
 //! gate: the run fails if the speedup falls below the floor (the CI
 //! smoke sets this on multicore runners).
@@ -33,15 +32,13 @@ use vc2m_bench::{full_scale_requested, scheduler_stress_system, write_results};
 struct Run {
     name: &'static str,
     threads: usize,
-    cached: bool,
 }
 
 const RUNS: &[Run] = &[
-    Run { name: "serial, no cache", threads: 0, cached: false },
-    Run { name: "serial, cache", threads: 0, cached: true },
-    Run { name: "parallel x1, cache", threads: 1, cached: true },
-    Run { name: "parallel x2, cache", threads: 2, cached: true },
-    Run { name: "parallel x4, cache", threads: 4, cached: true },
+    Run { name: "serial", threads: 0 },
+    Run { name: "parallel x1", threads: 1 },
+    Run { name: "parallel x2", threads: 2 },
+    Run { name: "parallel x4", threads: 4 },
 ];
 
 fn main() {
@@ -70,14 +67,13 @@ fn main() {
     let repeats = if fleet_requested || full_scale_requested() { 1 } else { 3 };
     let mut baseline: Option<(f64, String)> = None;
     let mut rendered = Vec::with_capacity(RUNS.len());
-    let mut speedups: Vec<(usize, bool, f64)> = Vec::with_capacity(RUNS.len());
+    let mut speedups: Vec<(usize, f64)> = Vec::with_capacity(RUNS.len());
     for run in RUNS {
-        let variant = config.clone().with_cache(run.cached);
         let execute = || {
             if run.threads == 0 {
-                run_sweep(&variant)
+                run_sweep(&config)
             } else {
-                run_sweep_parallel(&variant, run.threads, |_, _| {})
+                run_sweep_parallel(&config, run.threads, |_, _| {})
             }
         };
         std::hint::black_box(execute());
@@ -96,31 +92,19 @@ fn main() {
             baseline.get_or_insert_with(|| (wall_s, csv.clone()));
         assert_eq!(
             &csv, baseline_csv,
-            "variant '{}' diverged from the serial uncached sweep",
+            "variant '{}' diverged from the serial sweep",
             run.name
         );
         let speedup = *baseline_s / wall_s;
-        speedups.push((run.threads, run.cached, speedup));
+        speedups.push((run.threads, speedup));
 
-        let stats = results.cache_stats();
-        println!(
-            "{:<20} {:>8.3} s  speedup {:>5.2}x  cache {:>6.1}% of {} lookups",
-            run.name,
-            wall_s,
-            speedup,
-            100.0 * stats.hit_rate(),
-            stats.lookups(),
-        );
+        println!("{:<20} {:>8.3} s  speedup {:>5.2}x", run.name, wall_s, speedup);
         rendered.push(
             JsonBuilder::new()
                 .str("name", run.name)
                 .int("threads", run.threads as u64)
-                .bool("cache", run.cached)
                 .num("wall_s", wall_s)
-                .num("speedup_vs_serial_uncached", speedup)
-                .int("cache_hits", stats.hits)
-                .int("cache_misses", stats.misses)
-                .num("cache_hit_rate", stats.hit_rate())
+                .num("speedup_vs_serial", speedup)
                 .build(),
         );
     }
@@ -153,16 +137,16 @@ fn main() {
         }
         (wall_s, events)
     };
-    // Headline: the most parallel cached run, taken from the timed
-    // runs table itself — renaming or reordering RUNS can no longer
-    // detach the headline (historically a hard-coded `threads == 4`
-    // match left it NaN when the table changed).
+    // Headline: the most parallel run, taken from the timed runs
+    // table itself — renaming or reordering RUNS can no longer detach
+    // the headline (historically a hard-coded `threads == 4` match
+    // left it NaN when the table changed).
     let (headline_threads, headline_speedup) = speedups
         .iter()
-        .filter(|&&(threads, cached, _)| cached && threads > 0)
-        .max_by_key(|&&(threads, _, _)| threads)
-        .map(|&(threads, _, speedup)| (threads, speedup))
-        .expect("RUNS contains a cached parallel variant");
+        .copied()
+        .max_by_key(|&(threads, _)| threads)
+        .filter(|&(threads, _)| threads > 0)
+        .expect("RUNS contains a parallel variant");
 
     let (untraced_s, sim_events) = time_sim(0);
     let (traced_s, _) = time_sim(4096);
@@ -199,8 +183,8 @@ fn main() {
         .build();
     let path = write_results("BENCH_sweep.json", &json);
     println!(
-        "\nheadline: {headline_threads} threads + cache = {headline_speedup:.2}x over serial \
-         uncached (host parallelism {host_parallelism})"
+        "\nheadline: {headline_threads} threads = {headline_speedup:.2}x over serial \
+         (host parallelism {host_parallelism})"
     );
     println!("wrote {}", path.display());
 

@@ -172,7 +172,8 @@ pub fn json_array(items: impl IntoIterator<Item = String>) -> String {
     out
 }
 
-/// Renders a [`MetricsRegistry`] as one schema-stable JSON object:
+/// Renders a [`MetricsRegistry`](vc2m::simcore::MetricsRegistry) as one
+/// schema-stable JSON object:
 ///
 /// ```json
 /// {
@@ -378,7 +379,7 @@ mod tests {
         use vc2m::simcore::MetricsRegistry;
         let mut m = MetricsRegistry::new();
         m.counter_add("sim.jobs.completed", 42);
-        m.counter_add("analysis.cache.hits", 7);
+        m.counter_add("analysis.kernel.vcpu_builds", 7);
         m.gauge_set("sim.horizon_ms", 1000.0);
         m.observe("sim.response_ms.T0", 2.0);
         m.observe("sim.response_ms.T0", 4.0);
@@ -388,7 +389,7 @@ mod tests {
             concat!(
                 "{\n",
                 "  \"counters\": {\n",
-                "    \"analysis.cache.hits\": 7,\n",
+                "    \"analysis.kernel.vcpu_builds\": 7,\n",
                 "    \"sim.jobs.completed\": 42\n",
                 "  },\n",
                 "  \"gauges\": {\n",

@@ -340,7 +340,6 @@ pub fn sweep(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     };
     config.solutions = options.solutions()?;
     config.base_seed = options.parse_or("seed", config.base_seed)?;
-    config.use_cache = !options.switch("no-cache");
     let default_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads: usize = options.parse_or("threads", default_threads)?;
     if threads == 0 {
@@ -631,38 +630,24 @@ fn admit_fleet(
     }
     let fleet_config = FleetConfig::new(hosts, seed).with_engine(config);
     let items = fleet_items(trace, platform.resources());
-    let scenario = fault_seed.map(|fs| {
-        let spec = FleetFaultSpec::new(fault_count, items.len() as u64);
-        FleetScenario::new(
-            FleetFaultPlan::generate(fs, hosts, &spec),
-            trace.hi_vms().to_vec(),
-        )
-    });
-    let fleet = match scenario {
-        Some(scenario) if threads > 1 => AdmissionFleet::replay_parallel_armed(
-            platform,
-            fleet_config,
-            scenario,
-            &items,
-            threads,
-        )
-        .map_err(|e| CliError::new(format!("fault scenario rejected: {e}")))?,
-        Some(scenario) => {
-            let mut fleet = AdmissionFleet::new(platform, fleet_config);
-            fleet
-                .arm(scenario)
-                .map_err(|e| CliError::new(format!("fault scenario rejected: {e}")))?;
-            fleet.replay(&items);
-            fleet
-        }
-        None if threads > 1 => {
-            AdmissionFleet::replay_parallel(platform, fleet_config, &items, threads)
-        }
-        None => {
-            let mut fleet = AdmissionFleet::new(platform, fleet_config);
-            fleet.replay(&items);
-            fleet
-        }
+    let scenario = fault_seed
+        .map(|fs| {
+            let spec = FleetFaultSpec::new(fault_count, items.len() as u64);
+            FleetScenario::new(
+                FleetFaultPlan::generate(fs, hosts, &spec),
+                trace.hi_vms().to_vec(),
+            )
+        })
+        .unwrap_or_default();
+    let rejected = |e| CliError::new(format!("fault scenario rejected: {e}"));
+    let fleet = if threads > 1 {
+        AdmissionFleet::replay_parallel_armed(platform, fleet_config, scenario, &items, threads)
+            .map_err(rejected)?
+    } else {
+        let mut fleet = AdmissionFleet::new(platform, fleet_config);
+        fleet.arm(scenario).map_err(rejected)?;
+        fleet.replay(&items);
+        fleet
     };
     let stats = fleet.aggregate_stats();
     let routing = *fleet.router().stats();
@@ -768,9 +753,9 @@ fn admit_fleet(
 }
 
 /// Aggregates a sweep into one deterministic metrics registry: taskset
-/// counts, per-solution breakdown utilizations, the analysis-cache
-/// counters, and the schedulability-kernel telemetry (checkpoint
-/// merges, truncations, fallback horizons, kernel call counts).
+/// counts, per-solution breakdown utilizations, and the
+/// schedulability-kernel telemetry (checkpoint merges, truncations,
+/// fallback horizons, kernel call counts).
 /// Wall-clock analysis runtimes are deliberately excluded so the
 /// rendered JSON is reproducible run to run.
 fn sweep_metrics(results: &vc2m::sweep::SweepResults) -> vc2m::simcore::MetricsRegistry {
@@ -792,9 +777,6 @@ fn sweep_metrics(results: &vc2m::sweep::SweepResults) -> vc2m::simcore::MetricsR
             metrics.gauge_set(&format!("sweep.breakdown.{}", solution.name()), u);
         }
     }
-    results
-        .cache_stats()
-        .export_metrics("analysis.cache.", &mut metrics);
     vc2m::analysis::export_kernel_metrics(&results.kernel_stats(), &mut metrics);
     metrics
 }

@@ -78,7 +78,6 @@ SWEEP OPTIONS:
     --full                        Paper scale (step 0.05, 50 tasksets/point)
     --fleet                       Campaign scale (step 0.001, 3 tasksets/point)
     --threads <usize>             Worker threads (default: all cores)
-    --no-cache                    Disable the analysis interface cache
     --out <path>                  Write the fractions CSV here
     --metrics-out <path>          Write the aggregate sweep metrics as JSON
 

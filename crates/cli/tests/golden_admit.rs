@@ -115,10 +115,6 @@ const METRICS_GOLDEN: &str = r#"{
       "admission.admitted_incremental": 18,
       "admission.admitted_repack": 3,
       "admission.batches": 5,
-      "admission.cache.evictions": 0,
-      "admission.cache.hits": 0,
-      "admission.cache.lookups": 0,
-      "admission.cache.misses": 0,
       "admission.capacity_rejects": 0,
       "admission.core_upgrades": 43,
       "admission.cores_opened": 1,
@@ -134,7 +130,6 @@ const METRICS_GOLDEN: &str = r#"{
       "admission.requests": 50
     },
     "gauges": {
-      "admission.cache.hit_rate": 0,
       "admission.cores": 4,
       "admission.load": 1.2404396366831993,
       "admission.vcpus": 26,

@@ -167,16 +167,12 @@ const SWEEP_GOLDEN: &str = r#"{
   "command": "sweep",
   "metrics": {
     "counters": {
-      "analysis.cache.evictions": 0,
-      "analysis.cache.hits": 567,
-      "analysis.cache.lookups": 3402,
-      "analysis.cache.misses": 2835,
-      "analysis.checkpoints.emitted": 13620,
+      "analysis.checkpoints.emitted": 16335,
       "analysis.checkpoints.fallback_horizons": 0,
-      "analysis.checkpoints.merges": 2835,
+      "analysis.checkpoints.merges": 3402,
       "analysis.checkpoints.truncated": 0,
       "analysis.kernel.can_schedule": 0,
-      "analysis.kernel.min_budget": 2835,
+      "analysis.kernel.min_budget": 3402,
       "analysis.kernel.solver_min_budget": 0,
       "analysis.kernel.vcpu_builds": 567,
       "sweep.points": 10,
@@ -185,7 +181,6 @@ const SWEEP_GOLDEN: &str = r#"{
       "sweep.tasksets.schedulable": 23
     },
     "gauges": {
-      "analysis.cache.hit_rate": 0.16666666666666666,
       "sweep.breakdown.Baseline (existing CSA)": 0.4
     },
     "histograms": {}

@@ -1,9 +1,8 @@
 //! Golden test for `vc2m sweep`: pins the exact stdout of a fixed
 //! quick-scale sweep, and with it three stronger guarantees at once —
 //! the sweep's determinism across runs, the irrelevance of the thread
-//! count and of the analysis cache to the results (only wall-clock may
-//! change), and the stability of the rendered table format the
-//! figures' tooling parses.
+//! count to the results (only wall-clock may change), and the
+//! stability of the rendered table format the figures' tooling parses.
 
 use vc2m_cli::run;
 
@@ -45,15 +44,6 @@ fn sweep_output_is_invariant_under_thread_count() {
         assert_eq!(code, 0, "threads={threads}");
         assert_eq!(out, GOLDEN, "threads={threads}");
     }
-}
-
-#[test]
-fn sweep_output_is_invariant_under_no_cache() {
-    let (code, out) = run_capture(&[
-        "sweep", "--solution", "baseline", "--seed", "42", "--threads", "2", "--no-cache",
-    ]);
-    assert_eq!(code, 0);
-    assert_eq!(out, GOLDEN);
 }
 
 #[test]

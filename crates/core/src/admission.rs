@@ -647,7 +647,7 @@ pub fn replay(engine: &mut AdmissionEngine, trace: &AdmissionTrace) {
 
 /// Materializes a whole trace into fleet work items (the
 /// pre-materialized form both [`replay_fleet`] and
-/// [`AdmissionFleet::replay_parallel`] consume).
+/// [`AdmissionFleet::replay_parallel_armed`] consume).
 pub fn fleet_items(trace: &AdmissionTrace, space: ResourceSpace) -> Vec<FleetWorkItem> {
     trace
         .items()

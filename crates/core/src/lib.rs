@@ -79,7 +79,6 @@ pub mod prelude {
         FleetRouter, FleetScenario, FleetStats, FleetWorkItem, JournalRecord, RecoveryError,
         RequestKind, ScheduledFleetFault, Solution, SystemAllocation,
     };
-    pub use vc2m_analysis::{AnalysisCache, CacheStats};
     pub use vc2m_hypervisor::{
         Fault, FaultKind, FaultPlan, FaultPlanSpec, FaultTargets, HypervisorSim, IsolationMode,
         SimConfig, SimError, SimReport,

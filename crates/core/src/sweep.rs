@@ -9,28 +9,23 @@
 //!
 //! The unit of work is one whole utilization point: every repetition
 //! of the point derives its own `(point, repetition)` seed, generates
-//! its taskset, and analyzes it with every configured solution through
-//! one shared [`AnalysisCache`] (enabled via
-//! [`SweepConfig::use_cache`]). The cache is reset at each point
-//! boundary, so a point's analysis — results, cache hit/miss sequence
-//! and kernel telemetry alike — is a pure function of the
-//! configuration and the point index.
+//! its taskset, and analyzes it with every configured solution. A
+//! point's analysis — results and kernel telemetry alike — is a pure
+//! function of the configuration and the point index.
 //!
 //! [`run_sweep_parallel`] hands these point units to worker threads
-//! through a single atomic counter. Each worker owns its results,
-//! its [`AnalysisCache`] (reused, reset per point, so its memo table
-//! and key arena stay warm in capacity) and its kernel-counter deltas
-//! outright; nothing is shared or locked on the work path, and the
-//! per-thread accumulators merge once after the join. Per-cell results
-//! merge by plain integer addition, which is order-independent, so the
-//! parallel sweep is cell-for-cell *and* telemetry-counter identical
-//! to the serial one at every thread count (the sweep conformance
-//! suite pins this).
+//! through a single atomic counter. Each worker owns its results and
+//! its kernel-counter deltas outright; nothing is shared or locked on
+//! the work path, and the per-thread accumulators merge once after the
+//! join. Per-cell results merge by plain integer addition, which is
+//! order-independent, so the parallel sweep is cell-for-cell *and*
+//! telemetry-counter identical to the serial one at every thread count
+//! (the sweep conformance suite pins this).
 
 use std::fmt;
 use std::time::{Duration, Instant};
 use vc2m_alloc::Solution;
-use vc2m_analysis::{AnalysisCache, CacheStats, KernelCounters};
+use vc2m_analysis::KernelCounters;
 use vc2m_model::{Platform, VmId, VmSpec};
 use vc2m_workload::{TasksetConfig, TasksetGenerator, UtilizationDist};
 
@@ -62,10 +57,6 @@ pub struct SweepConfig {
     pub solutions: Vec<Solution>,
     /// Base RNG seed; every (point, taskset) pair derives its own.
     pub base_seed: u64,
-    /// Whether each work unit's solutions share an [`AnalysisCache`].
-    /// Results are bit-identical either way; the cache only removes
-    /// redundant minimal-budget computations.
-    pub use_cache: bool,
 }
 
 impl SweepConfig {
@@ -81,7 +72,6 @@ impl SweepConfig {
             tasksets_per_point: 50,
             solutions: Solution::ALL.to_vec(),
             base_seed: 0xDAC_2019,
-            use_cache: true,
         }
     }
 
@@ -96,7 +86,6 @@ impl SweepConfig {
             tasksets_per_point: 8,
             solutions: Solution::ALL.to_vec(),
             base_seed: 0xDAC_2019,
-            use_cache: true,
         }
     }
 
@@ -116,7 +105,6 @@ impl SweepConfig {
             tasksets_per_point: 3,
             solutions: Solution::ALL.to_vec(),
             base_seed: 0xDAC_2019,
-            use_cache: true,
         }
     }
 
@@ -129,12 +117,6 @@ impl SweepConfig {
     /// Returns a copy restricted to the given solutions.
     pub fn with_solutions(mut self, solutions: Vec<Solution>) -> Self {
         self.solutions = solutions;
-        self
-    }
-
-    /// Returns a copy with the analysis cache switched on or off.
-    pub fn with_cache(mut self, use_cache: bool) -> Self {
-        self.use_cache = use_cache;
         self
     }
 
@@ -189,7 +171,6 @@ pub struct SweepRow {
 pub struct SweepResults {
     solutions: Vec<Solution>,
     rows: Vec<SweepRow>,
-    cache: CacheStats,
     kernel: KernelCounters,
 }
 
@@ -197,12 +178,6 @@ impl SweepResults {
     /// The solutions, in column order.
     pub fn solutions(&self) -> &[Solution] {
         &self.solutions
-    }
-
-    /// Aggregated analysis-cache counters over all work units (all
-    /// zero when the sweep ran with [`SweepConfig::use_cache`] off).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
     }
 
     /// Aggregated schedulability-kernel telemetry over all work units:
@@ -331,12 +306,9 @@ pub fn run_sweep_with_progress(
 ) -> SweepResults {
     let points = config.utilizations.len();
     let mut rows = Vec::with_capacity(points);
-    let mut cache_total = CacheStats::default();
     let mut kernel_total = KernelCounters::new();
-    let mut cache = point_cache(config);
     for pi in 0..points {
-        let outcome = sweep_point(config, pi, &mut cache);
-        cache_total.merge(outcome.cache);
+        let outcome = sweep_point(config, pi);
         kernel_total.merge(&outcome.kernel);
         rows.push(outcome.row);
         progress(pi + 1, points);
@@ -344,7 +316,6 @@ pub fn run_sweep_with_progress(
     SweepResults {
         solutions: config.solutions.clone(),
         rows,
-        cache: cache_total,
         kernel: kernel_total,
     }
 }
@@ -358,15 +329,13 @@ pub fn run_sweep(config: &SweepConfig) -> SweepResults {
 /// over `threads` worker threads.
 ///
 /// Results are **identical** to [`run_sweep`]: every `(point,
-/// repetition)` pair derives its own seed, each point is analyzed
-/// against a cache reset at the point boundary, and per-thread partial
+/// repetition)` pair derives its own seed, and per-thread partial
 /// results merge by order-independent addition — so the partitioning
 /// cannot change any outcome, including the aggregated
-/// [`CacheStats`]/[`KernelCounters`] totals; only the wall-clock time
-/// differs. Workers share nothing on the work path: points are claimed
-/// from one atomic counter, and each thread accumulates its rows,
-/// cache counters and kernel deltas privately until one merge after
-/// the join.
+/// [`KernelCounters`] totals; only the wall-clock time differs.
+/// Workers share nothing on the work path: points are claimed from one
+/// atomic counter, and each thread accumulates its rows and kernel
+/// deltas privately until one merge after the join.
 ///
 /// `progress` is called with monotonically strictly increasing
 /// `(points_done, points_total)` counts — the same granularity as
@@ -403,15 +372,13 @@ pub fn run_sweep_parallel(
             .map(|_| {
                 scope.spawn(|| {
                     let mut outcome = ThreadOutcome::default();
-                    let mut cache = point_cache(config);
                     loop {
                         let pi = next.fetch_add(1, Ordering::Relaxed);
                         if pi >= points {
                             break;
                         }
-                        let unit = sweep_point(config, pi, &mut cache);
+                        let unit = sweep_point(config, pi);
                         outcome.rows.push((pi, unit.row));
-                        outcome.cache.merge(unit.cache);
                         outcome.kernel.merge(&unit.kernel);
                         done.fetch_add(1, Ordering::Release);
                         drain_progress(&reported, &done, points, progress);
@@ -438,14 +405,12 @@ pub fn run_sweep_parallel(
     }
 
     let mut rows: Vec<Option<SweepRow>> = (0..points).map(|_| None).collect();
-    let mut cache = CacheStats::default();
     let mut kernel = KernelCounters::new();
     for outcome in per_thread {
         for (pi, row) in outcome.rows {
             debug_assert!(rows[pi].is_none(), "point {pi} swept twice");
             rows[pi] = Some(row);
         }
-        cache.merge(outcome.cache);
         kernel.merge(&outcome.kernel);
     }
     SweepResults {
@@ -454,17 +419,15 @@ pub fn run_sweep_parallel(
             .into_iter()
             .map(|row| row.expect("every point was swept"))
             .collect(),
-        cache,
         kernel,
     }
 }
 
 /// One worker thread's private accumulator: finished rows tagged with
-/// their point index, plus the thread's cache and kernel totals.
+/// their point index, plus the thread's kernel totals.
 #[derive(Default)]
 struct ThreadOutcome {
     rows: Vec<(usize, SweepRow)>,
-    cache: CacheStats,
     kernel: KernelCounters,
 }
 
@@ -497,22 +460,9 @@ fn drain_progress(
 /// Per-point outcome of one whole-point work unit.
 struct PointOutcome {
     row: SweepRow,
-    /// The point's cache counters (the cache is reset at the point
-    /// boundary, so these are this point's exact contribution).
-    cache: CacheStats,
     /// The worker thread's kernel-counter delta over this point's
     /// analyses (thread-local snapshots taken before and after).
     kernel: KernelCounters,
-}
-
-/// The per-work-unit analysis cache of `config`: enabled or a
-/// pass-through, matching [`SweepConfig::use_cache`].
-fn point_cache(config: &SweepConfig) -> AnalysisCache {
-    if config.use_cache {
-        AnalysisCache::enabled()
-    } else {
-        AnalysisCache::disabled()
-    }
 }
 
 /// A point's row with every cell still empty.
@@ -527,17 +477,10 @@ fn empty_row(config: &SweepConfig, point_index: usize) -> SweepRow {
 /// each generating its `(point, repetition)`-seeded taskset and
 /// analyzing it with every configured solution.
 ///
-/// `cache` is reset on entry and shared across the point's repetitions
-/// and solutions — the paper's methodology presents the *same* taskset
-/// to every solution, which is exactly when analyses repeat each
-/// other's budget searches. Resetting at the point boundary (instead
-/// of keeping a thread-lifetime memo) makes the point's entire
-/// outcome — cells, cache counters, kernel deltas — deterministic in
-/// `(config, point_index)` alone, which is what keeps the aggregated
-/// telemetry independent of the thread count; the reset retains the
-/// memo's grown capacity, so reuse still avoids per-unit allocation.
-fn sweep_point(config: &SweepConfig, point_index: usize, cache: &mut AnalysisCache) -> PointOutcome {
-    cache.reset();
+/// The point's entire outcome — cells and kernel deltas — is
+/// deterministic in `(config, point_index)` alone, which is what keeps
+/// the aggregated telemetry independent of the thread count.
+fn sweep_point(config: &SweepConfig, point_index: usize) -> PointOutcome {
     let kernel_before = vc2m_sched::kernel::counters();
     let mut row = empty_row(config, point_index);
     let utilization = config.utilizations[point_index];
@@ -556,7 +499,7 @@ fn sweep_point(config: &SweepConfig, point_index: usize, cache: &mut AnalysisCac
         let vms = vec![VmSpec::new(VmId(0), tasks).expect("generated taskset is non-empty")];
         for (cell, &solution) in row.cells.iter_mut().zip(&config.solutions) {
             let start = Instant::now();
-            let outcome = solution.allocate_with_cache(&vms, &config.platform, seed, cache);
+            let outcome = solution.allocate(&vms, &config.platform, seed);
             cell.total += 1;
             cell.runtime += start.elapsed();
             if outcome.is_schedulable() {
@@ -566,7 +509,6 @@ fn sweep_point(config: &SweepConfig, point_index: usize, cache: &mut AnalysisCac
     }
     PointOutcome {
         row,
-        cache: cache.stats(),
         kernel: vc2m_sched::kernel::counters().since(&kernel_before),
     }
 }
@@ -611,7 +553,6 @@ mod tests {
             tasksets_per_point: 3,
             solutions: vec![Solution::HeuristicFlattening, Solution::Baseline],
             base_seed: 7,
-            use_cache: true,
         };
         let results = run_sweep(&config);
         assert_eq!(results.rows().len(), 2);
@@ -641,7 +582,6 @@ mod tests {
             tasksets_per_point: 2,
             solutions: vec![Solution::HeuristicFlattening],
             base_seed: 3,
-            use_cache: true,
         };
         let results = run_sweep(&config);
         let breakdown = results.breakdown_utilization(Solution::HeuristicFlattening);
@@ -658,7 +598,6 @@ mod tests {
             tasksets_per_point: 1,
             solutions: vec![Solution::Baseline],
             base_seed: 1,
-            use_cache: true,
         };
         let results = run_sweep(&config);
         let csv = results.fractions_csv();
@@ -678,7 +617,6 @@ mod tests {
             tasksets_per_point: 1,
             solutions: vec![Solution::HeuristicFlattening],
             base_seed: 1,
-            use_cache: true,
         };
         let mut calls = Vec::new();
         let _ = run_sweep_with_progress(&config, |done, total| calls.push((done, total)));
@@ -694,7 +632,6 @@ mod tests {
             tasksets_per_point: 2,
             solutions: vec![Solution::HeuristicFlattening, Solution::Baseline],
             base_seed: 13,
-            use_cache: true,
         };
         let serial = run_sweep(&config);
         let parallel = run_sweep_parallel(&config, 3, |_, _| {});
@@ -737,7 +674,6 @@ mod tests {
             tasksets_per_point: 1,
             solutions: vec![Solution::HeuristicFlattening],
             base_seed: 11,
-            use_cache: true,
         }
     }
 
@@ -797,24 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_sweep_equals_uncached() {
-        let base = SweepConfig {
-            platform: Platform::platform_a(),
-            distribution: UtilizationDist::Uniform,
-            utilizations: vec![0.6, 1.2],
-            tasksets_per_point: 2,
-            solutions: vec![Solution::HeuristicExisting, Solution::Baseline],
-            base_seed: 21,
-            use_cache: true,
-        };
-        let cached = run_sweep(&base);
-        let uncached = run_sweep(&base.clone().with_cache(false));
-        assert_eq!(cached.fractions_csv(), uncached.fractions_csv());
-        assert!(cached.cache_stats().hits > 0, "cache never hit");
-        assert_eq!(uncached.cache_stats(), CacheStats::default());
-    }
-
-    #[test]
     fn zero_repetitions_yield_empty_cells() {
         let config = SweepConfig {
             platform: Platform::platform_a(),
@@ -823,7 +741,6 @@ mod tests {
             tasksets_per_point: 0,
             solutions: vec![Solution::Baseline],
             base_seed: 1,
-            use_cache: true,
         };
         for results in [run_sweep(&config), run_sweep_parallel(&config, 2, |_, _| {})] {
             assert_eq!(results.rows().len(), 2);

@@ -52,7 +52,14 @@ fn parallel_replay_is_thread_count_invariant() {
     let mut serial = AdmissionFleet::new(platform, config);
     serial.replay(&items);
     for threads in [1, 2, 8] {
-        let parallel = AdmissionFleet::replay_parallel(platform, config, &items, threads);
+        let parallel = AdmissionFleet::replay_parallel_armed(
+            platform,
+            config,
+            FleetScenario::default(),
+            &items,
+            threads,
+        )
+        .expect("threads > 0 and the empty scenario is valid");
         assert_eq!(
             parallel.log_text(),
             serial.log_text(),

@@ -1,29 +1,30 @@
-//! Differential conformance for the sweep engine's two optimizations:
-//! the analysis interface cache and whole-utilization-point (coarse
+//! Differential conformance for the sweep engine: the production
+//! existing-CSA interface builders and whole-utilization-point (coarse
 //! work unit) parallelism.
 //!
 //! Neither is allowed to change a single result bit. These tests prove
-//! it differentially, against the unoptimized configuration as the
-//! reference implementation:
+//! it differentially, against the unoptimized implementations as the
+//! reference:
 //!
-//! * per solution, the cached VM-level interface (every VCPU's period
-//!   and full budget surface, compared bit for bit) and the final
-//!   allocation verdict equal the uncached ones, both with a private
-//!   cache and with one cache shared across all five solutions — the
-//!   sharing structure the sweep actually uses;
-//! * [`run_sweep_parallel`] at 1, 2 and 8 threads reproduces
+//! * the existing-CSA VCPU builders ([`existing_vcpu`] and
+//!   [`existing_vcpu_worst_case`]) reproduce their naive `*_reference`
+//!   oracles — period and every budget cell, compared bit for bit — on
+//!   generated tasksets across Platforms A/B/C and utilizations, both
+//!   called directly and through each existing-CSA solution's VM level;
+//! * [`run_sweep_parallel`] at 1, 2, 4 and 8 threads reproduces
 //!   [`run_sweep`] cell for cell (schedulable and total counts;
 //!   runtimes are wall-clock and legitimately differ);
-//! * a cached sweep reproduces an uncached sweep cell for cell while
-//!   actually hitting the cache;
-//! * the aggregated telemetry (cache statistics and kernel counters)
-//!   is thread-count independent: every point's cache is reset at the
-//!   point boundary, so each point's counter delta is a pure function
-//!   of the configuration, however points land on worker threads.
+//! * the aggregated kernel counters are thread-count independent: each
+//!   point's counter delta is a pure function of the configuration,
+//!   however points land on worker threads.
 
-use vc2m::model::{VmId, VmSpec};
+use vc2m::analysis::existing::{
+    existing_vcpu, existing_vcpu_reference, existing_vcpu_worst_case,
+    existing_vcpu_worst_case_reference,
+};
+use vc2m::model::{VcpuSpec, VmId, VmSpec};
 use vc2m::prelude::*;
-use vc2m::rng::DetRng;
+use vc2m::rng::{cases::check, DetRng, Rng};
 use vc2m::sweep::{run_sweep, run_sweep_parallel, SweepConfig};
 
 /// A sweep configuration small enough for a debug-build test but still
@@ -35,23 +36,18 @@ fn small_config() -> SweepConfig {
     config
 }
 
-fn generate_vms(utilization: f64, seed: u64) -> Vec<VmSpec> {
-    let platform = Platform::platform_a();
-    let mut generator = TasksetGenerator::new(
+fn generate_taskset(platform: &Platform, utilization: f64, seed: u64) -> TaskSet {
+    TasksetGenerator::new(
         platform.resources(),
         TasksetConfig::new(utilization, UtilizationDist::Uniform),
         seed,
-    );
-    vec![VmSpec::new(VmId(0), generator.generate()).expect("non-empty taskset")]
+    )
+    .generate()
 }
 
 /// Asserts two VM-level interfaces are bit-identical: same VCPUs, same
 /// periods, and budget surfaces equal in their `f64` bits.
-fn assert_interfaces_bit_identical(
-    reference: &[vc2m::model::VcpuSpec],
-    optimized: &[vc2m::model::VcpuSpec],
-    context: &str,
-) {
+fn assert_interfaces_bit_identical(reference: &[VcpuSpec], optimized: &[VcpuSpec], context: &str) {
     assert_eq!(reference.len(), optimized.len(), "{context}: VCPU count");
     for (r, o) in reference.iter().zip(optimized) {
         assert_eq!(r.id(), o.id(), "{context}: id");
@@ -77,53 +73,85 @@ fn assert_interfaces_bit_identical(
     }
 }
 
-#[test]
-fn cached_vm_level_interface_is_bit_identical_per_solution() {
-    let platform = Platform::platform_a();
-    for &(utilization, seed) in &[(0.5, 7u64), (1.0, 42), (1.6, 1234)] {
-        let vms = generate_vms(utilization, seed);
-        for solution in Solution::ALL {
-            let mut rng = DetRng::seed_from_u64(seed);
-            let reference = solution.vm_level(&vms, &platform, &mut rng);
-            let cache = AnalysisCache::enabled();
-            let mut rng = DetRng::seed_from_u64(seed);
-            let cached = solution.vm_level_with_cache(&vms, &platform, &cache, &mut rng);
-            let context = format!("{solution:?} at u={utilization} seed={seed}");
-            match (&reference, &cached) {
-                (Ok(r), Ok(c)) => assert_interfaces_bit_identical(r, c, &context),
-                (Err(_), Err(_)) => {}
-                _ => panic!("{context}: cached and uncached disagree on failure"),
-            }
-        }
-    }
+/// Builds `taskset` with both existing-CSA builders and their naive
+/// oracles, and asserts each pair bit-identical.
+fn assert_builders_match_reference(taskset: &TaskSet, context: &str) {
+    let fast = existing_vcpu(VcpuId(0), VmId(0), taskset).expect("non-empty taskset");
+    let reference = existing_vcpu_reference(VcpuId(0), VmId(0), taskset).expect("non-empty");
+    assert_interfaces_bit_identical(&[reference], &[fast], &format!("{context} (aware)"));
+    let fast = existing_vcpu_worst_case(VcpuId(0), VmId(0), taskset).expect("non-empty taskset");
+    let reference =
+        existing_vcpu_worst_case_reference(VcpuId(0), VmId(0), taskset).expect("non-empty");
+    assert_interfaces_bit_identical(&[reference], &[fast], &format!("{context} (worst case)"));
 }
 
 #[test]
-fn shared_cache_across_solutions_matches_uncached_allocation() {
+fn existing_builders_match_reference_on_generated_tasksets() {
+    let platforms = [
+        Platform::platform_a(),
+        Platform::platform_b(),
+        Platform::platform_c(),
+    ];
+    check(64, |rng| {
+        let platform = &platforms[rng.gen_range(0..platforms.len())];
+        let utilization = [0.3, 0.6, 1.0, 1.4, 1.8][rng.gen_range(0usize..5)];
+        let seed = rng.next_u64();
+        let taskset = generate_taskset(platform, utilization, seed);
+        let context = format!("{platform} u={utilization} seed={seed:#x}");
+        assert_builders_match_reference(&taskset, &context);
+        // A random non-empty sub-taskset: the per-VCPU groups the VM
+        // level actually sizes are subsets, mostly feasible ones.
+        let mut subset: TaskSet = taskset
+            .iter()
+            .filter(|_| rng.gen_bool(0.5))
+            .cloned()
+            .collect();
+        if subset.is_empty() {
+            subset = taskset.iter().take(1).cloned().collect();
+        }
+        assert_builders_match_reference(&subset, &format!("{context} subset"));
+    });
+}
+
+#[test]
+fn vm_level_existing_interfaces_match_reference() {
+    // Every VCPU the existing-CSA solutions size through their VM level
+    // must equal the naive oracle rebuilt from the same task group.
     let platform = Platform::platform_a();
     for &(utilization, seed) in &[(0.5, 7u64), (1.0, 42), (1.6, 1234)] {
-        let vms = generate_vms(utilization, seed);
-        // One cache shared across the five solutions, as sweep_unit
-        // shares it: earlier solutions' memo entries must not leak
-        // wrong answers into later ones.
-        let shared = AnalysisCache::enabled();
-        for solution in Solution::ALL {
-            let reference = solution.allocate(&vms, &platform, seed);
-            let cached = solution.allocate_with_cache(&vms, &platform, seed, &shared);
-            assert_eq!(
-                reference.is_schedulable(),
-                cached.is_schedulable(),
-                "{solution:?} verdict at u={utilization} seed={seed}"
-            );
-            assert_eq!(
-                reference, cached,
-                "{solution:?} allocation at u={utilization} seed={seed}"
-            );
+        let vm = VmSpec::new(VmId(0), generate_taskset(&platform, utilization, seed))
+            .expect("non-empty taskset");
+        for solution in [Solution::HeuristicExisting, Solution::Baseline] {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let produced = solution
+                .vm_level(std::slice::from_ref(&vm), &platform, &mut rng)
+                .expect("existing-CSA analysis accepts any taskset");
+            let reference: Vec<VcpuSpec> = produced
+                .iter()
+                .map(|v| {
+                    let group: TaskSet = v
+                        .tasks()
+                        .iter()
+                        .map(|id| {
+                            vm.tasks()
+                                .iter()
+                                .find(|t| t.id() == *id)
+                                .expect("VCPU tasks come from the VM")
+                                .clone()
+                        })
+                        .collect();
+                    match solution {
+                        Solution::Baseline => {
+                            existing_vcpu_worst_case_reference(v.id(), v.vm(), &group)
+                        }
+                        _ => existing_vcpu_reference(v.id(), v.vm(), &group),
+                    }
+                    .expect("non-empty group")
+                })
+                .collect();
+            let context = format!("{solution:?} at u={utilization} seed={seed}");
+            assert_interfaces_bit_identical(&reference, &produced, &context);
         }
-        assert!(
-            shared.stats().hits > 0,
-            "sharing across solutions produced no hits at u={utilization}"
-        );
     }
 }
 
@@ -155,51 +183,24 @@ fn assert_sweeps_equal(reference: &vc2m::sweep::SweepResults, other: &vc2m::swee
 fn parallel_sweep_matches_serial_at_every_thread_count() {
     let config = small_config();
     let serial = run_sweep(&config);
-    for threads in [1, 2, 8] {
+    for threads in [1, 2, 4, 8] {
         let parallel = run_sweep_parallel(&config, threads, |_, _| {});
         assert_sweeps_equal(&serial, &parallel, &format!("{threads} threads"));
     }
 }
 
 #[test]
-fn cached_sweep_matches_uncached_sweep() {
-    let config = small_config();
-    let uncached = run_sweep(&config.clone().with_cache(false));
-    let cached = run_sweep(&config.clone().with_cache(true));
-    assert_sweeps_equal(&uncached, &cached, "cache");
-    assert_eq!(uncached.cache_stats(), CacheStats::default());
-    assert!(cached.cache_stats().hits > 0, "cache never hit");
-}
-
-#[test]
-fn parallel_cached_sweep_matches_serial_uncached() {
-    // The full optimized configuration against the fully unoptimized
-    // one — the exact comparison the scaling bench enforces at scale.
-    let config = small_config();
-    let reference = run_sweep(&config.clone().with_cache(false));
-    let optimized = run_sweep_parallel(&config.clone().with_cache(true), 4, |_, _| {});
-    assert_sweeps_equal(&reference, &optimized, "parallel+cache");
-}
-
-#[test]
 fn aggregated_telemetry_is_thread_count_independent() {
-    // The cache is reset at every utilization-point boundary, so each
-    // point's CacheStats/KernelCounters delta depends only on the
+    // Each point's KernelCounters delta depends only on the
     // configuration and the point index — never on which worker thread
     // processed it or on what ran before it on that thread. The
     // order-independent merge then makes the aggregated totals equal
     // across every thread count, including the serial driver.
-    let config = small_config().with_cache(true);
+    let config = small_config();
     let serial = run_sweep(&config);
-    assert!(serial.cache_stats().lookups() > 0, "cache never consulted");
     assert!(serial.kernel_stats().vcpu_builds > 0, "no VCPUs built");
     for threads in [1, 2, 8] {
         let parallel = run_sweep_parallel(&config, threads, |_, _| {});
-        assert_eq!(
-            serial.cache_stats(),
-            parallel.cache_stats(),
-            "cache statistics drifted at {threads} threads"
-        );
         assert_eq!(
             serial.kernel_stats(),
             parallel.kernel_stats(),

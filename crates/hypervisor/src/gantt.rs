@@ -1,7 +1,7 @@
 //! ASCII schedule charts from supply logs.
 //!
 //! Renders the per-VCPU execution intervals recorded by
-//! [`SupplyLog`](crate::SupplyLog) as a text Gantt chart — a cheap way
+//! [`SupplyLog`] as a text Gantt chart — a cheap way
 //! to eyeball a schedule: release synchronization, the well-regulated
 //! pattern, throttling gaps.
 //!

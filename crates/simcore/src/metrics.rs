@@ -3,10 +3,10 @@
 //! The registry is the simulator-side half of the observability layer
 //! (the trace buffer is the other): components that already *have*
 //! deterministic counters — the hypervisor simulator's event loop, the
-//! bandwidth regulator, the analysis interface cache — export them
-//! into one [`MetricsRegistry`] under stable dotted names
+//! bandwidth regulator, the schedulability kernels — export them into
+//! one [`MetricsRegistry`] under stable dotted names
 //! (`sim.jobs.completed`, `membw.regulator.throttles`,
-//! `analysis.cache.hits`), and a single renderer turns the registry
+//! `analysis.kernel.min_budget`), and a single renderer turns the registry
 //! into schema-stable JSON (see `vc2m_bench::timing::metrics_json`).
 //!
 //! Three metric kinds cover everything the reproduction measures:
