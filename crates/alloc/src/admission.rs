@@ -54,6 +54,20 @@
 //! result is a pure function of the working set. No wall clock, no
 //! global state.
 //!
+//! # The per-state repack prefix
+//!
+//! Every repack in one engine state seeds the same engine seed and
+//! runs the VM level over the same incumbents before the newcomer, so
+//! the incumbents' VCPUs, the RNG state after their VM-level pass and
+//! their k-means feature rows are the same for every repack until the
+//! state changes. Fast mode builds them once per state, with the state
+//! signature the rejection memo keys on, and a repack appends only
+//! the newcomer to them. Every write to the working set, the VCPUs or
+//! the cores bumps a state generation that retires the prefix.
+//! Reference mode never uses the prefix: it calls
+//! [`allocate_with_degradation`] on every repack and hashes the state
+//! on every signature use, so it stays the naive oracle.
+//!
 //! # Safety guarantee
 //!
 //! An admitted system is never unschedulable: every admitting path
@@ -63,15 +77,25 @@
 //!
 //! [`allocate_with_degradation`]: crate::allocate_with_degradation
 
+// Library code reports failures as values; the reference oracle's
+// deliberate panic carries an audited `#[allow]` with its reason. CI
+// runs clippy with `-D warnings`, which makes these denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::degrade::{allocate_with_degradation, DegradationPolicy};
 use crate::error::AllocError;
+use crate::hypervisor_level::{evenly_partitioned, heuristic_with_features, HeuristicConfig};
+use crate::kmeans::Features;
 use crate::result::{CoreAssignment, SystemAllocation};
 use crate::solution::Solution;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use vc2m_analysis::core_check::{self, UTILIZATION_EPS};
 use vc2m_analysis::DirtyCores;
-use vc2m_model::{Alloc, Platform, Surface, VcpuId, VcpuSpec, VmId, VmSpec};
+use vc2m_model::{Alloc, Platform, Surface, VcpuSpec, VmId, VmSpec};
 use vc2m_rng::{DetRng, Rng, SplitMix64};
 use vc2m_simcore::MetricsRegistry;
 
@@ -442,6 +466,32 @@ impl RejectionMemo {
 /// evict an already admitted VM.
 const REPACK_POLICY: DegradationPolicy = DegradationPolicy { max_attempts: 1 };
 
+/// What every repack in one engine state shares: the start of the
+/// repack's from-scratch solve, up to the newcomer.
+#[derive(Debug, PartialEq)]
+struct RepackPrefix {
+    /// The incumbents' VCPUs in working-set order, numbered from 0.
+    vcpus: Vec<VcpuSpec>,
+    /// The repack RNG (seeded with the engine seed) after the
+    /// incumbents' VM-level pass.
+    rng: DetRng,
+    /// The incumbents' k-means feature rows; empty unless the solution
+    /// runs the heuristic.
+    features: Features,
+}
+
+/// Values derived from the engine state, valid for one state
+/// generation and computed when first needed.
+#[derive(Debug, Default)]
+struct StateCache {
+    /// The state generation these values describe.
+    generation: u64,
+    signature: Option<u64>,
+    /// The repack prefix, or why the incumbents' VM-level pass fails
+    /// (which fails every repack in this state the same way).
+    prefix: Option<Result<RepackPrefix, String>>,
+}
+
 /// Snapshot of the mutable engine state, for mode-change rollback and
 /// the batch safety net.
 #[derive(Debug, Clone)]
@@ -472,6 +522,13 @@ pub struct AdmissionEngine {
     decisions: Vec<AdmissionDecision>,
     stats: AdmissionStats,
     memo: RejectionMemo,
+    /// State generation: bumped by every write to `vms`, `revisions`,
+    /// `vcpus` or `cores` that outlasts the call making it (a trial
+    /// placement restored before its caller returns leaves the state
+    /// as it was), so it tells whether `cache` still describes the
+    /// state.
+    generation: u64,
+    cache: StateCache,
     /// Armed transient verification faults (fleet fault injection):
     /// each pending fault makes one `verify_state` call fail with a
     /// typed injected error before running the verifier.
@@ -493,6 +550,8 @@ impl AdmissionEngine {
             decisions: Vec::new(),
             stats: AdmissionStats::default(),
             memo: RejectionMemo::default(),
+            generation: 0,
+            cache: StateCache::default(),
             injected_verify_faults: 0,
         }
     }
@@ -683,6 +742,46 @@ impl AdmissionEngine {
         self.vcpus = snapshot.vcpus;
         self.cores = snapshot.cores;
         self.next_vcpu_id = snapshot.next_vcpu_id;
+        self.state_changed();
+    }
+
+    /// Records a write to the state: the cached signature and repack
+    /// prefix describe the previous state from here on.
+    fn state_changed(&mut self) {
+        self.generation += 1;
+    }
+
+    /// The state cache, emptied first if it describes an older state.
+    fn state_cache(&mut self) -> &mut StateCache {
+        if self.cache.generation != self.generation {
+            self.cache = StateCache {
+                generation: self.generation,
+                ..StateCache::default()
+            };
+        }
+        &mut self.cache
+    }
+
+    /// The state signature, hashed once per state (every time in
+    /// reference mode).
+    fn current_signature(&mut self) -> u64 {
+        if self.config.reference {
+            return self.state_signature();
+        }
+        let signature = match self.state_cache().signature {
+            Some(signature) => signature,
+            None => {
+                let signature = self.state_signature();
+                self.cache.signature = Some(signature);
+                signature
+            }
+        };
+        debug_assert_eq!(
+            signature,
+            self.state_signature(),
+            "stale cached state signature"
+        );
+        signature
     }
 
     fn push_decision(
@@ -704,8 +803,9 @@ impl AdmissionEngine {
             load: self.total_load(),
         };
         self.next_index += 1;
+        let position = self.decisions.len();
         self.decisions.push(decision);
-        self.decisions.last().expect("just pushed")
+        &self.decisions[position]
     }
 
     /// The shared admit path for arrivals and (internally) the arrival
@@ -744,7 +844,7 @@ impl AdmissionEngine {
         // regime (every state mutation clears it), so the churn-regime
         // fast path never hashes anything.
         let memo_key = if self.config.memo && !self.memo.is_empty() {
-            let key = (self.state_signature(), vm_signature(&vm));
+            let key = (self.current_signature(), vm_signature(&vm));
             if let Some(reason) = self.memo.get(key) {
                 self.stats.memo_hits += 1;
                 self.stats.rejected += 1;
@@ -776,6 +876,7 @@ impl AdmissionEngine {
                 Ok(()) => {
                     self.vms.push(vm);
                     self.revisions.push(revision);
+                    self.state_changed();
                     self.stats.admitted_incremental += 1;
                     self.invalidate_memo();
                     return AdmissionVerdict::Admitted {
@@ -818,9 +919,10 @@ impl AdmissionEngine {
                 // untouched, so its signature still describes the
                 // state the verdict was computed against.
                 if let Some(sig) = newcomer_sig {
-                    let state = memo_key
-                        .map(|(state, _)| state)
-                        .unwrap_or_else(|| self.state_signature());
+                    let state = match memo_key {
+                        Some((state, _)) => state,
+                        None => self.current_signature(),
+                    };
                     self.memo.insert((state, sig), reason.clone());
                     self.stats.memo_inserts += 1;
                 }
@@ -871,8 +973,38 @@ impl AdmissionEngine {
     /// newcomer, never an incumbent).
     fn repack(&mut self, vm: VmSpec, revision: u64) -> AdmissionVerdict {
         self.stats.repack_attempts += 1;
-        let mut candidate: Vec<VmSpec> = self.vms.clone();
-        candidate.push(vm);
+        let solved = if self.config.reference {
+            self.solve_from_scratch(&vm)
+        } else {
+            self.solve_from_prefix(&vm)
+        };
+        match solved {
+            Ok(allocation) => {
+                self.vms.push(vm);
+                self.revisions.push(revision);
+                self.vcpus = allocation.vcpus;
+                self.cores = allocation.cores;
+                self.next_vcpu_id = self.vcpus.len();
+                self.state_changed();
+                self.stats.admitted_repack += 1;
+                AdmissionVerdict::Admitted {
+                    path: AdmissionPath::Repack,
+                }
+            }
+            Err(reason) => {
+                self.stats.rejected += 1;
+                AdmissionVerdict::Rejected { reason }
+            }
+        }
+    }
+
+    /// The repack as the module docs define it:
+    /// [`allocate_with_degradation`] over the working set plus `vm`
+    /// with the no-shed policy. Returns the verified allocation, or
+    /// why the one attempt failed.
+    fn solve_from_scratch(&self, vm: &VmSpec) -> Result<SystemAllocation, String> {
+        let mut candidate = self.vms.clone();
+        candidate.push(vm.clone());
         let outcome = allocate_with_degradation(
             self.config.solution,
             &candidate,
@@ -880,29 +1012,95 @@ impl AdmissionEngine {
             self.config.seed,
             &REPACK_POLICY,
         );
-        match outcome.allocation {
-            Some(allocation) => {
-                self.vms = candidate;
-                self.revisions.push(revision);
-                self.vcpus = allocation.vcpus().to_vec();
-                self.cores = allocation.cores().to_vec();
-                self.next_vcpu_id = self.vcpus.len();
-                self.stats.admitted_repack += 1;
-                AdmissionVerdict::Admitted {
-                    path: AdmissionPath::Repack,
+        outcome
+            .allocation
+            .ok_or_else(|| match outcome.report.shed.first() {
+                Some(shed) => shed.reason.clone(),
+                None => "workload not schedulable".to_string(),
+            })
+    }
+
+    /// [`Self::solve_from_scratch`], continued from the state's repack
+    /// prefix: the one attempt (VM level, hypervisor level) plus the
+    /// full verify, with the same result and the same failure reasons.
+    /// Only the newcomer's VM-level pass and feature rows are new; the
+    /// prefix is truncated back before returning.
+    fn solve_from_prefix(&mut self, vm: &VmSpec) -> Result<SystemAllocation, String> {
+        let (solution, platform) = (self.config.solution, self.platform);
+        let prefix = self
+            .repack_prefix()
+            .as_mut()
+            .map_err(|reason| reason.clone())?;
+        let incumbents = prefix.vcpus.len();
+        let mut rng = prefix.rng.clone();
+        let solved = solution
+            .vm_level_into(
+                std::slice::from_ref(vm),
+                &platform,
+                &mut rng,
+                incumbents,
+                &mut prefix.vcpus,
+            )
+            .map_err(|e| e.to_string())
+            .and_then(|()| {
+                let outcome = if solution.uses_heuristic_allocation() {
+                    prefix.features.extend_surfaces(
+                        prefix.vcpus[incumbents..]
+                            .iter()
+                            .map(VcpuSpec::budget_surface),
+                    );
+                    heuristic_with_features(
+                        &prefix.vcpus,
+                        &prefix.features,
+                        &platform,
+                        HeuristicConfig::default(),
+                        &mut rng,
+                    )
+                } else {
+                    evenly_partitioned(&prefix.vcpus, &platform)
+                };
+                let allocation = outcome
+                    .into_allocation()
+                    .ok_or_else(|| "workload not schedulable".to_string())?;
+                match allocation.verify(&platform) {
+                    Ok(()) => Ok(allocation),
+                    Err(e) => Err(format!("verification failed: {e}")),
                 }
-            }
-            None => {
-                self.stats.rejected += 1;
-                let reason = outcome
-                    .report
-                    .shed
-                    .first()
-                    .map(|s| s.reason.clone())
-                    .unwrap_or_else(|| "workload not schedulable".to_string());
-                AdmissionVerdict::Rejected { reason }
-            }
-        }
+            });
+        prefix.vcpus.truncate(incumbents);
+        prefix.features.truncate(incumbents);
+        solved
+    }
+
+    /// The state's repack prefix, built on first use.
+    fn repack_prefix(&mut self) -> &mut Result<RepackPrefix, String> {
+        let prefix = match self.state_cache().prefix.take() {
+            Some(prefix) => prefix,
+            None => self.build_prefix(),
+        };
+        debug_assert!(prefix == self.build_prefix(), "stale repack prefix");
+        self.cache.prefix.insert(prefix)
+    }
+
+    /// The incumbents' VM-level pass from the engine seed, as the
+    /// repack's from-scratch solve starts, and their feature rows.
+    fn build_prefix(&self) -> Result<RepackPrefix, String> {
+        let mut rng = DetRng::seed_from_u64(self.config.seed);
+        let vcpus = self
+            .config
+            .solution
+            .vm_level(&self.vms, &self.platform, &mut rng)
+            .map_err(|e| e.to_string())?;
+        let features = if self.config.solution.uses_heuristic_allocation() {
+            Features::from_surfaces(vcpus.iter().map(VcpuSpec::budget_surface))
+        } else {
+            Features::from_surfaces([])
+        };
+        Ok(RepackPrefix {
+            vcpus,
+            rng,
+            features,
+        })
     }
 
     fn process_departure(&mut self, id: VmId) -> AdmissionVerdict {
@@ -912,9 +1110,7 @@ impl AdmissionEngine {
                 reason: format!("vm {} not admitted", id.0),
             };
         };
-        self.vms.remove(position);
-        self.revisions.remove(position);
-        self.remove_vcpus_of(id);
+        self.remove_vm(position);
         self.stats.departed += 1;
         self.invalidate_memo();
         if self.config.reference {
@@ -923,7 +1119,17 @@ impl AdmissionEngine {
             self.stats.full_verifies += 1;
             let state = SystemAllocation::new(self.vcpus.clone(), self.cores.clone());
             if let Err(e) = state.verify(&self.platform) {
-                panic!("reference engine: departure of vm {} broke the state: {e}", id.0);
+                // Audited panic: reference mode is the differential
+                // oracle, and a departure that breaks the state
+                // falsifies the fast path's premise, so it must be
+                // loud rather than a verdict.
+                #[allow(clippy::panic)]
+                {
+                    panic!(
+                        "reference engine: departure of vm {} broke the state: {e}",
+                        id.0
+                    );
+                }
             }
         }
         AdmissionVerdict::Departed
@@ -938,10 +1144,7 @@ impl AdmissionEngine {
         };
         let snapshot = self.snapshot();
         let revision = self.revisions[position] + 1;
-        let id = vm.id();
-        self.vms.remove(position);
-        self.revisions.remove(position);
-        self.remove_vcpus_of(id);
+        self.remove_vm(position);
         match self.admit_vm(vm, revision, None) {
             AdmissionVerdict::Admitted { path } => AdmissionVerdict::Admitted { path },
             AdmissionVerdict::Rejected { reason } => {
@@ -955,6 +1158,14 @@ impl AdmissionEngine {
             }
             other => other,
         }
+    }
+
+    /// Removes the VM at `position` of the working set, with its
+    /// revision and VCPUs.
+    fn remove_vm(&mut self, position: usize) {
+        let vm = self.vms.remove(position);
+        self.revisions.remove(position);
+        self.remove_vcpus_of(vm.id());
     }
 
     /// Removes every VCPU of `id` in place: compact the VCPU list,
@@ -977,6 +1188,7 @@ impl AdmissionEngine {
             }
         }
         self.cores.retain(|core| !core.vcpus.is_empty());
+        self.state_changed();
     }
 
     /// Verifies the current state: structure in full plus the `dirty`
@@ -1023,26 +1235,20 @@ impl AdmissionEngine {
     /// restores the saved state.
     fn place_incremental(&mut self, vm: &VmSpec, revision: u64) -> Option<DirtyCores> {
         let mut rng = DetRng::seed_from_u64(self.vm_stream_seed(vm.id(), revision));
-        let produced = self
-            .config
-            .solution
-            .vm_level(std::slice::from_ref(vm), &self.platform, &mut rng)
-            .ok()?;
-        // Renumber onto the engine's monotone VCPU id counter so ids
+        // Numbered from the engine's monotone VCPU id counter so ids
         // stay unique across the whole stream.
         let base = self.vcpus.len();
-        let count = produced.len();
-        for (j, spec) in produced.into_iter().enumerate() {
-            let renumbered = VcpuSpec::new(
-                VcpuId(self.next_vcpu_id + j),
-                spec.vm(),
-                spec.period(),
-                spec.budget_surface().clone(),
-                spec.tasks().to_vec(),
+        self.config
+            .solution
+            .vm_level_into(
+                std::slice::from_ref(vm),
+                &self.platform,
+                &mut rng,
+                self.next_vcpu_id,
+                &mut self.vcpus,
             )
-            .expect("renumbering preserves validity");
-            self.vcpus.push(renumbered);
-        }
+            .ok()?;
+        let count = self.vcpus.len() - base;
         // Place heaviest first (stable on ties) — the classic
         // decreasing-first-fit discipline.
         let mut order: Vec<usize> = (0..count).collect();

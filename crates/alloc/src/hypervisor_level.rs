@@ -22,6 +22,14 @@
 //! The baseline discipline ([`evenly_partitioned`]) splits cache and
 //! bandwidth evenly over all cores and packs VCPUs best-fit decreasing.
 
+// Library code reports failures as values; the few invariant-backed
+// `expect`s carry an audited `#[allow]` with their reason. CI runs
+// clippy with `-D warnings`, which makes these denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::kmeans::{kmeans, Features};
 use crate::packing::{best_fit_open, sort_decreasing, Item};
 use crate::result::{AllocationOutcome, CoreAssignment, SystemAllocation};
@@ -52,21 +60,36 @@ impl Default for HeuristicConfig {
 /// The vC²M hypervisor-level heuristic.
 ///
 /// Returns a schedulable [`SystemAllocation`] (using the fewest cores
-/// the heuristic could make work) or an unschedulable outcome.
+/// the heuristic could make work, holding a copy of `vcpus`) or an
+/// unschedulable outcome.
 pub fn heuristic<R: Rng>(
-    vcpus: Vec<VcpuSpec>,
+    vcpus: &[VcpuSpec],
     platform: &Platform,
     config: HeuristicConfig,
     rng: &mut R,
 ) -> AllocationOutcome {
+    // Features are computed once; only the cluster count depends on m.
+    let features = Features::from_surfaces(vcpus.iter().map(VcpuSpec::budget_surface));
+    heuristic_with_features(vcpus, &features, platform, config, rng)
+}
+
+/// [`heuristic`] over VCPUs whose k-means feature rows the caller
+/// already holds: `features` must equal [`Features::from_surfaces`]
+/// over the budget surfaces of `vcpus`. The admission engine keeps the
+/// incumbents' rows across repacks and appends only the newcomer's.
+pub(crate) fn heuristic_with_features<R: Rng>(
+    vcpus: &[VcpuSpec],
+    features: &Features,
+    platform: &Platform,
+    config: HeuristicConfig,
+    rng: &mut R,
+) -> AllocationOutcome {
+    debug_assert_eq!(features.len(), vcpus.len());
     if vcpus.is_empty() {
-        return AllocationOutcome::schedulable(SystemAllocation::new(vcpus, Vec::new()));
+        return AllocationOutcome::schedulable(SystemAllocation::new(Vec::new(), Vec::new()));
     }
     let space = platform.resources();
     let reference_total: f64 = vcpus.iter().map(|v| v.utilization(space.reference())).sum();
-
-    // Features are computed once; only the cluster count depends on m.
-    let features = Features::from_surfaces(vcpus.iter().map(VcpuSpec::budget_surface));
 
     for m in 1..=platform.max_usable_cores() {
         // Necessary condition: even with all resources, total
@@ -75,8 +98,8 @@ pub fn heuristic<R: Rng>(
             continue;
         }
         let k = m.min(vcpus.len());
-        let clusters = kmeans(&features, k, rng).members();
-        if let Ok(allocation) = search_core_count(&vcpus, &clusters, platform, m, config, rng) {
+        let clusters = kmeans(features, k, rng).members();
+        if let Ok(allocation) = search_core_count(vcpus, &clusters, platform, m, config, rng) {
             return AllocationOutcome::schedulable(allocation);
         }
     }
@@ -148,6 +171,9 @@ fn pack_by_clusters(sorted: &[Vec<Item>], order: &[usize], m: usize) -> Vec<Vec<
     let mut loads = vec![0.0f64; m];
     for &cluster in order {
         for item in &sorted[cluster] {
+            // Audited expects: loads are sums of finite utilizations,
+            // and `m >= 1` (the caller loops `m` from 1).
+            #[allow(clippy::expect_used)]
             let (best, _) = loads
                 .iter()
                 .enumerate()
@@ -284,7 +310,10 @@ fn balance_load(vcpus: &[VcpuSpec], assignment: &mut [Vec<usize>], allocs: &[All
             {
                 break;
             }
-            // Largest-utilization VCPU on the source core.
+            // Largest-utilization VCPU on the source core. Audited
+            // expects: budgets and periods are finite and positive, and
+            // the loop guard above left the core non-empty.
+            #[allow(clippy::expect_used)]
             let (pos, &vcpu_idx) = assignment[k]
                 .iter()
                 .enumerate()
@@ -296,7 +325,8 @@ fn balance_load(vcpus: &[VcpuSpec], assignment: &mut [Vec<usize>], allocs: &[All
                 })
                 .expect("core is non-empty");
             // Destination: schedulable core with smallest post-move
-            // utilization.
+            // utilization. Audited expect: utilizations are finite.
+            #[allow(clippy::expect_used)]
             let dest = (0..m)
                 .filter(|&j| j != k)
                 .filter(|&j| core_schedulable(assignment[j].iter().map(|&i| &vcpus[i]), allocs[j]))
@@ -340,9 +370,9 @@ fn build(vcpus: &[VcpuSpec], assignment: Vec<Vec<usize>>, allocs: Vec<Alloc>) ->
 /// The baseline hypervisor-level discipline: cache and bandwidth are
 /// split evenly over all (usable) cores, and VCPUs are packed best-fit
 /// in decreasing utilization at the even allocation.
-pub fn evenly_partitioned(vcpus: Vec<VcpuSpec>, platform: &Platform) -> AllocationOutcome {
+pub fn evenly_partitioned(vcpus: &[VcpuSpec], platform: &Platform) -> AllocationOutcome {
     if vcpus.is_empty() {
-        return AllocationOutcome::schedulable(SystemAllocation::new(vcpus, Vec::new()));
+        return AllocationOutcome::schedulable(SystemAllocation::new(Vec::new(), Vec::new()));
     }
     let space = platform.resources();
     let m = platform.max_usable_cores();
@@ -371,7 +401,7 @@ pub fn evenly_partitioned(vcpus: Vec<VcpuSpec>, platform: &Platform) -> Allocati
     }
     let assignment: Vec<Vec<usize>> = bins;
     let allocs = vec![even; assignment.len()];
-    let allocation = build(&vcpus, assignment, allocs);
+    let allocation = build(vcpus, assignment, allocs);
     if allocation.is_schedulable() && allocation.verify(platform).is_ok() {
         AllocationOutcome::schedulable(allocation)
     } else {
@@ -416,7 +446,7 @@ mod tests {
     #[test]
     fn empty_vcpu_set_is_trivially_schedulable() {
         let outcome = heuristic(
-            Vec::new(),
+            &[],
             &Platform::platform_a(),
             HeuristicConfig::default(),
             &mut rng(),
@@ -428,7 +458,7 @@ mod tests {
     #[test]
     fn single_light_vcpu_fits_one_core() {
         let outcome = heuristic(
-            vec![flat_vcpu(0, 10.0, 3.0)],
+            &[flat_vcpu(0, 10.0, 3.0)],
             &Platform::platform_a(),
             HeuristicConfig::default(),
             &mut rng(),
@@ -443,7 +473,7 @@ mod tests {
         // Four VCPUs of utilization 0.8 need all four cores.
         let vcpus: Vec<VcpuSpec> = (0..4).map(|i| flat_vcpu(i, 10.0, 8.0)).collect();
         let outcome = heuristic(
-            vcpus,
+            &vcpus,
             &Platform::platform_a(),
             HeuristicConfig::default(),
             &mut rng(),
@@ -461,7 +491,7 @@ mod tests {
         // Total utilization 4.5 on a 4-core platform.
         let vcpus: Vec<VcpuSpec> = (0..5).map(|i| flat_vcpu(i, 10.0, 9.0)).collect();
         let outcome = heuristic(
-            vcpus,
+            &vcpus,
             &Platform::platform_a(),
             HeuristicConfig::default(),
             &mut rng(),
@@ -477,7 +507,7 @@ mod tests {
             .map(|i| cache_hungry_vcpu(i, 10.0, 6.25, 1.0))
             .collect();
         let platform = Platform::platform_a();
-        let outcome = heuristic(vcpus, &platform, HeuristicConfig::default(), &mut rng());
+        let outcome = heuristic(&vcpus, &platform, HeuristicConfig::default(), &mut rng());
         let a = outcome.allocation().expect("schedulable with enough cache");
         a.verify(&platform).unwrap();
         // The cores that got VCPUs must hold more than the minimum cache.
@@ -490,7 +520,7 @@ mod tests {
         // Two 0.4 VCPUs fit one core; m-loop must stop at 1.
         let vcpus: Vec<VcpuSpec> = (0..2).map(|i| flat_vcpu(i, 10.0, 4.0)).collect();
         let outcome = heuristic(
-            vcpus,
+            &vcpus,
             &Platform::platform_a(),
             HeuristicConfig::default(),
             &mut rng(),
@@ -502,7 +532,7 @@ mod tests {
     fn evenly_partitioned_balanced_load() {
         let vcpus: Vec<VcpuSpec> = (0..4).map(|i| flat_vcpu(i, 10.0, 5.0)).collect();
         let platform = Platform::platform_a();
-        let outcome = evenly_partitioned(vcpus, &platform);
+        let outcome = evenly_partitioned(&vcpus, &platform);
         let a = outcome.allocation().expect("schedulable");
         a.verify(&platform).unwrap();
         // Even allocation: every used core has C/M = 5 cache partitions.
@@ -514,7 +544,7 @@ mod tests {
     #[test]
     fn evenly_partitioned_fails_when_bins_exceed_cores() {
         let vcpus: Vec<VcpuSpec> = (0..5).map(|i| flat_vcpu(i, 10.0, 9.0)).collect();
-        assert!(!evenly_partitioned(vcpus, &Platform::platform_a()).is_schedulable());
+        assert!(!evenly_partitioned(&vcpus, &Platform::platform_a()).is_schedulable());
     }
 
     #[test]
@@ -533,14 +563,10 @@ mod tests {
         };
         let modest = flat_vcpu(1, 10.0, 5.0);
         let platform = Platform::platform_a();
-        let even = evenly_partitioned(vec![hungry.clone(), modest.clone()], &platform);
+        let pair = [hungry, modest];
+        let even = evenly_partitioned(&pair, &platform);
         assert!(!even.is_schedulable(), "even split should fail");
-        let heur = heuristic(
-            vec![hungry, modest],
-            &platform,
-            HeuristicConfig::default(),
-            &mut rng(),
-        );
+        let heur = heuristic(&pair, &platform, HeuristicConfig::default(), &mut rng());
         assert!(
             heur.is_schedulable(),
             "heuristic should find the skewed split"
@@ -554,13 +580,13 @@ mod tests {
             .collect();
         let platform = Platform::platform_a();
         let a = heuristic(
-            vcpus.clone(),
+            &vcpus,
             &platform,
             HeuristicConfig::default(),
             &mut DetRng::seed_from_u64(7),
         );
         let b = heuristic(
-            vcpus,
+            &vcpus,
             &platform,
             HeuristicConfig::default(),
             &mut DetRng::seed_from_u64(7),

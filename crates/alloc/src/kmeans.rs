@@ -22,6 +22,14 @@
 //! centroids are the seeds themselves, reuses the columns k-means++
 //! already computed.
 
+// Library code reports failures as values; the invariant-backed
+// `expect` carries an audited `#[allow]` with its reason. CI runs
+// clippy with `-D warnings`, which makes these denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use vc2m_model::Surface;
 use vc2m_rng::Rng;
 
@@ -59,7 +67,8 @@ impl Features {
         for row in rows {
             features.push(row.as_ref().iter().copied());
         }
-        features.grouped()
+        features.regroup_from(0);
+        features
     }
 
     /// One row per surface: its slowdown vector, the same values as
@@ -70,11 +79,40 @@ impl Features {
     /// Panics if the surfaces span resource spaces of different sizes.
     pub fn from_surfaces<'a>(surfaces: impl IntoIterator<Item = &'a Surface>) -> Self {
         let mut features = Features::empty();
+        features.extend_surfaces(surfaces);
+        features
+    }
+
+    /// Appends one row per surface, as [`Features::from_surfaces`]
+    /// builds them. Only the groups from the old last, partial one on
+    /// are rebuilt, and the result equals a from-scratch build over all
+    /// the rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a surface's size differs from the existing rows'.
+    pub fn extend_surfaces<'a>(&mut self, surfaces: impl IntoIterator<Item = &'a Surface>) {
+        let first = self.len;
         for surface in surfaces {
             let reference = surface.reference();
-            features.push(surface.as_slice().iter().map(|v| v / reference));
+            self.push(surface.as_slice().iter().map(|v| v / reference));
         }
-        features.grouped()
+        self.regroup_from(first);
+    }
+
+    /// Keeps the first `len` points (nothing changes when there are no
+    /// more). The new last group is rebuilt, so the result equals a
+    /// from-scratch build over the kept rows.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len {
+            return;
+        }
+        self.len = len;
+        self.data.truncate(len * self.dim);
+        if len == 0 {
+            self.dim = 0;
+        }
+        self.regroup_from(len);
     }
 
     fn empty() -> Self {
@@ -86,16 +124,20 @@ impl Features {
         }
     }
 
-    /// Fills `groups` from `data`.
-    fn grouped(mut self) -> Self {
+    /// Rebuilds `groups` from `data`, starting at the group that holds
+    /// point `first`; the groups before it are kept.
+    fn regroup_from(&mut self, first: usize) {
         let (n, dim) = (self.len, self.dim);
-        let mut groups = Vec::with_capacity(n.div_ceil(LANES) * dim);
-        for first in (0..n).step_by(LANES) {
-            let rows: [&[f64]; LANES] = std::array::from_fn(|l| self.row((first + l).min(n - 1)));
-            groups.extend((0..dim).map(|d| rows.map(|row| row[d])));
+        let start = first - first % LANES;
+        let data = &self.data;
+        let row = |i: usize| &data[i * dim..(i + 1) * dim];
+        self.groups.truncate(start / LANES * dim);
+        self.groups
+            .reserve(n.div_ceil(LANES) * dim - self.groups.len());
+        for group in (start..n).step_by(LANES) {
+            let rows: [&[f64]; LANES] = std::array::from_fn(|l| row((group + l).min(n - 1)));
+            self.groups.extend((0..dim).map(|d| rows.map(|row| row[d])));
         }
-        self.groups = groups;
-        self
     }
 
     fn push(&mut self, row: impl ExactSizeIterator<Item = f64>) {
@@ -246,6 +288,9 @@ pub fn kmeans<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Clustering {
         }
         for c in 0..k {
             if counts[c] == 0 {
+                // Audited expect: squared distances between finite
+                // feature rows are finite.
+                #[allow(clippy::expect_used)]
                 let candidate = (0..n)
                     .filter(|&i| counts[assignment[i]] >= 2)
                     .map(|i| {
@@ -494,6 +539,29 @@ mod tests {
                     }
                 }
             }
+        });
+    }
+
+    #[test]
+    fn appended_and_truncated_features_equal_a_fresh_build() {
+        let space = vc2m_model::Platform::platform_a().resources();
+        check(64, |rng| {
+            let surfaces: Vec<Surface> = (0..rng.gen_range(0usize..14))
+                .map(|_| {
+                    let (base, slope) = (rng.gen_range(1.0f64..5.0), rng.gen_range(0.0f64..0.5));
+                    Surface::from_fn(&space, |a| base * (1.0 + slope / f64::from(a.cache))).unwrap()
+                })
+                .collect();
+            let fresh = |n: usize| Features::from_surfaces(&surfaces[..n]);
+            let split = rng.gen_range(0usize..=surfaces.len());
+            let mut grown = fresh(split);
+            grown.extend_surfaces(&surfaces[split..]);
+            assert_eq!(grown, fresh(surfaces.len()), "append at {split}");
+            let keep = rng.gen_range(0usize..=surfaces.len());
+            grown.truncate(keep);
+            assert_eq!(grown, fresh(keep), "truncate to {keep}");
+            grown.extend_surfaces(&surfaces[keep..]);
+            assert_eq!(grown, fresh(surfaces.len()), "re-append at {keep}");
         });
     }
 

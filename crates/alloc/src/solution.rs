@@ -1,7 +1,7 @@
 //! The five evaluated solutions (Section 5) as a single entry point.
 
 use crate::hypervisor_level::{evenly_partitioned, heuristic, HeuristicConfig};
-use crate::result::AllocationOutcome;
+use crate::result::{AllocationOutcome, SystemAllocation};
 use crate::vm_level::{self, VcpuSizing};
 use crate::AllocError;
 use std::fmt;
@@ -75,10 +75,14 @@ impl Solution {
     /// cannot handle — a non-harmonic taskset under the overhead-free
     /// analysis, or a VM with more tasks than VCPUs under flattening —
     /// are reported as unschedulable, which matches how the paper's
-    /// evaluation scores them.
+    /// evaluation scores them. An empty VM list needs nothing: it gets
+    /// the empty schedulable allocation.
     pub fn allocate(self, vms: &[VmSpec], platform: &Platform, seed: u64) -> AllocationOutcome {
         match self.try_allocate(vms, platform, seed) {
             Ok(outcome) => outcome,
+            Err(AllocError::NoVms) => {
+                AllocationOutcome::schedulable(SystemAllocation::new(Vec::new(), Vec::new()))
+            }
             Err(AllocError::Analysis(_)) => AllocationOutcome::unschedulable(),
             Err(e) => panic!("allocation failed structurally: {e}"),
         }
@@ -103,12 +107,10 @@ impl Solution {
         }
         let mut rng = DetRng::seed_from_u64(seed);
         let vcpus = self.vm_level(vms, platform, &mut rng)?;
-        Ok(match self {
-            Solution::HeuristicFlattening
-            | Solution::HeuristicOverheadFree
-            | Solution::HeuristicExisting
-            | Solution::Auto => heuristic(vcpus, platform, HeuristicConfig::default(), &mut rng),
-            Solution::EvenlyPartition | Solution::Baseline => evenly_partitioned(vcpus, platform),
+        Ok(if self.uses_heuristic_allocation() {
+            heuristic(&vcpus, platform, HeuristicConfig::default(), &mut rng)
+        } else {
+            evenly_partitioned(&vcpus, platform)
         })
     }
 
@@ -123,10 +125,28 @@ impl Solution {
         platform: &Platform,
         rng: &mut DetRng,
     ) -> Result<Vec<VcpuSpec>, AllocError> {
-        let mut vcpus: Vec<VcpuSpec> = Vec::new();
+        let mut vcpus = Vec::new();
+        self.vm_level_into(vms, platform, rng, 0, &mut vcpus)?;
+        Ok(vcpus)
+    }
+
+    /// Runs the VM level for `vms` and appends their VCPUs to `out`,
+    /// numbered consecutively from `first_id`: the VCPUs
+    /// [`Solution::vm_level`] returns, with every id shifted by
+    /// `first_id`. On an error, `out` may hold the VCPUs of the VMs
+    /// before the failing one.
+    pub(crate) fn vm_level_into(
+        self,
+        vms: &[VmSpec],
+        platform: &Platform,
+        rng: &mut DetRng,
+        first_id: usize,
+        out: &mut Vec<VcpuSpec>,
+    ) -> Result<(), AllocError> {
         let even = even_alloc(platform);
+        let start = out.len();
         for vm in vms {
-            let first_id = vcpus.len();
+            let first_id = first_id + (out.len() - start);
             let produced = match self {
                 Solution::HeuristicFlattening => flattening::flatten_vm(vm, first_id)?,
                 Solution::HeuristicOverheadFree => vm_level::clustered(
@@ -169,9 +189,9 @@ impl Solution {
                     }
                 }
             };
-            vcpus.extend(produced);
+            out.extend(produced);
         }
-        Ok(vcpus)
+        Ok(())
     }
 }
 
@@ -303,6 +323,18 @@ mod tests {
             Solution::Baseline.try_allocate(&[], &Platform::platform_a(), 1),
             Err(AllocError::NoVms)
         ));
+    }
+
+    #[test]
+    fn allocating_no_vms_gives_the_empty_schedulable_allocation() {
+        let platform = Platform::platform_a();
+        for solution in Solution::ALL.into_iter().chain([Solution::Auto]) {
+            let outcome = solution.allocate(&[], &platform, 1);
+            let allocation = outcome.allocation().expect("nothing to schedule");
+            assert_eq!(allocation.cores_used(), 0, "{solution}");
+            assert!(allocation.vcpus().is_empty(), "{solution}");
+            allocation.verify(&platform).unwrap();
+        }
     }
 
     #[test]

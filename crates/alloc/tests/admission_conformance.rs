@@ -20,6 +20,7 @@
 //! trace model in `vc2m`), mirroring the core trace materializer:
 //! per-VM seeded tasksets with globally unique task ids.
 
+use std::cell::Cell;
 use vc2m_alloc::{
     allocate_with_degradation, AdmissionConfig, AdmissionEngine, AdmissionPath, AdmissionRequest,
     AdmissionVerdict, DegradationPolicy, Solution,
@@ -57,6 +58,9 @@ fn make_vm(platform: &Platform, id: usize, utilization: f64, seed: u64) -> VmSpe
 enum Step {
     One(AdmissionRequest),
     Batch(Vec<AdmissionRequest>),
+    /// A batch whose boundary verify fails (an armed verify fault), so
+    /// the engine rolls the batch back and re-admits item by item.
+    FaultedBatch(Vec<AdmissionRequest>),
 }
 
 fn apply(engine: &mut AdmissionEngine, step: &Step) {
@@ -65,6 +69,10 @@ fn apply(engine: &mut AdmissionEngine, step: &Step) {
             engine.submit(request.clone());
         }
         Step::Batch(requests) => {
+            engine.submit_batch(requests.clone());
+        }
+        Step::FaultedBatch(requests) => {
+            engine.inject_verify_failure();
             engine.submit_batch(requests.clone());
         }
     }
@@ -378,4 +386,123 @@ fn memo_keys_on_the_vcpu_cap() {
     assert_eq!(on.stats().memo_hits, 0);
     assert_eq!(on.log_text(), off.log_text());
     assert_eq!(on.allocation(), off.allocation());
+}
+
+/// A stream that drives one host into saturation and then through the
+/// two paths that restore an earlier state: mode changes too heavy to
+/// fit (rolled back through the snapshot, `Degraded`) and batches
+/// whose boundary verify fails (rolled back, then re-admitted item by
+/// item). Earlier arrivals are retried verbatim, so the rejection memo
+/// is probed against restored states.
+fn saturating_steps(platform: &Platform, rng: &mut DetRng, n: usize) -> Vec<Step> {
+    let mut steps = Vec::with_capacity(n);
+    let mut live: Vec<usize> = Vec::new();
+    let mut arrivals: Vec<AdmissionRequest> = Vec::new();
+    let mut next_vm = 1usize;
+    let mut fresh = |rng: &mut DetRng, live: &mut Vec<usize>| {
+        let id = next_vm;
+        next_vm += 1;
+        let utilization = rng.gen_range(0.15f64..0.55);
+        let seed = rng.gen_range(0u64..1_000_000);
+        live.push(id);
+        AdmissionRequest::Arrival(make_vm(platform, id, utilization, seed))
+    };
+    for _ in 0..n {
+        let roll = rng.gen_range(0.0f64..1.0);
+        if !live.is_empty() && roll < 0.12 {
+            let id = live.remove(rng.gen_range(0usize..live.len()));
+            steps.push(Step::One(AdmissionRequest::Departure(VmId(id))));
+        } else if !live.is_empty() && roll < 0.32 {
+            let id = live[rng.gen_range(0usize..live.len())];
+            // Mostly heavier than any saturated host can absorb.
+            let utilization = rng.gen_range(0.3f64..1.4);
+            let seed = rng.gen_range(0u64..1_000_000);
+            steps.push(Step::One(AdmissionRequest::ModeChange(make_vm(
+                platform,
+                id,
+                utilization,
+                seed,
+            ))));
+        } else if !arrivals.is_empty() && roll < 0.55 {
+            let retry = arrivals[rng.gen_range(0usize..arrivals.len())].clone();
+            steps.push(Step::One(retry));
+        } else if roll < 0.65 {
+            let batch: Vec<AdmissionRequest> = (0..rng.gen_range(2usize..4))
+                .map(|_| fresh(rng, &mut live))
+                .collect();
+            arrivals.extend(batch.iter().cloned());
+            steps.push(Step::FaultedBatch(batch));
+        } else {
+            let arrival = fresh(rng, &mut live);
+            arrivals.push(arrival.clone());
+            steps.push(Step::One(arrival));
+        }
+    }
+    steps
+}
+
+/// Memo-on, memo-off and reference engines agree byte for byte at
+/// every step of saturating streams with restores. A rollback returns
+/// the engine to an earlier state, so a signature or repack prefix
+/// cached for the state the rollback left would answer for the wrong
+/// state here first.
+#[test]
+fn memo_and_reference_agree_through_rollbacks() {
+    let degraded = Cell::new(0u64);
+    let memo_hits = Cell::new(0u64);
+    let faulted_batches = Cell::new(0u64);
+    check(12, |rng| {
+        let platform = Platform::platform_a();
+        let steps = saturating_steps(&platform, rng, 26);
+        let seed = rng.gen_range(0u64..10_000);
+        let mut engines = [
+            AdmissionConfig::new(seed),
+            AdmissionConfig::new(seed).without_memo(),
+            AdmissionConfig::new(seed).reference_mode(),
+        ]
+        .map(|config| AdmissionEngine::new(platform, config));
+        for (position, step) in steps.iter().enumerate() {
+            for engine in &mut engines {
+                apply(engine, step);
+            }
+            let [memo_on, memo_off, reference] = &engines;
+            assert_eq!(
+                memo_on.log_text(),
+                memo_off.log_text(),
+                "memo-on and memo-off logs diverged at step {position}"
+            );
+            assert_eq!(
+                memo_on.log_text(),
+                reference.log_text(),
+                "memo-on and reference logs diverged at step {position}"
+            );
+            assert_eq!(
+                memo_on.allocation(),
+                memo_off.allocation(),
+                "step {position}"
+            );
+            assert_eq!(
+                memo_on.allocation(),
+                reference.allocation(),
+                "step {position}"
+            );
+        }
+        let log = engines[0].log_text();
+        degraded.set(degraded.get() + log.matches("-> degraded").count() as u64);
+        memo_hits.set(memo_hits.get() + engines[0].stats().memo_hits);
+        let batches = steps
+            .iter()
+            .filter(|s| matches!(s, Step::FaultedBatch(_)))
+            .count();
+        faulted_batches.set(faulted_batches.get() + batches as u64);
+    });
+    // A replayed single case need not cover every path.
+    if std::env::var_os("VC2M_CASE_REPLAY").is_none() {
+        assert!(degraded.get() > 0, "no mode change was ever rolled back");
+        assert!(memo_hits.get() > 0, "the memo never answered a retry");
+        assert!(
+            faulted_batches.get() > 0,
+            "no batch fell back to per-item admission"
+        );
+    }
 }

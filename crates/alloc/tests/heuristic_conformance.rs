@@ -514,7 +514,7 @@ fn heuristic_matches_from_scratch_oracle() {
         let seed = rng.next_u64();
         let mut fast_rng = DetRng::seed_from_u64(seed);
         let mut oracle_rng = DetRng::seed_from_u64(seed);
-        let fast = heuristic(vcpus.clone(), &platform, config, &mut fast_rng);
+        let fast = heuristic(&vcpus, &platform, config, &mut fast_rng);
         let expected = oracle::heuristic(vcpus, &platform, config, &mut oracle_rng);
         assert_eq!(fast, expected, "outcome diverged (seed {seed:#x})");
         assert_eq!(
@@ -555,7 +555,7 @@ fn exhausted_two_cluster_search_leaves_rng_where_oracle_does() {
         let mut fast_rng = DetRng::seed_from_u64(seed);
         let mut oracle_rng = DetRng::seed_from_u64(seed);
         let config = HeuristicConfig::default();
-        let fast = heuristic(vcpus.clone(), &platform, config, &mut fast_rng);
+        let fast = heuristic(&vcpus, &platform, config, &mut fast_rng);
         let expected = oracle::heuristic(vcpus.clone(), &platform, config, &mut oracle_rng);
         assert!(!fast.is_schedulable());
         assert_eq!(fast, expected);

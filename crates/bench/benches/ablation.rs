@@ -41,7 +41,7 @@ fn bench_permutations() {
         };
         run(&format!("permutations/{permutations}"), 10, || {
             let mut rng = DetRng::seed_from_u64(2);
-            heuristic(vcpus.clone(), &platform, config, &mut rng)
+            heuristic(&vcpus, &platform, config, &mut rng)
         });
     }
 }
@@ -55,7 +55,7 @@ fn bench_balance_rounds() {
         };
         run(&format!("balance_rounds/{rounds}"), 10, || {
             let mut rng = DetRng::seed_from_u64(2);
-            heuristic(vcpus.clone(), &platform, config, &mut rng)
+            heuristic(&vcpus, &platform, config, &mut rng)
         });
     }
 }
