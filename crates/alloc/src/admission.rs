@@ -653,8 +653,10 @@ impl AdmissionEngine {
     /// final state — does not depend on the submission order within
     /// the batch. Incremental placements share one merged dirty set,
     /// verified once at the batch boundary (per-core schedulability is
-    /// still established during each placement). Returns the batch's
-    /// decisions in canonical order.
+    /// still established during each placement). Any non-arrival
+    /// member is served on its own first, in submission order, before
+    /// the arrivals. Returns the batch's decisions in that order: the
+    /// non-arrivals, then the arrivals in canonical order.
     pub fn submit_batch(&mut self, arrivals: Vec<AdmissionRequest>) -> &[AdmissionDecision] {
         self.stats.batches += 1;
         let mut vms: Vec<VmSpec> = Vec::new();
@@ -663,17 +665,14 @@ impl AdmissionEngine {
             match request {
                 AdmissionRequest::Arrival(vm) => vms.push(vm),
                 // Only arrivals are concurrent-admission candidates;
-                // anything else in a batch is processed in place,
-                // after the arrivals, in submission order.
+                // anything else in a batch is served right here, before
+                // the arrivals, in submission order. (Traces only put
+                // arrivals in batches.)
                 other => {
                     let _ = self.submit(other);
                 }
             }
         }
-        // Process any non-arrival stragglers *after* sorting semantics
-        // would be ambiguous — keep it simple and deterministic by
-        // processing arrivals first in canonical order. (Traces only
-        // put arrivals in batches.)
         vms.sort_by(Self::canonical_order);
         let snapshot = self.snapshot();
         let saved = (self.stats, self.next_index, self.decisions.len());

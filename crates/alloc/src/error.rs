@@ -43,7 +43,7 @@ pub enum AllocError {
         /// Bandwidth partitions the platform has.
         bw_total: u32,
     },
-    /// A parallel replay was asked to run on zero worker threads.
+    /// A fleet replay was asked to run on zero threads.
     ZeroThreads,
 }
 
@@ -69,7 +69,7 @@ impl fmt::Display for AllocError {
                 "core allocation oversubscribed: cache {cache_allocated}/{cache_total}, \
                  bandwidth {bw_allocated}/{bw_total}"
             ),
-            AllocError::ZeroThreads => write!(f, "parallel replay needs at least one thread"),
+            AllocError::ZeroThreads => write!(f, "fleet replay needs at least one thread"),
         }
     }
 }

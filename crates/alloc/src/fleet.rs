@@ -6,7 +6,7 @@
 //! # Model
 //!
 //! An [`AdmissionFleet`] owns `hosts` engines, each managing its own
-//! platform instance with its own CAT/membw state, analysis cache, and
+//! platform instance with its own CAT/membw state, state cache, and
 //! rejection memo. Requests are routed to exactly one host by the
 //! [`FleetRouter`], then served by that host's engine exactly as the
 //! single-host engine would serve them — a one-host fleet is
@@ -35,7 +35,7 @@
 //!   makes the decision loop trivially parallel across shards: the
 //!   whole routing plan is computable without a single solver call, so
 //!   each host's request subsequence is fixed up front and replays
-//!   independently ([`AdmissionFleet::replay_parallel_armed`]).
+//!   independently ([`AdmissionFleet::replay`]).
 //!   Bookkeeping noise (a rejected VM stays charged until its
 //!   departure) only shifts future placements between hosts; the
 //!   engines stay the ground truth for every admit/reject.
@@ -80,22 +80,34 @@
 //!
 //! Every fault and evacuation decision is conditioned only on router
 //! bookkeeping among alive hosts — never on engine verdicts — so the
-//! serial routing pass reproduces the entire fault/evacuation schedule
-//! without running a single engine, and fault-armed parallel replay
-//! ([`AdmissionFleet::replay_parallel_armed`]) stays byte-identical to
-//! serial at every thread count.
+//! routing pass reproduces the entire fault/evacuation schedule
+//! without running a single engine.
 //!
-//! # Parallel replay
+//! # Replay: route once, then run per-host plans
 //!
-//! [`AdmissionFleet::replay_parallel_armed`] reuses the coarse-unit
-//! executor pattern of the sweep: the routing pass (serial, cheap)
-//! assigns each decision a global ticket and buckets the work per host;
-//! worker threads claim whole hosts from an atomic ticket counter, replay
-//! each host's subsequence on a private engine, and the per-host
-//! decision vectors merge once after join by ticket order. The merged
-//! `#NNNNN`-indexed decision log is byte-identical at every thread
-//! count and equal to the serial fleet's, because every engine sees
-//! the identical request subsequence either way.
+//! [`AdmissionFleet::replay`] runs in two passes. The routing pass
+//! (serial and cheap) is the only code that decides hosts, global
+//! tickets, fault firings, evacuations and batch order; it writes each
+//! host's share of the work into a per-host plan. The run pass then
+//! executes each plan on its host's engine and merges the decision
+//! vectors into the log by ticket. With one thread the plans run
+//! inline on the caller's thread; with more, worker threads claim
+//! whole hosts from an atomic counter, the coarse-unit executor
+//! pattern of the sweep. The merged `#NNNNN`-indexed decision log is
+//! byte-identical at every thread count and equal to executing every
+//! request the moment it is routed, because engines share no state and
+//! each sees the identical request subsequence either way.
+//! [`AdmissionFleet::submit_batch`] goes through the same batch step
+//! and runs its plans inline; [`AdmissionFleet::submit`] routes and
+//! serves one request directly.
+
+// Library code reports failures as values; the two router invariants
+// that arming guarantees carry audited `#[allow]`s with their reasons.
+// CI runs clippy with `-D warnings`, which makes these denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::admission::{
     canonical_vm_order, AdmissionConfig, AdmissionDecision, AdmissionEngine, AdmissionRequest,
@@ -574,6 +586,10 @@ impl FleetRouter {
         self.owners.iter().position(|o| o.vm == vm)
     }
 
+    // Audited: `FleetScenario::validate` (run by `arm`) refuses any
+    // plan whose crashes and drains would remove the last alive host,
+    // and nothing else clears `alive`.
+    #[allow(clippy::expect_used)]
     fn first_alive(&self) -> usize {
         self.alive
             .iter()
@@ -601,7 +617,7 @@ impl FleetRouter {
             self.stats.evac_cancelled += 1;
         }
         let mut best_fit: Option<usize> = None;
-        let mut fallback: Option<usize> = None;
+        let mut fallback = self.first_alive();
         for (h, &load) in self.loads.iter().enumerate() {
             if !self.alive[h] {
                 continue;
@@ -610,8 +626,8 @@ impl FleetRouter {
             {
                 best_fit = Some(h);
             }
-            if fallback.is_none_or(|f| load < self.loads[f]) {
-                fallback = Some(h);
+            if load < self.loads[fallback] {
+                fallback = h;
             }
         }
         let host = match best_fit {
@@ -621,7 +637,7 @@ impl FleetRouter {
             }
             None => {
                 self.stats.saturated_routes += 1;
-                fallback.expect("a fleet always keeps at least one alive host")
+                fallback
             }
         };
         self.loads[host] += utilization;
@@ -679,10 +695,10 @@ impl FleetRouter {
         }
     }
 
-    /// Routes one request (the shared dispatch used by the serial
-    /// fleet and the parallel routing pass). When a fault plan is
-    /// armed this also retains the VM's most recently requested spec,
-    /// which is what an evacuation re-admits.
+    /// Routes one request (the dispatch behind [`AdmissionFleet::submit`]
+    /// and the fleet's routing pass). When a fault plan is armed this
+    /// also retains the VM's most recently requested spec, which is
+    /// what an evacuation re-admits.
     pub fn route(&mut self, request: &AdmissionRequest) -> usize {
         match request {
             AdmissionRequest::Arrival(vm) => {
@@ -709,20 +725,14 @@ impl FleetRouter {
         }
     }
 
-    /// Bookkeeping for a one-host batch handed verbatim to the
-    /// engine's own batch path: charge arrivals and route the rest, in
-    /// the same order the engine processes them, without choosing
-    /// hosts (there is only one).
-    fn route_batch_bookkeeping(&mut self, requests: &[AdmissionRequest]) {
-        for request in requests {
-            self.route(request);
-        }
-    }
-
     /// Removes `host` from the fleet and queues its VMs for
     /// re-placement, criticality-major (HI first, then utilization
     /// descending, id ascending). Returns the evacuees' ids in that
     /// order (a drain departs them from the dying engine in it).
+    // Audited: evacuation only runs when an armed plan fires a fault;
+    // arming a non-empty plan sets `retain_specs` before the first
+    // request, so every owner carries a spec by then.
+    #[allow(clippy::expect_used)]
     fn evacuate(&mut self, host: usize, now: u64) -> Vec<usize> {
         self.alive[host] = false;
         self.loads[host] = 0.0;
@@ -858,6 +868,18 @@ pub struct FleetDecision {
 }
 
 impl FleetDecision {
+    /// Host `host`'s engine decision, re-indexed to its merged-log
+    /// ticket.
+    fn ticketed(host: usize, ticket: u64, decision: &AdmissionDecision, evac: bool) -> Self {
+        let mut decision = decision.clone();
+        decision.index = ticket;
+        FleetDecision {
+            host,
+            decision,
+            evac,
+        }
+    }
+
     /// The merged-log line: the engine's byte-stable line, with the
     /// owning host appended when the fleet has more than one (so a
     /// one-host fleet log is byte-identical to the engine log), and
@@ -887,9 +909,14 @@ pub enum FleetWorkItem {
     Batch(Vec<AdmissionRequest>),
 }
 
-/// Work bucketed for one host by the parallel routing pass.
+/// One step of a host's plan, written by the routing pass in the order
+/// the host's engine must see it.
 enum HostWork {
+    /// One request with its merged-log ticket and whether an evacuation
+    /// synthesized it.
     Single(u64, bool, AdmissionRequest),
+    /// One engine sub-batch with each member's ticket, in the order the
+    /// engine decides the members.
     Batch(Vec<u64>, Vec<AdmissionRequest>),
     /// The host crashed: rebuild its engine empty.
     Reset,
@@ -897,228 +924,28 @@ enum HostWork {
     InjectVerifyFault,
 }
 
-/// Where the shared replay driver sends per-host work: the serial
-/// fleet executes it immediately, the parallel routing pass records it
-/// into per-host plans.
-trait HostExecutor {
-    fn single(&mut self, host: usize, ticket: u64, request: AdmissionRequest, evac: bool);
-    fn batch(&mut self, host: usize, tickets: Vec<u64>, members: Vec<AdmissionRequest>);
-    fn reset(&mut self, host: usize);
-    fn inject_verify_fault(&mut self, host: usize);
-}
-
-struct SerialHostExec<'a> {
-    platform: Platform,
-    engine_config: AdmissionConfig,
-    engines: &'a mut Vec<AdmissionEngine>,
-    decisions: &'a mut Vec<FleetDecision>,
-}
-
-impl HostExecutor for SerialHostExec<'_> {
-    fn single(&mut self, host: usize, ticket: u64, request: AdmissionRequest, evac: bool) {
-        let mut decision = self.engines[host].submit(request).clone();
-        decision.index = ticket;
-        self.decisions.push(FleetDecision {
-            host,
-            decision,
-            evac,
-        });
-    }
-
-    fn batch(&mut self, host: usize, tickets: Vec<u64>, members: Vec<AdmissionRequest>) {
-        let batch = self.engines[host].submit_batch(members).to_vec();
-        debug_assert_eq!(batch.len(), tickets.len());
-        for (&ticket, mut decision) in tickets.iter().zip(batch) {
-            decision.index = ticket;
-            self.decisions.push(FleetDecision {
-                host,
-                decision,
-                evac: false,
-            });
-        }
-    }
-
-    fn reset(&mut self, host: usize) {
-        self.engines[host] = AdmissionEngine::new(self.platform, self.engine_config);
-    }
-
-    fn inject_verify_fault(&mut self, host: usize) {
-        self.engines[host].inject_verify_failure();
-    }
-}
-
-struct PlanHostExec {
-    plan: Vec<Vec<HostWork>>,
-}
-
-impl HostExecutor for PlanHostExec {
-    fn single(&mut self, host: usize, ticket: u64, request: AdmissionRequest, evac: bool) {
-        self.plan[host].push(HostWork::Single(ticket, evac, request));
-    }
-
-    fn batch(&mut self, host: usize, tickets: Vec<u64>, members: Vec<AdmissionRequest>) {
-        self.plan[host].push(HostWork::Batch(tickets, members));
-    }
-
-    fn reset(&mut self, host: usize) {
-        self.plan[host].push(HostWork::Reset);
-    }
-
-    fn inject_verify_fault(&mut self, host: usize) {
-        self.plan[host].push(HostWork::InjectVerifyFault);
-    }
-}
-
-/// The shared replay driver: routes work items, fires due faults at
-/// item boundaries, and pumps the evacuation queue — identically for
-/// the serial fleet and the parallel routing pass, because every
-/// decision here reads only router bookkeeping (see the [module
-/// docs](self)).
-struct Drive<'a, E: HostExecutor> {
-    router: &'a mut FleetRouter,
-    plan: &'a FleetFaultPlan,
-    policy: EvacuationPolicy,
-    hosts: usize,
-    item_cursor: &'a mut u64,
-    fault_cursor: &'a mut usize,
-    ticket: u64,
-    exhausted: &'a mut Vec<EvacuationExhausted>,
-    exec: &'a mut E,
-}
-
-impl<E: HostExecutor> Drive<'_, E> {
-    fn run(mut self, items: &[FleetWorkItem]) -> u64 {
-        for item in items {
-            self.barrier(*self.item_cursor);
-            match item {
-                FleetWorkItem::Single(request) => {
-                    let host = self.router.route(request);
-                    self.single(host, request.clone(), false);
-                }
-                FleetWorkItem::Batch(requests) => self.batch(requests),
+/// Runs one host's plan on its engine, moving each request out of the
+/// plan, and returns the host's decisions re-indexed to their tickets.
+fn run_host(host: usize, engine: &mut AdmissionEngine, plan: Vec<HostWork>) -> Vec<FleetDecision> {
+    let mut decisions = Vec::new();
+    for step in plan {
+        match step {
+            HostWork::Single(ticket, evac, request) => {
+                let decision = engine.submit(request);
+                decisions.push(FleetDecision::ticketed(host, ticket, decision, evac));
             }
-            *self.item_cursor += 1;
-        }
-        self.flush();
-        self.ticket
-    }
-
-    fn single(&mut self, host: usize, request: AdmissionRequest, evac: bool) {
-        self.exec.single(host, self.ticket, request, evac);
-        self.ticket += 1;
-    }
-
-    fn batch(&mut self, requests: &[AdmissionRequest]) {
-        if self.hosts == 1 {
-            self.router.route_batch_bookkeeping(requests);
-            let tickets: Vec<u64> = (self.ticket..self.ticket + requests.len() as u64).collect();
-            self.ticket += requests.len() as u64;
-            self.exec.batch(0, tickets, requests.to_vec());
-            return;
-        }
-        let mut arrivals: Vec<AdmissionRequest> = Vec::new();
-        for request in requests {
-            match request {
-                AdmissionRequest::Arrival(_) => arrivals.push(request.clone()),
-                // Mirror the engine: anything else in a batch is
-                // processed in place, before the arrivals.
-                other => {
-                    let host = self.router.route(other);
-                    self.single(host, other.clone(), false);
-                }
+            HostWork::Batch(tickets, members) => {
+                let batch = engine.submit_batch(members);
+                debug_assert_eq!(batch.len(), tickets.len());
+                decisions.extend(tickets.into_iter().zip(batch).map(|(ticket, decision)| {
+                    FleetDecision::ticketed(host, ticket, decision, false)
+                }));
             }
-        }
-        arrivals.sort_by(|a, b| match (a, b) {
-            (AdmissionRequest::Arrival(x), AdmissionRequest::Arrival(y)) => {
-                canonical_vm_order(x, y)
-            }
-            _ => unreachable!("only arrivals are collected"),
-        });
-        // Route in canonical order, bucketing per host while keeping
-        // each member's global ticket.
-        let mut buckets: Vec<(usize, Vec<u64>, Vec<AdmissionRequest>)> = Vec::new();
-        for request in arrivals {
-            let host = self.router.route(&request);
-            match buckets.iter_mut().find(|(h, _, _)| *h == host) {
-                Some((_, tickets, members)) => {
-                    tickets.push(self.ticket);
-                    members.push(request);
-                }
-                None => buckets.push((host, vec![self.ticket], vec![request])),
-            }
-            self.ticket += 1;
-        }
-        for (host, tickets, members) in buckets {
-            self.exec.batch(host, tickets, members);
+            HostWork::Reset => *engine = AdmissionEngine::new(*engine.platform(), *engine.config()),
+            HostWork::InjectVerifyFault => engine.inject_verify_failure(),
         }
     }
-
-    /// Fires every fault due at `now`, then gives ready evacuees a
-    /// placement attempt. A no-op when no plan is armed.
-    fn barrier(&mut self, now: u64) {
-        while *self.fault_cursor < self.plan.len()
-            && self.plan.faults()[*self.fault_cursor].at <= now
-        {
-            let scheduled = self.plan.faults()[*self.fault_cursor];
-            *self.fault_cursor += 1;
-            self.fire(scheduled.fault, now);
-        }
-        self.pump(now);
-    }
-
-    fn fire(&mut self, fault: FleetFault, now: u64) {
-        self.router.stats.faults_injected += 1;
-        match fault {
-            FleetFault::HostCrash { host } => {
-                self.router.stats.host_crashes += 1;
-                // Abrupt loss: the engine state is gone before anyone
-                // can depart gracefully.
-                self.exec.reset(host);
-                self.router.evacuate(host, now);
-            }
-            FleetFault::HostDrain { host } => {
-                self.router.stats.host_drains += 1;
-                // Graceful retirement: the dying engine sees each VM
-                // depart (logged as evac departures), then the host
-                // takes no further work.
-                let departing = self.router.evacuate(host, now);
-                for vm in departing {
-                    self.single(host, AdmissionRequest::Departure(VmId(vm)), true);
-                }
-            }
-            FleetFault::VerifyFault { host } => {
-                self.router.stats.verify_faults += 1;
-                self.exec.inject_verify_fault(host);
-            }
-        }
-    }
-
-    fn pump(&mut self, now: u64) {
-        for (host, spec) in self
-            .router
-            .pump_evacuations(now, self.policy, self.exhausted)
-        {
-            self.single(host, AdmissionRequest::Arrival(spec), true);
-        }
-    }
-
-    /// After the last item: fires any faults scheduled past the end,
-    /// then drains the evacuation queue to completion (placed or
-    /// exhausted — bounded by the attempt budget, so this terminates).
-    fn flush(&mut self) {
-        let mut now = *self.item_cursor;
-        while *self.fault_cursor < self.plan.len() {
-            let scheduled = self.plan.faults()[*self.fault_cursor];
-            *self.fault_cursor += 1;
-            now = now.max(scheduled.at);
-            self.fire(scheduled.fault, now);
-            self.pump(now);
-        }
-        while let Some(ready) = self.router.earliest_pending() {
-            now = now.max(ready);
-            self.pump(now);
-        }
-    }
+    decisions
 }
 
 /// The sharded admission controller. See the [module docs](self).
@@ -1192,13 +1019,16 @@ impl AdmissionFleet {
         &self.exhausted
     }
 
-    /// Arms a fault scenario. Must be called before the first request;
-    /// the scenario is validated here (the validated-at-attach rule),
-    /// so replay never encounters an invalid fault. Faults fire at
-    /// [`Self::replay`] item boundaries (direct [`Self::submit`] calls
-    /// do not advance the fault clock).
+    /// Arms a fault scenario. Must be called before the first request
+    /// or replayed item; the scenario is validated here (the
+    /// validated-at-attach rule), so replay never encounters an invalid
+    /// fault. Faults fire at [`Self::replay`] item boundaries (direct
+    /// [`Self::submit`] and [`Self::submit_batch`] calls do not advance
+    /// the fault clock).
     pub fn arm(&mut self, scenario: FleetScenario) -> Result<(), AllocError> {
-        if self.next_index != 0 || !self.decisions.is_empty() {
+        // The item clock can move without a decision (an empty batch),
+        // and fault tickets count items, so both must still be zero.
+        if self.next_index != 0 || self.item_cursor != 0 {
             return Err(AllocError::FaultPlan {
                 detail: "a scenario must be armed before the first request".to_string(),
             });
@@ -1256,242 +1086,226 @@ impl AdmissionFleet {
         );
     }
 
-    fn push(&mut self, host: usize, mut decision: AdmissionDecision) -> &FleetDecision {
-        decision.index = self.next_index;
-        self.next_index += 1;
-        self.decisions.push(FleetDecision {
-            host,
-            decision,
-            evac: false,
-        });
-        self.decisions.last().expect("just pushed")
-    }
-
     /// Routes and serves one request.
     pub fn submit(&mut self, request: AdmissionRequest) -> &FleetDecision {
         let host = self.router.route(&request);
-        let decision = self.engines[host].submit(request).clone();
-        self.push(host, decision)
+        let decision = self.engines[host].submit(request);
+        let decision = FleetDecision::ticketed(host, self.next_index, decision, false);
+        self.next_index += 1;
+        self.decisions.push(decision);
+        &self.decisions[self.decisions.len() - 1]
     }
 
     /// Routes and serves a batch of concurrent arrivals: members are
     /// put in canonical order, routed in that order, and each host's
-    /// members are admitted as one engine sub-batch. Returns the
-    /// batch's merged decisions in canonical order.
+    /// members are admitted as one engine sub-batch. Any non-arrival
+    /// member is served on its own first, as the engine does. Returns
+    /// the batch's merged decisions in ticket order.
     pub fn submit_batch(&mut self, requests: Vec<AdmissionRequest>) -> &[FleetDecision] {
         let first = self.decisions.len();
-        if self.config.hosts == 1 {
-            // Degenerate to the engine's own batch path so even the
-            // per-engine counters match the plain engine exactly.
-            self.router.route_batch_bookkeeping(&requests);
-            let decisions: Vec<AdmissionDecision> = self.engines[0].submit_batch(requests).to_vec();
-            for decision in decisions {
-                self.push(0, decision);
-            }
-            return &self.decisions[first..];
-        }
-        let mut arrivals: Vec<AdmissionRequest> = Vec::new();
-        for request in requests {
-            match request {
-                AdmissionRequest::Arrival(_) => arrivals.push(request),
-                // Mirror the engine: anything else in a batch is
-                // processed in place, before the arrivals.
-                other => {
-                    self.submit(other);
-                }
-            }
-        }
-        arrivals.sort_by(|a, b| match (a, b) {
-            (AdmissionRequest::Arrival(x), AdmissionRequest::Arrival(y)) => {
-                canonical_vm_order(x, y)
-            }
-            _ => unreachable!("only arrivals are collected"),
-        });
-        // Route in canonical order, bucketing per host while keeping
-        // each member's position in the canonical sequence.
-        let mut per_host: Vec<(usize, Vec<usize>, Vec<AdmissionRequest>)> = Vec::new();
-        for (position, request) in arrivals.into_iter().enumerate() {
-            let host = self.router.route(&request);
-            match per_host.iter_mut().find(|(h, _, _)| *h == host) {
-                Some((_, positions, members)) => {
-                    positions.push(position);
-                    members.push(request);
-                }
-                None => per_host.push((host, vec![position], vec![request])),
-            }
-        }
-        per_host.sort_by_key(|&(h, _, _)| h);
-        let mut ordered: Vec<(usize, usize, AdmissionDecision)> = Vec::new();
-        for (host, positions, members) in per_host {
-            let decisions = self.engines[host].submit_batch(members).to_vec();
-            debug_assert_eq!(decisions.len(), positions.len());
-            for (position, decision) in positions.into_iter().zip(decisions) {
-                ordered.push((position, host, decision));
-            }
-        }
-        ordered.sort_by_key(|&(position, _, _)| position);
-        for (_, host, decision) in ordered {
-            self.push(host, decision);
-        }
+        let mut plans = self.empty_plans();
+        self.route_batch(requests, &mut plans);
+        self.run_plans(plans, 1);
         &self.decisions[first..]
     }
 
-    /// Serially replays pre-materialized work items (the canonical
-    /// fleet semantics the parallel replay is pinned against), firing
-    /// any armed faults at item boundaries and resolving every
-    /// evacuation (placed or exhausted) before returning.
-    pub fn replay(&mut self, items: &[FleetWorkItem]) {
-        let first = self.decisions.len();
-        let AdmissionFleet {
-            platform,
-            config,
-            engines,
-            router,
-            decisions,
-            next_index,
-            scenario,
-            exhausted,
-            item_cursor,
-            fault_cursor,
-        } = self;
-        let mut exec = SerialHostExec {
-            platform: *platform,
-            engine_config: config.engine,
-            engines,
-            decisions,
-        };
-        *next_index = Drive {
-            router,
-            plan: &scenario.faults,
-            policy: config.evacuation,
-            hosts: config.hosts,
-            item_cursor,
-            fault_cursor,
-            ticket: *next_index,
-            exhausted,
-            exec: &mut exec,
-        }
-        .run(items);
-        // Batch buckets execute host-by-host; restore global ticket
-        // order over the newly appended range.
-        self.decisions[first..].sort_by_key(|d| d.decision.index);
-    }
-
-    /// Replays `items` over a fresh fleet armed with `scenario`, in
-    /// parallel: a serial routing pass fixes every decision's host and
-    /// global ticket, fires the fault plan and schedules every
-    /// evacuation — all from router bookkeeping, so the per-host plans
-    /// (including engine resets, injected verify faults, and evac
-    /// re-admissions) are fixed before any engine runs. Worker threads
-    /// then claim whole hosts from an atomic counter and replay each
-    /// host's subsequence on a private engine, and the decision vectors
-    /// merge once after the join in ticket order. Pass
-    /// [`FleetScenario::default`] for a fault-free replay.
+    /// Replays pre-materialized work items, appending to the merged
+    /// log. Armed faults fire at item boundaries, and every evacuation
+    /// is resolved (placed or exhausted) before this returns.
     ///
-    /// The result is bit-identical to `new` + [`Self::arm`] +
-    /// [`Self::replay`] at every `threads` value (pinned by the fleet
-    /// conformance suite).
+    /// A routing pass first fixes every decision's host and global
+    /// ticket, fires the fault plan and schedules every evacuation,
+    /// all from router bookkeeping, writing each host's work into a
+    /// plan. The plans then run on the engines: inline on the caller's
+    /// thread when `threads == 1`, otherwise on up to `threads` worker
+    /// threads that claim whole hosts from an atomic counter. The
+    /// result is identical at every `threads` value and equal to
+    /// serving each item through [`Self::submit`] /
+    /// [`Self::submit_batch`] in order when no fault is armed (both
+    /// pinned by the fleet conformance suite).
     ///
     /// # Errors
     ///
-    /// * [`AllocError::ZeroThreads`] if `threads` is zero.
-    /// * [`AllocError::FaultPlan`] if `scenario` fails validation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics.
-    pub fn replay_parallel_armed(
-        platform: Platform,
-        config: FleetConfig,
-        scenario: FleetScenario,
-        items: &[FleetWorkItem],
-        threads: usize,
-    ) -> Result<AdmissionFleet, AllocError> {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+    /// [`AllocError::ZeroThreads`] if `threads` is zero; nothing is
+    /// routed then.
+    pub fn replay(&mut self, items: &[FleetWorkItem], threads: usize) -> Result<(), AllocError> {
         if threads == 0 {
             return Err(AllocError::ZeroThreads);
         }
-        let hosts = config.hosts;
-        scenario.validate(hosts)?;
-        // Routing pass: identical calls, in identical order, to what
-        // the serial fleet makes — so bookkept loads, owners, fault
-        // firings, and chosen hosts agree by construction.
-        let mut router = FleetRouter::new(hosts, &platform);
-        router.arm(&scenario);
-        let mut exec = PlanHostExec {
-            plan: (0..hosts).map(|_| Vec::new()).collect(),
-        };
-        let mut item_cursor = 0u64;
-        let mut fault_cursor = 0usize;
-        let mut exhausted = Vec::new();
-        let ticket = Drive {
-            router: &mut router,
-            plan: &scenario.faults,
-            policy: config.evacuation,
-            hosts,
-            item_cursor: &mut item_cursor,
-            fault_cursor: &mut fault_cursor,
-            ticket: 0,
-            exhausted: &mut exhausted,
-            exec: &mut exec,
+        let mut plans = self.empty_plans();
+        for item in items {
+            self.barrier(self.item_cursor, &mut plans);
+            match item {
+                FleetWorkItem::Single(request) => {
+                    let host = self.router.route(request);
+                    self.schedule(&mut plans, host, request.clone(), false);
+                }
+                FleetWorkItem::Batch(requests) => self.route_batch(requests.clone(), &mut plans),
+            }
+            self.item_cursor += 1;
         }
-        .run(items);
-        let plan = exec.plan;
-        // Parallel pass: whole hosts are the work units, claimed from
-        // an atomic ticket counter; everything mutable is per-thread
-        // and merges once after the join (the sweep executor pattern).
-        let next = AtomicUsize::new(0);
-        let plan_ref = &plan;
-        let mut host_results: Vec<(usize, AdmissionEngine, Vec<FleetDecision>)> =
+        self.flush(&mut plans);
+        self.run_plans(plans, threads);
+        Ok(())
+    }
+
+    fn empty_plans(&self) -> Vec<Vec<HostWork>> {
+        (0..self.config.hosts).map(|_| Vec::new()).collect()
+    }
+
+    /// Queues one request on `host` under the next ticket.
+    fn schedule(
+        &mut self,
+        plans: &mut [Vec<HostWork>],
+        host: usize,
+        request: AdmissionRequest,
+        evac: bool,
+    ) {
+        plans[host].push(HostWork::Single(self.next_index, evac, request));
+        self.next_index += 1;
+    }
+
+    /// Routes one batch. A one-host fleet hands it to the engine
+    /// verbatim, so even the engine's batch counters match the plain
+    /// engine. Otherwise non-arrivals are routed first, one by one, as
+    /// the engine serves them; the arrivals follow in canonical order,
+    /// bucketed into one sub-batch per host, each member keeping its
+    /// global ticket.
+    fn route_batch(&mut self, requests: Vec<AdmissionRequest>, plans: &mut [Vec<HostWork>]) {
+        if self.config.hosts == 1 {
+            for request in &requests {
+                self.router.route(request);
+            }
+            let end = self.next_index + requests.len() as u64;
+            plans[0].push(HostWork::Batch((self.next_index..end).collect(), requests));
+            self.next_index = end;
+            return;
+        }
+        let mut arrivals: Vec<VmSpec> = Vec::new();
+        for request in requests {
+            match request {
+                AdmissionRequest::Arrival(vm) => arrivals.push(vm),
+                other => {
+                    let host = self.router.route(&other);
+                    self.schedule(plans, host, other, false);
+                }
+            }
+        }
+        arrivals.sort_by(canonical_vm_order);
+        let mut buckets: Vec<(Vec<u64>, Vec<AdmissionRequest>)> =
+            (0..self.config.hosts).map(|_| Default::default()).collect();
+        for vm in arrivals {
+            let request = AdmissionRequest::Arrival(vm);
+            let (tickets, members) = &mut buckets[self.router.route(&request)];
+            tickets.push(self.next_index);
+            members.push(request);
+            self.next_index += 1;
+        }
+        for (plan, (tickets, members)) in plans.iter_mut().zip(buckets) {
+            if !members.is_empty() {
+                plan.push(HostWork::Batch(tickets, members));
+            }
+        }
+    }
+
+    /// Fires every fault due at `now`, then gives ready evacuees a
+    /// placement attempt. A no-op when no plan is armed.
+    fn barrier(&mut self, now: u64, plans: &mut [Vec<HostWork>]) {
+        while let Some(&scheduled) = self.scenario.faults.faults().get(self.fault_cursor) {
+            if scheduled.at > now {
+                break;
+            }
+            self.fault_cursor += 1;
+            self.fire(scheduled.fault, now, plans);
+        }
+        self.pump(now, plans);
+    }
+
+    fn fire(&mut self, fault: FleetFault, now: u64, plans: &mut [Vec<HostWork>]) {
+        self.router.stats.faults_injected += 1;
+        match fault {
+            FleetFault::HostCrash { host } => {
+                self.router.stats.host_crashes += 1;
+                // Abrupt loss: the engine state is gone before anyone
+                // can depart gracefully.
+                plans[host].push(HostWork::Reset);
+                self.router.evacuate(host, now);
+            }
+            FleetFault::HostDrain { host } => {
+                self.router.stats.host_drains += 1;
+                // Graceful retirement: the dying engine sees each VM
+                // depart (logged as evac departures), then the host
+                // takes no further work.
+                for vm in self.router.evacuate(host, now) {
+                    self.schedule(plans, host, AdmissionRequest::Departure(VmId(vm)), true);
+                }
+            }
+            FleetFault::VerifyFault { host } => {
+                self.router.stats.verify_faults += 1;
+                plans[host].push(HostWork::InjectVerifyFault);
+            }
+        }
+    }
+
+    fn pump(&mut self, now: u64, plans: &mut [Vec<HostWork>]) {
+        let placements =
+            self.router
+                .pump_evacuations(now, self.config.evacuation, &mut self.exhausted);
+        for (host, spec) in placements {
+            self.schedule(plans, host, AdmissionRequest::Arrival(spec), true);
+        }
+    }
+
+    /// After the last item: fires any faults scheduled past the end,
+    /// then drains the evacuation queue to completion (placed or
+    /// exhausted — bounded by the attempt budget, so this terminates).
+    fn flush(&mut self, plans: &mut [Vec<HostWork>]) {
+        let mut now = self.item_cursor;
+        while let Some(&scheduled) = self.scenario.faults.faults().get(self.fault_cursor) {
+            self.fault_cursor += 1;
+            now = now.max(scheduled.at);
+            self.fire(scheduled.fault, now, plans);
+            self.pump(now, plans);
+        }
+        while let Some(ready) = self.router.earliest_pending() {
+            now = now.max(ready);
+            self.pump(now, plans);
+        }
+    }
+
+    /// Runs every host's plan on its engine and appends the decisions
+    /// to the merged log in ticket order. Everything a worker mutates is
+    /// its claimed host's engine, so the merge is the only join point.
+    fn run_plans(&mut self, plans: Vec<Vec<HostWork>>, threads: usize) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Mutex, PoisonError};
+        let jobs = self
+            .engines
+            .iter_mut()
+            .zip(plans)
+            .enumerate()
+            .filter(|(_, (_, plan))| !plan.is_empty());
+        let decisions: Vec<FleetDecision> = if threads == 1 {
+            // Inline, so this thread's kernel counters see the work.
+            jobs.flat_map(|(host, (engine, plan))| run_host(host, engine, plan))
+                .collect()
+        } else {
+            // Each slot is claimed exactly once through `next`. The
+            // mutex only hands its engine and plan to the claimant and
+            // is held for nothing else, so no panic can poison it.
+            let slots: Vec<Mutex<Option<_>>> = jobs.map(|job| Mutex::new(Some(job))).collect();
+            let next = AtomicUsize::new(0);
             std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads.min(hosts))
+                let workers: Vec<_> = (0..threads.min(slots.len()))
                     .map(|_| {
                         scope.spawn(|| {
                             let mut mine = Vec::new();
-                            loop {
-                                let host = next.fetch_add(1, Ordering::Relaxed);
-                                if host >= hosts {
-                                    break;
+                            while let Some(slot) = slots.get(next.fetch_add(1, Ordering::Relaxed)) {
+                                let job =
+                                    slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+                                if let Some((host, (engine, plan))) = job {
+                                    mine.extend(run_host(host, engine, plan));
                                 }
-                                let mut engine = AdmissionEngine::new(platform, config.engine);
-                                let mut decisions = Vec::new();
-                                for work in &plan_ref[host] {
-                                    match work {
-                                        HostWork::Single(ticket, evac, request) => {
-                                            let mut decision =
-                                                engine.submit(request.clone()).clone();
-                                            decision.index = *ticket;
-                                            decisions.push(FleetDecision {
-                                                host,
-                                                decision,
-                                                evac: *evac,
-                                            });
-                                        }
-                                        HostWork::Batch(tickets, members) => {
-                                            let batch =
-                                                engine.submit_batch(members.clone()).to_vec();
-                                            debug_assert_eq!(batch.len(), tickets.len());
-                                            for (ticket, mut decision) in
-                                                tickets.iter().zip(batch)
-                                            {
-                                                decision.index = *ticket;
-                                                decisions.push(FleetDecision {
-                                                    host,
-                                                    decision,
-                                                    evac: false,
-                                                });
-                                            }
-                                        }
-                                        HostWork::Reset => {
-                                            engine =
-                                                AdmissionEngine::new(platform, config.engine);
-                                        }
-                                        HostWork::InjectVerifyFault => {
-                                            engine.inject_verify_failure();
-                                        }
-                                    }
-                                }
-                                mine.push((host, engine, decisions));
                             }
                             mine
                         })
@@ -1499,29 +1313,17 @@ impl AdmissionFleet {
                     .collect();
                 workers
                     .into_iter()
-                    .flat_map(|w| w.join().expect("fleet worker panicked"))
+                    .flat_map(|worker| {
+                        worker
+                            .join()
+                            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+                    })
                     .collect()
-            });
-        host_results.sort_by_key(|&(host, _, _)| host);
-        let mut engines: Vec<AdmissionEngine> = Vec::with_capacity(hosts);
-        let mut decisions: Vec<FleetDecision> = Vec::new();
-        for (_, engine, host_decisions) in host_results {
-            engines.push(engine);
-            decisions.extend(host_decisions);
-        }
-        decisions.sort_by_key(|d| d.decision.index);
-        Ok(AdmissionFleet {
-            platform,
-            config,
-            engines,
-            router,
-            decisions,
-            next_index: ticket,
-            scenario,
-            exhausted,
-            item_cursor,
-            fault_cursor,
-        })
+            })
+        };
+        let first = self.decisions.len();
+        self.decisions.extend(decisions);
+        self.decisions[first..].sort_by_key(|d| d.decision.index);
     }
 }
 
@@ -1636,16 +1438,10 @@ mod tests {
         let platform = Platform::platform_a();
         let config = FleetConfig::new(3, 42);
         let mut serial = AdmissionFleet::new(platform, config);
-        serial.replay(&items);
+        serial.replay(&items, 1).unwrap();
         for threads in [1, 2, 8] {
-            let parallel = AdmissionFleet::replay_parallel_armed(
-                platform,
-                config,
-                FleetScenario::default(),
-                &items,
-                threads,
-            )
-            .unwrap();
+            let mut parallel = AdmissionFleet::new(platform, config);
+            parallel.replay(&items, threads).unwrap();
             assert_eq!(parallel.log_text(), serial.log_text(), "threads={threads}");
             assert_eq!(parallel.aggregate_stats(), serial.aggregate_stats());
             assert_eq!(parallel.router().loads(), serial.router().loads());
@@ -1658,14 +1454,15 @@ mod tests {
     #[test]
     fn parallel_replay_rejects_zero_threads_with_a_typed_error() {
         let items = vec![FleetWorkItem::Single(AdmissionRequest::Arrival(vm(1, 2.0, 2)))];
-        let result = AdmissionFleet::replay_parallel_armed(
-            Platform::platform_a(),
-            FleetConfig::new(2, 42),
-            FleetScenario::default(),
-            &items,
-            0,
-        );
+        let mut f = fleet(2);
+        let result = f.replay(&items, 0);
         assert!(matches!(result, Err(AllocError::ZeroThreads)));
+        assert!(
+            f.decisions().is_empty(),
+            "nothing is routed on a typed error"
+        );
+        f.arm(FleetScenario::default())
+            .expect("a refused replay leaves the fault clock at zero");
     }
 
     #[test]
@@ -1739,6 +1536,13 @@ mod tests {
         f.submit(AdmissionRequest::Arrival(vm(1, 2.0, 2)));
         let err = f.arm(FleetScenario::default()).unwrap_err();
         assert!(matches!(err, AllocError::FaultPlan { .. }));
+        // An empty batch item advances the fault clock without a
+        // decision; arming after it would shift every fault ticket.
+        let mut f = fleet(2);
+        f.replay(&[FleetWorkItem::Batch(Vec::new())], 1).unwrap();
+        assert!(f.decisions().is_empty());
+        let err = f.arm(FleetScenario::default()).unwrap_err();
+        assert!(matches!(err, AllocError::FaultPlan { .. }));
     }
 
     #[test]
@@ -1758,7 +1562,7 @@ mod tests {
             FleetWorkItem::Single(AdmissionRequest::Departure(VmId(1))),
             FleetWorkItem::Single(AdmissionRequest::Departure(VmId(2))),
         ];
-        f.replay(&items);
+        f.replay(&items, 1).unwrap();
         let stats = f.router().stats();
         assert_eq!(stats.host_crashes, 1);
         assert_eq!(stats.evacuated_vms, 2);
@@ -1800,7 +1604,7 @@ mod tests {
             FleetWorkItem::Single(AdmissionRequest::Arrival(vm(1, 4.0, 3))),
             FleetWorkItem::Single(AdmissionRequest::Departure(VmId(1))),
         ];
-        f.replay(&items);
+        f.replay(&items, 1).unwrap();
         let stats = f.router().stats();
         assert_eq!(stats.host_drains, 1);
         assert_eq!(stats.evacuated_vms, 1);
@@ -1834,7 +1638,7 @@ mod tests {
             FleetWorkItem::Single(AdmissionRequest::Arrival(vm(1, 4.0, 3))),
             FleetWorkItem::Single(AdmissionRequest::Arrival(vm(2, 4.0, 3))),
         ];
-        f.replay(&items);
+        f.replay(&items, 1).unwrap();
         assert_eq!(f.router().stats().verify_faults, 1);
         assert_eq!(f.router().stats().faults_injected, 1);
         let lines: Vec<String> = f
@@ -1868,7 +1672,7 @@ mod tests {
             FleetWorkItem::Single(AdmissionRequest::Arrival(vm(3, 2.5, 4))),
             FleetWorkItem::Single(AdmissionRequest::Arrival(vm(4, 7.25, 4))),
         ];
-        f.replay(&items);
+        f.replay(&items, 1).unwrap();
         let stats = f.router().stats();
         assert_eq!(stats.evacuated_vms, 2);
         assert_eq!(stats.evac_hi, 1);
@@ -1910,7 +1714,7 @@ mod tests {
             FleetWorkItem::Single(AdmissionRequest::Arrival(vm(1, 9.0, 4))),
             FleetWorkItem::Single(AdmissionRequest::Arrival(vm(2, 9.0, 4))),
         ];
-        f.replay(&items);
+        f.replay(&items, 1).unwrap();
         let stats = f.router().stats();
         assert_eq!(stats.evacuated_vms, 1);
         assert_eq!(stats.evac_placed, 0);
@@ -1947,20 +1751,15 @@ mod tests {
         let config = FleetConfig::new(3, 42);
         let mut serial = AdmissionFleet::new(platform, config);
         serial.arm(scenario.clone()).unwrap();
-        serial.replay(&items);
+        serial.replay(&items, 1).unwrap();
         assert!(
             serial.router().stats().faults_injected == 3,
             "all three faults fire"
         );
         for threads in [1, 2, 8] {
-            let parallel = AdmissionFleet::replay_parallel_armed(
-                platform,
-                config,
-                scenario.clone(),
-                &items,
-                threads,
-            )
-            .unwrap();
+            let mut parallel = AdmissionFleet::new(platform, config);
+            parallel.arm(scenario.clone()).unwrap();
+            parallel.replay(&items, threads).unwrap();
             assert_eq!(parallel.log_text(), serial.log_text(), "threads={threads}");
             assert_eq!(parallel.aggregate_stats(), serial.aggregate_stats());
             assert_eq!(parallel.router().stats(), serial.router().stats());

@@ -200,6 +200,9 @@ impl DecisionJournal {
                     .trim()
                     .parse()
                     .map_err(|_| format!("line {number}: malformed batch arity"))?;
+                if arity == 0 {
+                    return Err(format!("line {number}: batch arity must be at least 1"));
+                }
                 let mut requests = Vec::with_capacity(arity);
                 for _ in 0..arity {
                     let (member_number, member) = lines
@@ -421,6 +424,9 @@ mod tests {
         assert!(err.contains("line 1") && err.contains("separator"), "{err}");
         let err = DecisionJournal::parse("batch x").unwrap_err();
         assert!(err.contains("malformed batch arity"), "{err}");
+        let err =
+            DecisionJournal::parse("a 1 => #00000 ok\nbatch 0\na 2 => #00001 ok").unwrap_err();
+        assert!(err.contains("line 2") && err.contains("at least 1"), "{err}");
         let err = DecisionJournal::parse("batch 2\na 1").unwrap_err();
         assert!(err.contains("truncated"), "{err}");
         let err = DecisionJournal::parse("batch 1\n=> #00000 oops").unwrap_err();

@@ -3,8 +3,9 @@
 //! The engine's contract is that its incremental fast path (warm-start
 //! placement + dirty-set verification) is *observationally identical*
 //! to the slow reference oracle (`AdmissionConfig::reference_mode`),
-//! which disables the analysis cache and re-verifies the full system
-//! after every request. Two families of tests prove it:
+//! which disables the rejection memo and the per-state cache, repacks
+//! from scratch, and re-verifies the full system after every request.
+//! Two families of tests prove it:
 //!
 //! - **Prefix replay**: drive the fast engine one request at a time
 //!   and, at every trace position, replay the whole prefix into a

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Conformance comes first and gates the timings: the fast engine and
-//! the reference engine (analysis cache disabled, full verification
+//! the reference engine (no memo or state cache, full verification
 //! after every request) must produce byte-identical decision logs and
 //! equal final allocations over the whole trace, the replay must be
 //! deterministic (two fast runs, identical bytes), and the final

@@ -315,16 +315,13 @@ fn run_fleet_scenario(seed: u64, platform: &Platform, policy: &DegradationPolicy
     serial
         .arm(scenario.clone())
         .unwrap_or_else(|e| panic!("seed {seed}: scenario rejected: {e}"));
-    serial.replay(&items);
+    serial.replay(&items, 1).expect("one thread is valid");
     for threads in [2, 8] {
-        let parallel = AdmissionFleet::replay_parallel_armed(
-            *platform,
-            config,
-            scenario.clone(),
-            &items,
-            threads,
-        )
-        .unwrap_or_else(|e| panic!("seed {seed}: scenario rejected: {e}"));
+        let mut parallel = AdmissionFleet::new(*platform, config);
+        parallel
+            .arm(scenario.clone())
+            .unwrap_or_else(|e| panic!("seed {seed}: scenario rejected: {e}"));
+        parallel.replay(&items, threads).expect("threads > 0");
         assert_eq!(
             parallel.log_text(),
             serial.log_text(),

@@ -97,7 +97,7 @@ fn timed_replay(
     for _ in 0..iters.max(1) {
         let mut fleet = AdmissionFleet::new(platform, config);
         let t = Instant::now();
-        fleet.replay(items);
+        fleet.replay(items, 1).expect("one thread is valid");
         let total = t.elapsed().as_secs_f64() * 1e6;
         if best.as_ref().is_none_or(|(b, _)| total < *b) {
             best = Some((total, fleet));
@@ -114,7 +114,8 @@ fn conformance(platform: Platform, churn: &AdmissionTrace, heavy: &AdmissionTrac
     let mut engine = AdmissionEngine::new(platform, AdmissionConfig::new(SEED));
     replay(&mut engine, &one_host);
     let mut one = AdmissionFleet::new(platform, FleetConfig::new(1, SEED));
-    one.replay(&fleet_items(&one_host, platform.resources()));
+    one.replay(&fleet_items(&one_host, platform.resources()), 1)
+        .expect("one thread is valid");
     assert_eq!(
         one.log_text(),
         engine.log_text(),
@@ -127,16 +128,10 @@ fn conformance(platform: Platform, churn: &AdmissionTrace, heavy: &AdmissionTrac
     let config = FleetConfig::new(hosts, SEED);
     let items = fleet_items(&churn.clone().with_hosts(hosts), platform.resources());
     let mut serial = AdmissionFleet::new(platform, config);
-    serial.replay(&items);
+    serial.replay(&items, 1).expect("one thread is valid");
     for threads in [1, 2, 8] {
-        let parallel = AdmissionFleet::replay_parallel_armed(
-            platform,
-            config,
-            FleetScenario::default(),
-            &items,
-            threads,
-        )
-        .expect("threads > 0 and the empty scenario is valid");
+        let mut parallel = AdmissionFleet::new(platform, config);
+        parallel.replay(&items, threads).expect("threads > 0");
         assert_eq!(
             parallel.log_text(),
             serial.log_text(),
@@ -152,7 +147,7 @@ fn conformance(platform: Platform, churn: &AdmissionTrace, heavy: &AdmissionTrac
             platform,
             FleetConfig::new(MEMO_HOSTS, SEED).with_engine(engine_config),
         );
-        fleet.replay(&heavy_items);
+        fleet.replay(&heavy_items, 1).expect("one thread is valid");
         fleet
     };
     let on = run(AdmissionConfig::new(SEED));

@@ -381,9 +381,10 @@ pub fn sweep(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// `admission.*` counters to `--metrics-out`. The host count defaults
 /// to the trace's `hosts` directive (1 when absent); with one host the
 /// engine path runs and the output is byte-identical to what it always
-/// was. `--threads` replays an N-host fleet in parallel (the merged
-/// log is thread-count invariant); `--no-memo` disables the
-/// saturated-regime rejection memo.
+/// was. An N-host fleet routes the whole trace once, then runs each
+/// host's share on its engine; `--threads` spreads the hosts over that
+/// many worker threads (the merged log is thread-count invariant).
+/// `--no-memo` disables the saturated-regime rejection memo.
 ///
 /// Fault tolerance: `--hi-fraction F` marks a deterministic fraction
 /// of generated VMs criticality-HI; `--fleet-fault-seed S` (with
@@ -394,7 +395,7 @@ pub fn sweep(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// journal instead of replaying a trace, failing loudly on any
 /// divergence from the journaled decisions.
 pub fn admit(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    use vc2m::admission::{generate, replay, replay_journaled, AdmissionTrace, TraceSpec};
+    use vc2m::admission::{generate, replay, AdmissionTrace, TraceSpec};
     let options = Options::parse(argv)?;
     let platform = options.platform()?;
     let seed: u64 = options.parse_or("seed", 42)?;
@@ -525,17 +526,14 @@ pub fn admit(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         ));
     }
     let mut engine = AdmissionEngine::new(platform, config);
-    let journal = match options.value("journal") {
+    let journal = replay(&mut engine, &trace);
+    let written = match options.value("journal") {
         Some(path) => {
-            let journal = replay_journaled(&mut engine, &trace);
             std::fs::write(path, journal.render())
                 .map_err(|e| CliError::new(format!("cannot write {path}: {e}")))?;
             Some((path.to_string(), journal.len()))
         }
-        None => {
-            replay(&mut engine, &trace);
-            None
-        }
+        None => None,
     };
 
     let stats = *engine.stats();
@@ -574,7 +572,7 @@ pub fn admit(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         stats.full_verifies,
     )
     .map_err(io_error)?;
-    if let Some((path, records)) = journal {
+    if let Some((path, records)) = written {
         writeln!(out, "wrote {path} ({records} journal records)").map_err(io_error)?;
     }
     if let Some(path) = options.value("report-out") {
@@ -598,7 +596,8 @@ pub fn admit(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// The `--hosts N` (N > 1) arm of [`admit`]: route the trace across a
-/// sharded fleet, serially or in parallel, and summarize per host.
+/// sharded fleet, run the hosts on `--threads` threads, and summarize
+/// per host.
 #[allow(clippy::too_many_arguments)]
 fn admit_fleet(
     options: &Options,
@@ -639,16 +638,13 @@ fn admit_fleet(
             )
         })
         .unwrap_or_default();
-    let rejected = |e| CliError::new(format!("fault scenario rejected: {e}"));
-    let fleet = if threads > 1 {
-        AdmissionFleet::replay_parallel_armed(platform, fleet_config, scenario, &items, threads)
-            .map_err(rejected)?
-    } else {
-        let mut fleet = AdmissionFleet::new(platform, fleet_config);
-        fleet.arm(scenario).map_err(rejected)?;
-        fleet.replay(&items);
-        fleet
-    };
+    let mut fleet = AdmissionFleet::new(platform, fleet_config);
+    fleet
+        .arm(scenario)
+        .map_err(|e| CliError::new(format!("fault scenario rejected: {e}")))?;
+    fleet
+        .replay(&items, threads)
+        .map_err(|e| CliError::new(format!("fleet replay failed: {e}")))?;
     let stats = fleet.aggregate_stats();
     let routing = *fleet.router().stats();
     writeln!(

@@ -176,7 +176,7 @@ fn admit_metrics_json_matches_golden() {
 #[test]
 fn admit_reference_engine_emits_identical_report() {
     // The CLI-level differential check: the slow oracle (full verify
-    // everywhere, analysis cache disabled) replays the committed trace
+    // everywhere, no memo or state cache) replays the committed trace
     // to the exact same decision-log bytes as the warm-start engine.
     let report = ScratchFile::new("reference-report.log");
     let (code, out) = run_capture(&[

@@ -6,7 +6,10 @@
 //! with a stable text format (`vc2m-admission-trace-v1`), a generator
 //! producing fleet-style churn (bounded live-set size, small VMs,
 //! occasional mode changes and concurrent-arrival batches), and the
-//! driver that replays a trace into an engine.
+//! driver that replays a trace into an engine. A fleet replays the
+//! same trace through [`fleet_items`] and [`AdmissionFleet::replay`].
+//!
+//! [`AdmissionFleet::replay`]: vc2m_alloc::AdmissionFleet::replay
 //!
 //! # Text format
 //!
@@ -25,10 +28,10 @@
 //! arrive 3 0.305 99
 //! ```
 //!
-//! A `batch n` header groups the next `n` arrivals into one concurrent
-//! batch (admitted order-independently by the engine). An optional
-//! `hosts n` directive (before any request) sizes the fleet the trace
-//! targets; it is omitted from the rendering when `n == 1`, so
+//! A `batch n` header (`n >= 1`) groups the next `n` arrivals into one
+//! concurrent batch (admitted order-independently by the engine). An
+//! optional `hosts n` directive (before any request) sizes the fleet
+//! the trace targets; it is omitted from the rendering when `n == 1`, so
 //! single-host traces keep their historical byte form. An optional
 //! `crit <vm> <vm> ...` directive (at most one, before any request,
 //! ids strictly increasing) marks those VMs HI-criticality — every VM
@@ -47,9 +50,7 @@
 //! whole workload.
 
 use vc2m_alloc::recovery::{recover_engine, DecisionJournal, RecoveryError};
-use vc2m_alloc::{
-    AdmissionConfig, AdmissionEngine, AdmissionFleet, AdmissionRequest, Criticality, FleetWorkItem,
-};
+use vc2m_alloc::{AdmissionConfig, AdmissionEngine, AdmissionRequest, Criticality, FleetWorkItem};
 use vc2m_model::Platform;
 use vc2m_model::{ResourceSpace, Task, TaskId, TaskSet, VmId, VmSpec};
 use vc2m_rng::{DetRng, Rng};
@@ -89,7 +90,7 @@ pub enum TraceRequest {
 
 impl TraceRequest {
     /// Renders the request's stable one-line text form (also the
-    /// request half of a journal record — see [`replay_journaled`]).
+    /// request half of a journal record — see [`replay`]).
     pub fn render(&self) -> String {
         match *self {
             TraceRequest::Arrive {
@@ -259,9 +260,9 @@ impl AdmissionTrace {
     }
 
     /// Parses the text form. Comment (`#`) and blank lines are
-    /// ignored; `batch n` consumes the next `n` arrival lines; a
-    /// `hosts n` directive (at most one, before any request) sets the
-    /// fleet size; a `crit <vm> ...` directive (at most one, before
+    /// ignored; `batch n` (`n >= 1`) consumes the next `n` arrival
+    /// lines; a `hosts n` directive (at most one, before any request)
+    /// sets the fleet size; a `crit <vm> ...` directive (at most one, before
     /// any request, strictly increasing ids) marks the HI VMs.
     ///
     /// # Errors
@@ -327,6 +328,9 @@ impl AdmissionTrace {
             } else if keyword == "batch" {
                 let arity: usize = parse_field(fields.next(), "batch arity")
                     .map_err(|e| format!("line {number}: {e}"))?;
+                if arity == 0 {
+                    return Err(format!("line {number}: batch arity must be at least 1"));
+                }
                 let mut batch = Vec::with_capacity(arity);
                 for _ in 0..arity {
                     let (member_number, member_line) = lines
@@ -630,53 +634,14 @@ fn trace_vm(vm: usize, utilization_milli: u32, seed: u64, space: ResourceSpace) 
 
 /// Replays `trace` into `engine` (appending to its decision log):
 /// singles via [`AdmissionEngine::submit`], batches via
-/// [`AdmissionEngine::submit_batch`].
-pub fn replay(engine: &mut AdmissionEngine, trace: &AdmissionTrace) {
-    let space = engine.platform().resources();
-    for item in trace.items() {
-        match item {
-            TraceItem::Single(request) => {
-                engine.submit(materialize(request, space));
-            }
-            TraceItem::Batch(requests) => {
-                engine.submit_batch(requests.iter().map(|r| materialize(r, space)).collect());
-            }
-        }
-    }
-}
-
-/// Materializes a whole trace into fleet work items (the
-/// pre-materialized form both [`replay_fleet`] and
-/// [`AdmissionFleet::replay_parallel_armed`] consume).
-pub fn fleet_items(trace: &AdmissionTrace, space: ResourceSpace) -> Vec<FleetWorkItem> {
-    trace
-        .items()
-        .iter()
-        .map(|item| match item {
-            TraceItem::Single(request) => FleetWorkItem::Single(materialize(request, space)),
-            TraceItem::Batch(requests) => {
-                FleetWorkItem::Batch(requests.iter().map(|r| materialize(r, space)).collect())
-            }
-        })
-        .collect()
-}
-
-/// Replays `trace` serially into `fleet` (appending to its merged
-/// decision log).
-pub fn replay_fleet(fleet: &mut AdmissionFleet, trace: &AdmissionTrace) {
-    let space = fleet.platform().resources();
-    let items = fleet_items(trace, space);
-    fleet.replay(&items);
-}
-
-/// Replays `trace` into `engine` exactly like [`replay`], additionally
-/// appending one write-ahead [`DecisionJournal`] record per decision:
+/// [`AdmissionEngine::submit_batch`]. Returns the write-ahead
+/// [`DecisionJournal`] of the replayed items, one record per item:
 /// the request's canonical trace line paired with the engine's
 /// byte-stable decision line (batch records keep requests in
 /// submission order and decisions in the engine's canonical order).
 /// Persisting the rendered journal lets [`recover`] reconstruct a
 /// bit-identical replacement engine after a crash.
-pub fn replay_journaled(engine: &mut AdmissionEngine, trace: &AdmissionTrace) -> DecisionJournal {
+pub fn replay(engine: &mut AdmissionEngine, trace: &AdmissionTrace) -> DecisionJournal {
     let space = engine.platform().resources();
     let mut journal = DecisionJournal::new();
     for item in trace.items() {
@@ -699,8 +664,25 @@ pub fn replay_journaled(engine: &mut AdmissionEngine, trace: &AdmissionTrace) ->
     journal
 }
 
+/// Materializes a whole trace into fleet work items (the
+/// pre-materialized form [`AdmissionFleet::replay`] consumes).
+///
+/// [`AdmissionFleet::replay`]: vc2m_alloc::AdmissionFleet::replay
+pub fn fleet_items(trace: &AdmissionTrace, space: ResourceSpace) -> Vec<FleetWorkItem> {
+    trace
+        .items()
+        .iter()
+        .map(|item| match item {
+            TraceItem::Single(request) => FleetWorkItem::Single(materialize(request, space)),
+            TraceItem::Batch(requests) => {
+                FleetWorkItem::Batch(requests.iter().map(|r| materialize(r, space)).collect())
+            }
+        })
+        .collect()
+}
+
 /// Reconstructs a replacement [`AdmissionEngine`] from a journal
-/// written by [`replay_journaled`] (or any journal whose request lines
+/// written by [`replay`] (or any journal whose request lines
 /// are canonical trace request lines): every journaled request is
 /// re-parsed, re-materialized, and replayed into a fresh engine with
 /// `config`, and each regenerated decision line is byte-compared
@@ -721,7 +703,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc2m_alloc::{AdmissionConfig, FleetConfig};
+    use vc2m_alloc::{AdmissionConfig, AdmissionFleet, FleetConfig};
     use vc2m_model::Platform;
 
     #[test]
@@ -777,6 +759,11 @@ mod tests {
         assert!(AdmissionTrace::parse("batch 1\ndepart 1")
             .unwrap_err()
             .contains("only arrivals"));
+        // An empty batch is rejected with its line number: it would
+        // decide nothing yet still count as an engine batch.
+        let err =
+            AdmissionTrace::parse("arrive 1 0.100 3\nbatch 0\narrive 2 0.100 4").unwrap_err();
+        assert!(err.contains("line 2") && err.contains("at least 1"), "{err}");
         assert!(AdmissionTrace::parse("arrive 1 0.1 3 9")
             .unwrap_err()
             .contains("trailing"));
@@ -856,7 +843,7 @@ mod tests {
         let mut engine = AdmissionEngine::new(platform, AdmissionConfig::new(42));
         replay(&mut engine, &trace);
         let mut fleet = AdmissionFleet::new(platform, FleetConfig::new(1, 42));
-        replay_fleet(&mut fleet, &trace);
+        fleet.replay(&fleet_items(&trace, platform.resources()), 1).unwrap();
         assert_eq!(fleet.log_text(), engine.log_text());
         assert_eq!(&fleet.aggregate_stats(), engine.stats());
     }
@@ -947,7 +934,7 @@ mod tests {
         let platform = Platform::platform_a();
         let config = AdmissionConfig::new(42);
         let mut engine = AdmissionEngine::new(platform, config);
-        let journal = replay_journaled(&mut engine, &trace);
+        let journal = replay(&mut engine, &trace);
         assert_eq!(journal.decisions(), trace.len());
         // The persisted text form round-trips.
         let text = journal.render();

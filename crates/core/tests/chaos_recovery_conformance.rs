@@ -1,11 +1,11 @@
 //! Chaos and recovery conformance: fault-armed fleets and journaled
 //! engines against their ground truths.
 //!
-//! 1. Fault-armed parallel replay IS fault-armed serial replay at
-//!    every thread count — faults, evacuations, and retries are all
-//!    decided from router bookkeeping during the routing pass, so the
-//!    merged log (including `evac` lines), the counters, the alive
-//!    set, and the exhaustion records cannot depend on scheduling.
+//! 1. Fault-armed replay is thread-count invariant — faults,
+//!    evacuations, and retries are all decided from router
+//!    bookkeeping during the routing pass, so the merged log
+//!    (including `evac` lines), the counters, the alive set, and the
+//!    exhaustion records cannot depend on scheduling.
 //! 2. A fault plan is a pure function of `(seed, hosts, spec)` — the
 //!    same inputs replay the same chaos, byte for byte.
 //! 3. Survivors are isolated: until the first fault fires, an armed
@@ -15,9 +15,7 @@
 //!    prefix: recover the prefix, re-drive the tail, and the decision
 //!    log, allocation, and counters equal the never-crashed engine's.
 
-use vc2m::admission::{
-    fleet_items, generate, materialize, recover, replay_journaled, TraceRequest, TraceSpec,
-};
+use vc2m::admission::{fleet_items, generate, materialize, recover, replay, TraceRequest, TraceSpec};
 use vc2m::prelude::*;
 
 const SEED: u64 = 42;
@@ -38,7 +36,7 @@ fn chaos_scenario(trace_seed: u64) -> (Vec<FleetWorkItem>, FleetScenario, Platfo
     (items, scenario, platform, FleetConfig::new(4, SEED))
 }
 
-/// Fault-armed parallel == fault-armed serial at 1, 2, and 8 threads,
+/// Fault-armed replay at 1, 2, and 8 threads == at one thread,
 /// across three generated chaos scenarios: merged log bytes (with
 /// `evac` markers), per-host allocations, aggregate and fleet
 /// counters, router loads, the alive set, and exhaustion records.
@@ -50,18 +48,13 @@ fn fault_armed_parallel_replay_is_thread_count_invariant() {
         let (items, scenario, platform, config) = chaos_scenario(trace_seed);
         let mut serial = AdmissionFleet::new(platform, config);
         serial.arm(scenario.clone()).unwrap();
-        serial.replay(&items);
+        serial.replay(&items, 1).unwrap();
         total_faults += serial.router().stats().faults_injected;
         total_evacuated += serial.router().stats().evacuated_vms;
         for threads in [1, 2, 8] {
-            let parallel = AdmissionFleet::replay_parallel_armed(
-                platform,
-                config,
-                scenario.clone(),
-                &items,
-                threads,
-            )
-            .unwrap();
+            let mut parallel = AdmissionFleet::new(platform, config);
+            parallel.arm(scenario.clone()).unwrap();
+            parallel.replay(&items, threads).unwrap();
             assert_eq!(
                 parallel.log_text(),
                 serial.log_text(),
@@ -92,7 +85,7 @@ fn chaos_replay_is_reproducible_from_its_seeds() {
         let (items, scenario, platform, config) = chaos_scenario(9);
         let mut f = AdmissionFleet::new(platform, config);
         f.arm(scenario).unwrap();
-        f.replay(&items);
+        f.replay(&items, 1).unwrap();
         f
     };
     let a = run();
@@ -118,15 +111,15 @@ fn survivors_are_isolated_from_a_crash() {
         Vec::new(),
     );
     let mut faultless = AdmissionFleet::new(platform, config);
-    faultless.replay(&items);
+    faultless.replay(&items, 1).unwrap();
     let mut armed = AdmissionFleet::new(platform, config);
     armed.arm(scenario).unwrap();
-    armed.replay(&items);
+    armed.replay(&items, 1).unwrap();
     // Tickets consumed by the first `crash_item` work items in the
     // fault-free run — the prefix both replays must share byte for
     // byte, because no fault has fired yet.
     let mut prefix = AdmissionFleet::new(platform, config);
-    prefix.replay(&items[..crash_item as usize]);
+    prefix.replay(&items[..crash_item as usize], 1).unwrap();
     let shared = prefix.decisions().len();
     let faultless_text = faultless.log_text();
     let faultless_lines: Vec<&str> = faultless_text.lines().take(shared).collect();
@@ -157,7 +150,7 @@ fn recovery_continues_byte_identically_at_every_journal_prefix() {
     let space = platform.resources();
     let trace = generate(&TraceSpec::new(60, 29));
     let mut reference = AdmissionEngine::new(platform, config);
-    let journal = replay_journaled(&mut reference, &trace);
+    let journal = replay(&mut reference, &trace);
     assert_eq!(journal.decisions(), trace.len());
     let parse = |line: &str| {
         materialize(
