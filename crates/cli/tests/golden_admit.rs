@@ -140,6 +140,31 @@ const METRICS_GOLDEN: &str = r#"{
 }
 "#;
 
+/// A trace line whose utilization rounds to zero milli-units is a
+/// parse error, not a generator panic: the real binary exits with the
+/// CLI's error code and a line-numbered message.
+#[test]
+fn zero_utilization_trace_is_a_line_numbered_error_not_a_panic() {
+    let trace = ScratchFile::new("zero.trace");
+    std::fs::write(&trace.0, "arrive 1 0.000 5\n").expect("trace written");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_vc2m"))
+        .args(["admit", "--trace-in", trace.as_str()])
+        .output()
+        .expect("vc2m runs");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        output.status.code(),
+        Some(2),
+        "stdout: {stdout}\nstderr: {stderr}"
+    );
+    assert!(
+        stdout.contains("line 1") && stdout.contains("rounds to zero"),
+        "{stdout}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
 #[test]
 fn admit_report_matches_golden() {
     let report = ScratchFile::new("report.log");

@@ -379,6 +379,14 @@ fn parse_request_bare(line: &str) -> Result<TraceRequest, String> {
                 return Err(format!("utilization {utilization} out of range"));
             }
             let utilization_milli = (utilization * 1000.0).round() as u32;
+            // A VM must ask for some utilization: below 0.0005 the
+            // request rounds to zero milli-units, which no taskset can
+            // be generated for.
+            if utilization_milli == 0 {
+                return Err(format!(
+                    "utilization {utilization} rounds to zero (the least is 0.0005)"
+                ));
+            }
             let seed = parse_field(fields.next(), "seed")?;
             if keyword == "arrive" {
                 TraceRequest::Arrive {
@@ -775,6 +783,21 @@ mod tests {
         assert!(err.contains("line 2") && err.contains("non-finite"), "{err}");
         let err = AdmissionTrace::parse("arrive 1 -inf 3").unwrap_err();
         assert!(err.contains("non-finite"), "{err}");
+        // A utilization that rounds to zero milli-units is rejected
+        // with its line number; the least accepted one is 0.0005.
+        let err = AdmissionTrace::parse("arrive 1 0.000 5").unwrap_err();
+        assert!(err.contains("line 1") && err.contains("rounds to zero"), "{err}");
+        let err = AdmissionTrace::parse("depart 2\nmode 1 0.0004 5").unwrap_err();
+        assert!(err.contains("line 2") && err.contains("rounds to zero"), "{err}");
+        assert!(TraceRequest::parse_line("arrive 1 0 5").is_err());
+        assert_eq!(
+            AdmissionTrace::parse("arrive 1 0.0005 5").unwrap().items(),
+            [TraceItem::Single(TraceRequest::Arrive {
+                vm: 1,
+                utilization_milli: 1,
+                seed: 5,
+            })]
+        );
         // Host-dimension directive errors carry line numbers too.
         let err = AdmissionTrace::parse("hosts 0").unwrap_err();
         assert!(err.contains("line 1") && err.contains("at least 1"), "{err}");
@@ -946,5 +969,14 @@ mod tests {
         assert_eq!(recovered.log_text(), engine.log_text());
         assert_eq!(recovered.stats(), engine.stats());
         assert_eq!(recovered.allocation(), engine.allocation());
+    }
+
+    #[test]
+    fn recovery_refuses_a_zero_utilization_request() {
+        let mut journal = DecisionJournal::new();
+        journal.append_single("arrive 1 0.000 5".to_string(), "#00000 arrive".to_string());
+        let err = recover(Platform::platform_a(), AdmissionConfig::new(42), &journal)
+            .expect_err("a zero-utilization request cannot be recovered");
+        assert!(err.to_string().contains("rounds to zero"), "{err}");
     }
 }

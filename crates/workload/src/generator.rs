@@ -1,5 +1,6 @@
 //! Random taskset synthesis following Section 5.1 of the paper.
 
+use crate::table::SlowdownTable;
 use crate::{ParsecBenchmark, UtilizationDist};
 use vc2m_rng::{DetRng, Rng};
 use std::fmt;
@@ -48,10 +49,14 @@ impl TasksetConfig {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < min < max` and the range fits the harmonic
-    /// levels (`min · 2^(levels−1) ≤ max`).
+    /// Panics unless `1e-6 ≤ min < max < ∞` (periods are quantized to
+    /// whole nanoseconds, so a shorter one would round to zero) and the
+    /// range fits the harmonic levels (`min · 2^(levels−1) ≤ max`).
     pub fn with_period_range(mut self, min: f64, max: f64) -> Self {
-        assert!(min > 0.0 && min < max, "need 0 < min < max");
+        assert!(
+            min >= 1e-6 && min < max && max.is_finite(),
+            "need 1e-6 <= min < max < inf, got [{min}, {max}]"
+        );
         assert!(
             min * f64::from(1u32 << (self.harmonic_levels - 1)) <= max,
             "period range too narrow for {} harmonic levels",
@@ -176,6 +181,7 @@ impl TasksetGenerator {
         // rounding residue.
         let base = (base * 1e6).round() / 1e6;
 
+        let table = SlowdownTable::for_space(&self.space);
         let mut tasks = Vec::new();
         let mut total_ref_util = 0.0;
         while total_ref_util < self.config.target_utilization {
@@ -184,13 +190,16 @@ impl TasksetGenerator {
             let utilization = self.config.distribution.sample(&mut self.rng);
             let benchmark =
                 self.config.benchmarks[self.rng.gen_range(0..self.config.benchmarks.len())];
-            let slowdown = benchmark.profile().slowdown_surface(&self.space);
-            let max_slowdown = slowdown.max_slowdown();
+            let slowdown = table.entry(benchmark);
             let e_max = utilization * period;
-            let e_ref = e_max / max_slowdown;
-            let surface = slowdown.scaled(e_ref);
+            let e_ref = e_max / slowdown.max_slowdown;
+            let surface = slowdown.surface.scaled(e_ref);
             let id = TaskId(self.next_task_id);
             self.next_task_id += 1;
+            // Audited expect: the period is at least 1 ns (the base is
+            // quantized from a range starting there) and finite, and
+            // e_ref = u·p / s_max with u < 1 ≤ s_max is below it.
+            #[allow(clippy::expect_used)]
             let task = Task::new(id, period, surface)
                 .expect("generated task parameters are valid by construction");
             total_ref_util += task.reference_utilization();
@@ -222,8 +231,8 @@ impl TasksetGenerator {
         buckets
             .into_iter()
             .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(i, b)| VmSpec::new(VmId(i), b).expect("bucket is non-empty"))
+            // An empty bucket is `VmSpec::new`'s only error.
+            .filter_map(|(i, b)| VmSpec::new(VmId(i), b).ok())
             .collect()
     }
 }
@@ -380,6 +389,20 @@ mod tests {
     #[should_panic(expected = "too narrow")]
     fn narrow_period_range_rejected() {
         let _ = TasksetConfig::new(0.5, UtilizationDist::Uniform).with_period_range(100.0, 200.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "need 1e-6 <= min")]
+    fn sub_nanosecond_period_range_rejected() {
+        // The quantized period base would round to zero.
+        let _ = TasksetConfig::new(0.5, UtilizationDist::Uniform).with_period_range(1e-9, 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "need 1e-6 <= min")]
+    fn unbounded_period_range_rejected() {
+        let _ =
+            TasksetConfig::new(0.5, UtilizationDist::Uniform).with_period_range(1.0, f64::INFINITY);
     }
 
     #[test]

@@ -42,10 +42,19 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Robustness: non-test code surfaces failures as typed errors; the few
+// invariant-backed `expect`s and documented panics carry a targeted,
+// justified `#[allow]`. CI runs clippy with `-D warnings`, making these
+// denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod distributions;
 mod generator;
 mod profiles;
+mod table;
 
 pub use distributions::UtilizationDist;
 pub use generator::{TasksetConfig, TasksetGenerator};

@@ -42,6 +42,13 @@ impl ParsecBenchmark {
         ParsecBenchmark::X264,
     ];
 
+    /// The benchmark's position in [`ParsecBenchmark::ALL`]: the
+    /// declaration order of the fieldless enum, which `ALL` lists in
+    /// the same order (pinned by `index_is_position_in_all`).
+    pub(crate) const fn index(self) -> usize {
+        self as usize
+    }
+
     /// The benchmark's lowercase suite name.
     pub fn name(self) -> &'static str {
         match self {
@@ -149,8 +156,11 @@ impl BenchmarkProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `memory_intensity` is outside `[0, 1]` or any other
-    /// parameter is negative or non-finite.
+    /// Panics if `memory_intensity` is outside `[0, 1]`, any other
+    /// parameter is negative or non-finite, or the slowdown could
+    /// overflow `f64` on some resource space (the miss factor is at
+    /// most `1 + miss_gain` and the stall factor at most
+    /// `1 + bw_sensitivity·(u32::MAX − 1)`).
     pub fn new(
         name: &'static str,
         memory_intensity: f64,
@@ -174,6 +184,11 @@ impl BenchmarkProfile {
                 "{what} must be non-negative and finite, got {v}"
             );
         }
+        let worst = (1.0 + miss_gain) * (1.0 + bw_sensitivity * (f64::from(u32::MAX) - 1.0));
+        assert!(
+            worst.is_finite(),
+            "miss_gain {miss_gain} and bw_sensitivity {bw_sensitivity} overflow the slowdown"
+        );
         BenchmarkProfile {
             name,
             memory_intensity,
@@ -200,6 +215,9 @@ impl BenchmarkProfile {
     /// # Panics
     ///
     /// Panics if `alloc` lies outside `space`.
+    // Audited panic: the documented contract above; within the crate
+    // every caller passes a cell of `space.iter()`.
+    #[allow(clippy::panic)]
     pub fn slowdown_at(&self, space: &ResourceSpace, alloc: Alloc) -> f64 {
         space
             .check(alloc)
@@ -223,6 +241,10 @@ impl BenchmarkProfile {
 
     /// The full slowdown surface over `space`, normalized so the
     /// reference cell is exactly 1.
+    // Audited expect: every cell is `(1 − μ) + μ·m·f` with μ ∈ [0, 1]
+    // and both factors ≥ 1, so at least 1; `new` refuses parameters
+    // whose largest possible cell overflows, so every cell is finite.
+    #[allow(clippy::expect_used)]
     pub fn slowdown_surface(&self, space: &ResourceSpace) -> Surface {
         Surface::from_fn(space, |alloc| self.slowdown_at(space, alloc))
             .expect("parametric slowdowns are positive and finite")
@@ -235,7 +257,13 @@ impl BenchmarkProfile {
     ///
     /// # Panics
     ///
-    /// Panics if `sigma` is negative or non-finite.
+    /// Panics if `sigma` is negative or non-finite, or so large that a
+    /// noisy cell overflows `f64`.
+    // Audited expect: the noise factor is floored at 0.01 and every
+    // model cell is finite and at least 1, so each noisy cell is
+    // positive; it is finite unless `sigma` overflows it, the panic
+    // documented above.
+    #[allow(clippy::expect_used)]
     pub fn measured_surface<R: Rng>(
         &self,
         space: &ResourceSpace,
@@ -408,6 +436,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, bench) in ParsecBenchmark::ALL.into_iter().enumerate() {
+            assert_eq!(bench.index(), i, "{bench}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow the slowdown")]
+    fn overflowing_parameters_rejected() {
+        let _ = BenchmarkProfile::new("huge", 0.5, 4.0, 1.0, 1e300, 1e300);
     }
 
     #[test]

@@ -132,3 +132,93 @@ fn same_seed_same_taskset_different_seed_probably_not() {
         assert_eq!(make(seed), make(seed));
     });
 }
+
+/// A random valid resource space, small enough to keep cases cheap.
+fn arb_space(rng: &mut DetRng) -> ResourceSpace {
+    let cache_min = rng.gen_range(1u32..4);
+    let bw_min = rng.gen_range(1u32..4);
+    ResourceSpace::new(
+        cache_min,
+        cache_min + rng.gen_range(0u32..16),
+        bw_min,
+        bw_min + rng.gen_range(0u32..16),
+    )
+    .expect("minimums are positive and below their maximums")
+}
+
+/// A random non-empty benchmark pool (repeats allowed, as the
+/// configuration permits).
+fn arb_pool(rng: &mut DetRng) -> Vec<ParsecBenchmark> {
+    let len = rng.gen_range(1usize..8);
+    (0..len).map(|_| ParsecBenchmark::sample(rng)).collect()
+}
+
+fn arb_generator(rng: &mut DetRng, space: ResourceSpace) -> TasksetGenerator {
+    let config = TasksetConfig::new(rng.gen_range(0.05f64..1.0), arb_dist(rng))
+        .with_benchmarks(arb_pool(rng));
+    TasksetGenerator::new(space, config, rng.gen_range(0u64..10_000))
+}
+
+/// Every generated task's WCET surface is, bit for bit, its
+/// benchmark's slowdown surface computed afresh and scaled by the
+/// task's reference WCET — the per-task computation the per-space
+/// table must reproduce.
+fn assert_surfaces_match_per_task_path(generator: &mut TasksetGenerator, space: ResourceSpace) {
+    for (task, bench) in generator.generate_with_benchmarks() {
+        let surface = task.wcet_surface();
+        assert_eq!(surface.space(), &space);
+        let oracle = bench
+            .profile()
+            .slowdown_surface(&space)
+            .scaled(surface.reference());
+        for ((alloc, got), (_, want)) in surface.iter().zip(oracle.iter()) {
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{bench} at {alloc} over {space}"
+            );
+        }
+    }
+}
+
+#[test]
+fn slowdown_table_is_bit_identical_to_the_per_task_surfaces() {
+    check(48, |rng| {
+        // Two to five spaces, the paper's platforms among random ones,
+        // generated from in interleaved rounds on this thread: a table
+        // keyed or indexed wrongly, or evicted and rebuilt wrongly,
+        // hands one generator another space's or benchmark's surface.
+        let spaces: Vec<ResourceSpace> = (0..rng.gen_range(2usize..6))
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    arb_platform(rng).resources()
+                } else {
+                    arb_space(rng)
+                }
+            })
+            .collect();
+        let mut generators: Vec<TasksetGenerator> = spaces
+            .iter()
+            .map(|&space| arb_generator(rng, space))
+            .collect();
+        for _ in 0..2 {
+            for (generator, &space) in generators.iter_mut().zip(&spaces) {
+                assert_surfaces_match_per_task_path(generator, space);
+            }
+        }
+        // The same on two spawned threads, each with its own cache, in
+        // a quarter of the cases (spawning dominates a case's cost).
+        if !rng.gen_bool(0.25) {
+            return;
+        }
+        let mut workers: Vec<(TasksetGenerator, ResourceSpace)> = spaces[..2]
+            .iter()
+            .map(|&space| (arb_generator(rng, space), space))
+            .collect();
+        std::thread::scope(|scope| {
+            for (generator, space) in &mut workers {
+                scope.spawn(move || assert_surfaces_match_per_task_path(generator, *space));
+            }
+        });
+    });
+}
