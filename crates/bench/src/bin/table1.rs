@@ -9,10 +9,10 @@
 //! on a Xeon; the reproduction target is the shape — throttling is
 //! much cheaper than replenishment.
 
-use vc2m::hypervisor::HandlerKind;
+use vc2m::hypervisor::{HandlerKind, HandlerStats};
 use vc2m::model::SimDuration;
 use vc2m::prelude::*;
-use vc2m_bench::{scheduler_stress_system, stat_cells, write_results};
+use vc2m_bench::{require_handler_timing, scheduler_stress_system, stat_cells, write_results};
 
 fn main() {
     // A 4-core system whose tasks generate 1.5× their bandwidth
@@ -22,11 +22,16 @@ fn main() {
     let (allocation, tasks) = scheduler_stress_system(&platform, 24);
     let config = SimConfig::default()
         .with_horizon(SimDuration::from_ms(10_000.0))
-        .with_traffic_fraction(1.5);
+        .with_traffic_fraction(1.5)
+        .with_handler_timing(true);
     let report = HypervisorSim::new(&platform, &allocation, &tasks, config)
         .expect("realizable allocation")
         .run()
         .expect("fault-free run succeeds");
+    if let Err(e) = require_handler_timing(&report) {
+        eprintln!("table1: {e}");
+        std::process::exit(1);
+    }
 
     println!("Table 1: memory bandwidth regulator's overhead (us)\n");
     println!(
@@ -36,7 +41,7 @@ fn main() {
     let mut csv = String::from("handler,min_us,avg_us,max_us,samples\n");
     for kind in [HandlerKind::Throttle, HandlerKind::BwReplenish] {
         let stats = report.handler_overheads.get(&kind);
-        let (min, avg, max) = stat_cells(stats);
+        let (min, avg, max) = stat_cells(stats.and_then(HandlerStats::timing));
         let samples = stats.map_or(0, |s| s.count());
         println!(
             "{:<34} {min:>8.3} {avg:>8.3} {max:>8.3}   ({samples})",

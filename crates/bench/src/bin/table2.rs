@@ -9,10 +9,10 @@
 //! Reproduction target: overheads grow slowly as the number of VCPUs
 //! quadruples.
 
-use vc2m::hypervisor::HandlerKind;
+use vc2m::hypervisor::{HandlerKind, HandlerStats};
 use vc2m::model::SimDuration;
 use vc2m::prelude::*;
-use vc2m_bench::{scheduler_stress_system, stat_cells, write_results};
+use vc2m_bench::{require_handler_timing, scheduler_stress_system, stat_cells, write_results};
 
 fn main() {
     let platform = Platform::platform_a();
@@ -20,11 +20,17 @@ fn main() {
     println!("Table 2: scheduler's overhead (us)\n");
     for vcpu_count in [24usize, 96] {
         let (allocation, tasks) = scheduler_stress_system(&platform, vcpu_count);
-        let config = SimConfig::default().with_horizon(SimDuration::from_ms(10_000.0));
+        let config = SimConfig::default()
+            .with_horizon(SimDuration::from_ms(10_000.0))
+            .with_handler_timing(true);
         let report = HypervisorSim::new(&platform, &allocation, &tasks, config)
             .expect("realizable allocation")
             .run()
             .expect("fault-free run succeeds");
+        if let Err(e) = require_handler_timing(&report) {
+            eprintln!("table2: {e}");
+            std::process::exit(1);
+        }
         println!("{vcpu_count} VCPUs:");
         println!(
             "  {:<26} {:>8} {:>8} {:>8}   (samples)",
@@ -36,7 +42,7 @@ fn main() {
             HandlerKind::ContextSwitch,
         ] {
             let stats = report.handler_overheads.get(&kind);
-            let (min, avg, max) = stat_cells(stats);
+            let (min, avg, max) = stat_cells(stats.and_then(HandlerStats::timing));
             let samples = stats.map_or(0, |s| s.count());
             println!(
                 "  {:<26} {min:>8.3} {avg:>8.3} {max:>8.3}   ({samples})",

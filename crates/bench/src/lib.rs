@@ -22,6 +22,7 @@ pub mod timing;
 use std::fs;
 use std::path::PathBuf;
 use vc2m::alloc::{CoreAssignment, SystemAllocation};
+use vc2m::hypervisor::SimReport;
 use vc2m::model::{
     Alloc, BudgetSurface, Platform, Task, TaskId, TaskSet, VcpuId, VcpuSpec, VmId, WcetSurface,
 };
@@ -120,6 +121,29 @@ pub fn stat_cells(stats: Option<&vc2m::simcore::MinAvgMax>) -> (f64, f64, f64) {
     }
 }
 
+/// Checks that the run timed every handler it invoked, so a table
+/// never prints NaN for a handler that ran.
+///
+/// # Errors
+///
+/// Names the first invoked handler without durations: the run was
+/// built without
+/// [`SimConfig::with_handler_timing`](vc2m::hypervisor::SimConfig::with_handler_timing).
+pub fn require_handler_timing(report: &SimReport) -> Result<(), String> {
+    match report
+        .handler_overheads
+        .iter()
+        .find(|(_, stats)| stats.timing().is_none())
+    {
+        Some((kind, stats)) => Err(format!(
+            "handler \"{kind}\" ran {} times untimed; build the run with \
+             SimConfig::with_handler_timing(true)",
+            stats.count()
+        )),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,6 +162,26 @@ mod tests {
                 assert!(u > 0.5, "core {k} underloaded: {u}");
             }
         }
+    }
+
+    #[test]
+    fn untimed_handlers_are_refused() {
+        use vc2m::hypervisor::{HandlerKind, HandlerStats};
+        let mut report = SimReport::default();
+        assert_eq!(require_handler_timing(&report), Ok(()));
+        report.handler_overheads.insert(
+            HandlerKind::Scheduling,
+            HandlerStats::timed([1.0, 3.0].into_iter().collect()),
+        );
+        assert_eq!(require_handler_timing(&report), Ok(()));
+        report
+            .handler_overheads
+            .insert(HandlerKind::ContextSwitch, HandlerStats::untimed(7));
+        let err = require_handler_timing(&report).unwrap_err();
+        assert!(
+            err.contains("Context switching") && err.contains("7 times"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -27,8 +27,9 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-#[test]
-fn stress_system_run_is_pinned() {
+/// The benchmark's system over 1 000 ms, built with `config`'s other
+/// settings.
+fn stress_sim(config: SimConfig) -> HypervisorSim {
     let platform = Platform::platform_a();
     let (allocation, tasks) = vc2m_bench::scheduler_stress_system(&platform, 96);
     let mut rng = DetRng::seed_from_u64(42);
@@ -36,14 +37,19 @@ fn stress_system_run_is_pinned() {
         .iter()
         .map(|t| (t.id(), rng.gen_f64() * 10.0))
         .collect();
-    let config = SimConfig::default()
+    let config = config
         .with_horizon(SimDuration::from_ms(1_000.0))
-        .with_traffic_fraction(0.6)
-        .with_trace_capacity(TRACE_CAPACITY);
+        .with_traffic_fraction(0.6);
     let mut sim = HypervisorSim::new(&platform, &allocation, &tasks, config).unwrap();
     for (task, offset) in offsets {
         sim = sim.with_task_offset(task, offset).unwrap();
     }
+    sim
+}
+
+#[test]
+fn stress_system_run_is_pinned() {
+    let sim = stress_sim(SimConfig::default().with_trace_capacity(TRACE_CAPACITY));
     let (report, observation) = sim.run_observed().unwrap();
 
     assert_eq!(
@@ -83,4 +89,24 @@ fn stress_system_run_is_pinned() {
     // Table order: throttle, bw_replenish, cpu_replenish, scheduling,
     // context_switch.
     assert_eq!(counts, vec![0, 1_000, 9_504, 34_077, 15_860]);
+}
+
+#[test]
+fn handler_timing_changes_only_the_durations() {
+    let untimed = stress_sim(SimConfig::default()).run().unwrap();
+    let timed = stress_sim(SimConfig::default().with_handler_timing(true))
+        .run()
+        .unwrap();
+
+    // `structural_eq` compares the handler counts too.
+    assert!(untimed.structural_eq(&timed));
+    assert_eq!(untimed.handler_overheads.len(), 4, "all but throttle run");
+    for stats in untimed.handler_overheads.values() {
+        assert_eq!((stats.min(), stats.avg(), stats.max()), (None, None, None));
+    }
+    for (kind, stats) in &timed.handler_overheads {
+        let (min, avg, max) = (stats.min(), stats.avg(), stats.max());
+        assert!(min.is_some() && avg.is_some() && max.is_some(), "{kind}");
+        assert!(min <= avg && avg <= max, "{kind}: {min:?} {avg:?} {max:?}");
+    }
 }

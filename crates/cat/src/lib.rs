@@ -38,6 +38,13 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Robustness: non-test code reports failures as typed `CatError`s or
+// documented `# Panics` preconditions, never a bare unwrap. CI runs
+// clippy with `-D warnings`, making these denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod controller;
 mod error;

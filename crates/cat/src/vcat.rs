@@ -13,12 +13,9 @@ use crate::{CacheMask, CatError};
 /// that the guest addresses as partitions `0..size`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VcatDomain {
-    /// Physical partition index where the domain starts.
-    physical_start: u32,
-    /// Number of partitions in the domain.
-    size: u32,
-    /// Total partitions of the physical cache.
-    physical_total: u32,
+    /// The physical region backing the domain, validated once when the
+    /// domain is built.
+    region: CacheMask,
 }
 
 impl VcatDomain {
@@ -32,11 +29,8 @@ impl VcatDomain {
     ///   physical cache.
     pub fn new(physical_start: u32, size: u32, physical_total: u32) -> Result<Self, CatError> {
         // Reuse mask validation: the domain is itself a contiguous region.
-        let _ = CacheMask::new(physical_start, size, physical_total)?;
         Ok(VcatDomain {
-            physical_start,
-            size,
-            physical_total,
+            region: CacheMask::new(physical_start, size, physical_total)?,
         })
     }
 
@@ -44,22 +38,17 @@ impl VcatDomain {
     /// mask (e.g. one produced by a
     /// [`PartitionPlan`](crate::PartitionPlan)).
     pub fn from_mask(mask: CacheMask) -> Self {
-        VcatDomain {
-            physical_start: mask.start(),
-            size: mask.ways(),
-            physical_total: mask.total(),
-        }
+        VcatDomain { region: mask }
     }
 
     /// Size of the virtual partition space.
     pub fn size(&self) -> u32 {
-        self.size
+        self.region.ways()
     }
 
     /// The physical region backing the domain.
     pub fn physical_mask(&self) -> CacheMask {
-        CacheMask::new(self.physical_start, self.size, self.physical_total)
-            .expect("domain was validated at construction")
+        self.region
     }
 
     /// Translates a guest mask request — virtual partitions
@@ -80,18 +69,18 @@ impl VcatDomain {
             .checked_add(len)
             .ok_or(CatError::VirtualOutOfRange {
                 virtual_index: virtual_start,
-                domain_size: self.size,
+                domain_size: self.size(),
             })?;
-        if end > self.size {
+        if end > self.size() {
             return Err(CatError::VirtualOutOfRange {
                 virtual_index: end - 1,
-                domain_size: self.size,
+                domain_size: self.size(),
             });
         }
         CacheMask::new(
-            self.physical_start + virtual_start,
+            self.region.start() + virtual_start,
             len,
-            self.physical_total,
+            self.region.total(),
         )
     }
 }

@@ -48,6 +48,12 @@ pub struct SimConfig {
     /// (see [`SupplyLog`](crate::SupplyLog)). Off by default — logs
     /// grow with the number of preemptions.
     pub record_supply: bool,
+    /// Whether to time each handler invocation for the paper's overhead
+    /// Tables 1 and 2 (see
+    /// [`SimReport::handler_overheads`](crate::SimReport)). Off by
+    /// default — handlers are then only counted, and each invocation
+    /// saves two reads of the tick counter.
+    pub handler_timing: bool,
 }
 
 impl Default for SimConfig {
@@ -60,6 +66,7 @@ impl Default for SimConfig {
             synchronize_releases: true,
             trace_capacity: 0,
             record_supply: false,
+            handler_timing: false,
         }
     }
 }
@@ -95,6 +102,12 @@ impl SimConfig {
     /// Returns a copy with supply recording toggled.
     pub fn with_supply_recording(mut self, on: bool) -> Self {
         self.record_supply = on;
+        self
+    }
+
+    /// Returns a copy with handler timing toggled.
+    pub fn with_handler_timing(mut self, on: bool) -> Self {
+        self.handler_timing = on;
         self
     }
 
@@ -135,6 +148,7 @@ mod tests {
         assert_eq!(c.regulation_period, SimDuration::from_ms(1.0));
         assert_eq!(c.isolation, IsolationMode::Isolated);
         assert_eq!(c.traffic_fraction, 0.0);
+        assert!(!c.handler_timing);
     }
 
     #[test]
@@ -142,10 +156,12 @@ mod tests {
         let c = SimConfig::default()
             .with_horizon(SimDuration::from_ms(500.0))
             .with_traffic_fraction(1.5)
-            .with_trace_capacity(128);
+            .with_trace_capacity(128)
+            .with_handler_timing(true);
         assert_eq!(c.horizon.as_ms(), 500.0);
         assert_eq!(c.traffic_fraction, 1.5);
         assert_eq!(c.trace_capacity, 128);
+        assert!(c.handler_timing);
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //!   regulator throttles cores that exceed their budgets. The
 //!   resulting [`SimReport`] carries deadline misses (the ground truth
 //!   the analyses are validated against), job counts, throttle events
-//!   and handler-overhead statistics.
-//! * [`probes`] exposes the scheduler and regulator hot paths with
-//!   wall-clock timing, regenerating the shape of the paper's
-//!   overhead Tables 1 and 2.
+//!   and per-handler invocation counts.
+//! * [`probes`] counts the scheduler and regulator hot paths and, when
+//!   [`SimConfig::handler_timing`] is on, times them, regenerating the
+//!   shape of the paper's overhead Tables 1 and 2.
 //! * [`interference`] models co-runner interference on the shared
 //!   cache and memory bus, with and without vC²M's isolation — the
 //!   WCET-impact study of Section 3.3.
@@ -80,6 +80,6 @@ pub use fault::{
     Fault, FaultKind, FaultPlan, FaultPlanSpec, FaultStats, FaultTargets, ScheduledFault,
 };
 pub use regulation::{RegulationViolation, SupplyLog};
-pub use report::{DeadlineMiss, HandlerKind, SimReport};
+pub use report::{DeadlineMiss, HandlerKind, HandlerStats, SimReport};
 pub use sim::{HypervisorSim, SimBuildError};
 pub use trace::{SimObservation, TraceEvent};

@@ -66,6 +66,71 @@ impl fmt::Display for HandlerKind {
     }
 }
 
+/// One handler kind's invocations in a run: the exact count, always,
+/// and the wall-clock durations when the run timed its handlers
+/// ([`SimConfig::handler_timing`](crate::SimConfig)).
+///
+/// The count is deterministic — the same system and configuration
+/// invoke each handler the same number of times on every run — while
+/// the durations are wall-clock measurements of this host.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HandlerStats {
+    count: u64,
+    timing: Option<MinAvgMax>,
+}
+
+impl HandlerStats {
+    /// `count` invocations that were not timed.
+    pub fn untimed(count: u64) -> Self {
+        HandlerStats {
+            count,
+            timing: None,
+        }
+    }
+
+    /// Timed invocations, one duration sample (in microseconds) each.
+    pub fn timed(durations_us: MinAvgMax) -> Self {
+        HandlerStats {
+            count: durations_us.count(),
+            timing: Some(durations_us),
+        }
+    }
+
+    /// Number of invocations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The durations in microseconds, or `None` if untimed.
+    pub fn timing(&self) -> Option<&MinAvgMax> {
+        self.timing.as_ref()
+    }
+
+    /// Shortest invocation in microseconds, or `None` if untimed.
+    pub fn min(&self) -> Option<f64> {
+        self.timing.as_ref().and_then(MinAvgMax::min)
+    }
+
+    /// Mean invocation in microseconds, or `None` if untimed.
+    pub fn avg(&self) -> Option<f64> {
+        self.timing.as_ref().and_then(MinAvgMax::avg)
+    }
+
+    /// Longest invocation in microseconds, or `None` if untimed.
+    pub fn max(&self) -> Option<f64> {
+        self.timing.as_ref().and_then(MinAvgMax::max)
+    }
+}
+
+impl fmt::Display for HandlerStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.timing {
+            Some(timing) => write!(f, "{timing} us"),
+            None => write!(f, "{} calls, untimed", self.count),
+        }
+    }
+}
+
 /// The outcome of a simulation run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimReport {
@@ -79,8 +144,11 @@ pub struct SimReport {
     pub throttle_events: u64,
     /// VCPU context switches across all cores.
     pub context_switches: u64,
-    /// Measured wall-clock cost of each handler path, in microseconds.
-    pub handler_overheads: BTreeMap<HandlerKind, MinAvgMax>,
+    /// Each handler path's invocation count and, when
+    /// [`SimConfig::handler_timing`](crate::SimConfig) is on, its
+    /// wall-clock cost in microseconds. A kind is present iff it was
+    /// invoked.
+    pub handler_overheads: BTreeMap<HandlerKind, HandlerStats>,
     /// Observed response times per task, in milliseconds.
     pub response_times: BTreeMap<TaskId, MinAvgMax>,
     /// Per-VCPU execution-interval logs, present when
@@ -104,9 +172,11 @@ impl SimReport {
         self.response_times.get(&task).and_then(MinAvgMax::max)
     }
 
-    /// Exact field-wise equality over every **deterministic** field,
-    /// ignoring only `handler_overheads` — the one field holding
-    /// wall-clock measurements, which legitimately differ run to run.
+    /// Exact field-wise equality over every **deterministic** field:
+    /// everything but the durations in `handler_overheads` — the
+    /// wall-clock measurements, which legitimately differ run to run
+    /// and are absent from untimed runs. The handler counts are
+    /// compared.
     ///
     /// This is the single notion of report equality the suites pin:
     /// replay determinism, observation passivity (a traced run reports
@@ -120,10 +190,18 @@ impl SimReport {
             && self.jobs_released == other.jobs_released
             && self.throttle_events == other.throttle_events
             && self.context_switches == other.context_switches
+            && self.handler_counts().eq(other.handler_counts())
             && self.response_times == other.response_times
             && self.supply_logs == other.supply_logs
             && self.core_times == other.core_times
             && self.horizon_ms == other.horizon_ms
+    }
+
+    /// Each invoked handler kind with its invocation count.
+    fn handler_counts(&self) -> impl Iterator<Item = (HandlerKind, u64)> + '_ {
+        self.handler_overheads
+            .iter()
+            .map(|(&kind, stats)| (kind, stats.count()))
     }
 
     /// Total energy of the run under `model` and the given throttling
@@ -150,7 +228,7 @@ impl fmt::Display for SimReport {
             self.context_switches
         )?;
         for (kind, stats) in &self.handler_overheads {
-            writeln!(f, "  {kind}: {stats} us")?;
+            writeln!(f, "  {kind}: {stats}")?;
         }
         Ok(())
     }
@@ -184,12 +262,35 @@ mod tests {
             horizon_ms: 100.0,
             ..SimReport::default()
         };
+        a.handler_overheads
+            .insert(HandlerKind::Scheduling, HandlerStats::untimed(2));
         let mut b = a.clone();
         assert!(a.structural_eq(&b));
 
-        // Wall-clock overheads differing must NOT break equality.
+        // Wall-clock durations differing (or absent on one side) must
+        // NOT break equality.
+        b.handler_overheads.insert(
+            HandlerKind::Scheduling,
+            HandlerStats::timed([1.0, 2.0].into_iter().collect()),
+        );
+        assert!(a.structural_eq(&b));
+        a.handler_overheads.insert(
+            HandlerKind::Scheduling,
+            HandlerStats::timed([3.0, 4.0].into_iter().collect()),
+        );
+        assert!(a.structural_eq(&b));
+
+        // Different handler counts must break it, as must a kind
+        // invoked on one side only.
         b.handler_overheads
-            .insert(HandlerKind::Scheduling, [1.0, 2.0].into_iter().collect());
+            .insert(HandlerKind::Scheduling, HandlerStats::untimed(3));
+        assert!(!a.structural_eq(&b));
+        b.handler_overheads
+            .insert(HandlerKind::Scheduling, HandlerStats::untimed(2));
+        b.handler_overheads
+            .insert(HandlerKind::Throttle, HandlerStats::untimed(1));
+        assert!(!a.structural_eq(&b));
+        b.handler_overheads.remove(&HandlerKind::Throttle);
         assert!(a.structural_eq(&b));
 
         // Any deterministic field differing must break it.
@@ -205,6 +306,24 @@ mod tests {
             deadline: SimTime::from_ms(10.0),
         });
         assert!(!a.structural_eq(&b));
+    }
+
+    #[test]
+    fn handler_stats_report_timing_only_when_timed() {
+        let untimed = HandlerStats::untimed(5);
+        assert_eq!(untimed.count(), 5);
+        assert_eq!(
+            (untimed.min(), untimed.avg(), untimed.max()),
+            (None, None, None)
+        );
+        assert_eq!(untimed.to_string(), "5 calls, untimed");
+        let timed = HandlerStats::timed([1.0, 3.0].into_iter().collect());
+        assert_eq!(timed.count(), 2);
+        assert_eq!(
+            (timed.min(), timed.avg(), timed.max()),
+            (Some(1.0), Some(2.0), Some(3.0))
+        );
+        assert_eq!(timed.to_string(), "min 1.00 | avg 2.00 | max 3.00 us");
     }
 
     #[test]

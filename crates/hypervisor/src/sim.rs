@@ -492,7 +492,7 @@ impl HypervisorSim {
             reallocations: Vec::new(),
             platform: *platform,
             cat,
-            probes: Probes::new(),
+            probes: Probes::new(config.handler_timing),
             trace,
             supply_logs,
             fault_plan: None,
@@ -973,7 +973,8 @@ impl HypervisorSim {
             jobs_released: self.jobs_released,
             throttle_events: self.throttle_events,
             context_switches: self.context_switches,
-            handler_overheads: std::mem::take(&mut self.probes).into_map(),
+            handler_overheads: std::mem::replace(&mut self.probes, Probes::new(false))
+                .into_map(),
             response_times: self
                 .tasks
                 .iter()

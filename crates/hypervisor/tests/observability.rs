@@ -151,18 +151,11 @@ fn tardy_job_keeps_running_and_is_counted_once() {
     );
 }
 
-/// Asserts two reports are bit-identical in every deterministic field.
-/// `handler_overheads` is wall-clock (`Instant`-probed), so it is
-/// compared structurally — same handlers, same sample counts.
+/// Asserts two reports are bit-identical in every deterministic field,
+/// the handler invocation counts included; only handler durations
+/// (wall-clock) may differ.
 fn assert_reports_identical(a: &vc2m_hypervisor::SimReport, b: &vc2m_hypervisor::SimReport) {
     assert!(a.structural_eq(b), "reports differ structurally");
-    let keys = |r: &vc2m_hypervisor::SimReport| {
-        r.handler_overheads
-            .iter()
-            .map(|(k, v)| (*k, v.count()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(keys(a), keys(b));
 }
 
 #[test]

@@ -305,7 +305,8 @@ fn overhead_probes_populate() {
             alloc: Alloc::new(10, 10),
         }],
     );
-    let report = HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, short_config())
+    let config = short_config().with_handler_timing(true);
+    let report = HypervisorSim::new(&Platform::platform_a(), &allocation, &tasks, config)
         .unwrap()
         .run()
         .unwrap();

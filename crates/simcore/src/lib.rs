@@ -28,6 +28,13 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Robustness: non-test code surfaces failures as typed errors or
+// documented `# Panics` preconditions, never a bare unwrap. CI runs
+// clippy with `-D warnings`, making these denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod metrics;
 mod queue;

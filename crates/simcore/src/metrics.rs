@@ -56,7 +56,14 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the counter `name` (creating it at zero).
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.entry_counter(name) += delta;
+        // Looked up before inserting so an existing counter's name is
+        // not copied.
+        match self.counters.get_mut(name) {
+            Some(counter) => *counter += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Sets the gauge `name` to `value`.
@@ -120,13 +127,6 @@ impl MetricsRegistry {
     /// Whether the registry holds no metric at all.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    fn entry_counter(&mut self, name: &str) -> &mut u64 {
-        if !self.counters.contains_key(name) {
-            self.counters.insert(name.to_string(), 0);
-        }
-        self.counters.get_mut(name).expect("just inserted")
     }
 }
 

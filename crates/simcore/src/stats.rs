@@ -1,5 +1,6 @@
 //! Online min/avg/max accumulator.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Streaming minimum / average / maximum of a sequence of samples —
@@ -298,8 +299,10 @@ impl SampleSet {
             return None;
         }
         if !self.sorted {
+            // `record` admits only finite samples, so `partial_cmp`
+            // always orders them; `Equal` is never taken.
             self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("samples are finite"));
+                .sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
             self.sorted = true;
         }
         let n = self.samples.len();
