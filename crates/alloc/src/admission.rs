@@ -91,6 +91,7 @@ use crate::hypervisor_level::{evenly_partitioned, heuristic_with_features, Heuri
 use crate::kmeans::Features;
 use crate::result::{CoreAssignment, SystemAllocation};
 use crate::solution::Solution;
+use crate::text::{self, Render, Sink};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use vc2m_analysis::core_check::{self, UTILIZATION_EPS};
@@ -263,26 +264,70 @@ pub struct AdmissionDecision {
 
 impl AdmissionDecision {
     /// Renders the byte-stable log line this decision contributes to
-    /// the decision log (fixed-width index, fixed six-digit floats).
+    /// the decision log (fixed-width index, fixed six-digit floats),
+    /// in a buffer of exactly its length.
     pub fn log_line(&self) -> String {
-        let verdict = match &self.verdict {
-            AdmissionVerdict::Admitted { path } => format!("admitted/{}", path.name()),
-            AdmissionVerdict::Rejected { reason } => format!("rejected ({reason})"),
-            AdmissionVerdict::Degraded { reason } => format!("degraded ({reason})"),
-            AdmissionVerdict::Departed => "departed".to_string(),
-        };
-        format!(
-            "#{:05} {} vm={} u={:.6} -> {} | vms={} vcpus={} cores={} load={:.6}",
-            self.index,
-            self.kind.name(),
-            self.vm.0,
-            self.utilization,
-            verdict,
-            self.vms,
-            self.vcpus,
-            self.cores,
-            self.load,
-        )
+        text::exact(self)
+    }
+
+    /// Appends [`log_line`](Self::log_line)'s bytes to `out`.
+    pub fn write_log_line(&self, out: &mut String) {
+        self.render(out);
+    }
+}
+
+impl Render for AdmissionDecision {
+    fn render<S: Sink>(&self, out: &mut S) {
+        out.put("#");
+        text::put_u64(out, self.index, 5);
+        out.put(" ");
+        out.put(self.kind.name());
+        out.put(" vm=");
+        text::put_u64(out, self.vm.0 as u64, 0);
+        out.put(" u=");
+        text::put_fixed6(out, self.utilization);
+        out.put(" -> ");
+        match &self.verdict {
+            AdmissionVerdict::Admitted { path } => {
+                out.put("admitted/");
+                out.put(path.name());
+            }
+            AdmissionVerdict::Rejected { reason } => {
+                out.put("rejected (");
+                out.put(reason);
+                out.put(")");
+            }
+            AdmissionVerdict::Degraded { reason } => {
+                out.put("degraded (");
+                out.put(reason);
+                out.put(")");
+            }
+            AdmissionVerdict::Departed => out.put("departed"),
+        }
+        out.put(" | vms=");
+        text::put_u64(out, self.vms as u64, 0);
+        out.put(" vcpus=");
+        text::put_u64(out, self.vcpus as u64, 0);
+        out.put(" cores=");
+        text::put_u64(out, self.cores as u64, 0);
+        out.put(" load=");
+        text::put_fixed6(out, self.load);
+    }
+}
+
+/// The capacity pre-filter's rejection reason:
+/// `demand {demand:.6} exceeds capacity {capacity:.6}`.
+struct CapacityReason {
+    demand: f64,
+    capacity: f64,
+}
+
+impl Render for CapacityReason {
+    fn render<S: Sink>(&self, out: &mut S) {
+        out.put("demand ");
+        text::put_fixed6(out, self.demand);
+        out.put(" exceeds capacity ");
+        text::put_fixed6(out, self.capacity);
     }
 }
 
@@ -598,7 +643,7 @@ impl AdmissionEngine {
     pub fn log_text(&self) -> String {
         let mut text = String::new();
         for d in &self.decisions {
-            text.push_str(&d.log_line());
+            d.write_log_line(&mut text);
             text.push('\n');
         }
         text
@@ -832,7 +877,7 @@ impl AdmissionEngine {
             self.stats.rejected += 1;
             self.stats.capacity_rejects += 1;
             return AdmissionVerdict::Rejected {
-                reason: format!("demand {demand:.6} exceeds capacity {capacity:.6}"),
+                reason: text::exact(&CapacityReason { demand, capacity }),
             };
         }
 
@@ -1494,6 +1539,20 @@ impl AdmissionEngine {
 mod tests {
     use super::*;
     use vc2m_model::{Task, TaskId, TaskSet, WcetSurface};
+
+    #[test]
+    fn capacity_reason_matches_its_format_oracle() {
+        vc2m_rng::cases::check(64, |rng| {
+            for _ in 0..100 {
+                let demand = rng.gen_range(0.0f64..64.0);
+                let capacity = f64::from_bits(rng.next_u64());
+                assert_eq!(
+                    text::exact(&CapacityReason { demand, capacity }),
+                    format!("demand {demand:.6} exceeds capacity {capacity:.6}")
+                );
+            }
+        });
+    }
 
     fn vm(id: usize, wcet_ms: f64, n: usize) -> VmSpec {
         let space = Platform::platform_a().resources();

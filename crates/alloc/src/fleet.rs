@@ -115,6 +115,7 @@ use crate::admission::{
 };
 use crate::degrade::Criticality;
 use crate::error::AllocError;
+use crate::text::{self, Render, Sink};
 use vc2m_analysis::core_check::UTILIZATION_EPS;
 use vc2m_model::{Platform, VmId, VmSpec};
 use vc2m_rng::{DetRng, Rng};
@@ -886,15 +887,38 @@ impl FleetDecision {
     /// ` evac` appended only on evacuation-synthesized decisions (so
     /// fault-free logs are byte-identical to the unarmed fleet's).
     pub fn log_line(&self, hosts: usize) -> String {
-        let mut line = if hosts > 1 {
-            format!("{} host={}", self.decision.log_line(), self.host)
-        } else {
-            self.decision.log_line()
-        };
-        if self.evac {
-            line.push_str(" evac");
+        text::exact(&FleetLine {
+            decision: self,
+            hosts,
+        })
+    }
+
+    /// Appends [`log_line`](Self::log_line)`(hosts)`'s bytes to `out`.
+    pub(crate) fn write_log_line(&self, hosts: usize, out: &mut String) {
+        FleetLine {
+            decision: self,
+            hosts,
         }
-        line
+        .render(out);
+    }
+}
+
+/// A [`FleetDecision`]'s merged-log line for a fleet of `hosts`.
+struct FleetLine<'a> {
+    decision: &'a FleetDecision,
+    hosts: usize,
+}
+
+impl Render for FleetLine<'_> {
+    fn render<S: Sink>(&self, out: &mut S) {
+        self.decision.decision.render(out);
+        if self.hosts > 1 {
+            out.put(" host=");
+            text::put_u64(out, self.decision.host as u64, 0);
+        }
+        if self.decision.evac {
+            out.put(" evac");
+        }
     }
 }
 
@@ -1045,7 +1069,7 @@ impl AdmissionFleet {
     pub fn log_text(&self) -> String {
         let mut text = String::new();
         for d in &self.decisions {
-            text.push_str(&d.log_line(self.config.hosts));
+            d.write_log_line(self.config.hosts, &mut text);
             text.push('\n');
         }
         text

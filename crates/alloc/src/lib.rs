@@ -49,6 +49,7 @@
 
 mod error;
 mod result;
+mod text;
 
 pub mod admission;
 pub mod degrade;

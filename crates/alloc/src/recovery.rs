@@ -47,7 +47,16 @@
 //! a stable one-line form (the trace model's `TraceRequest::render`
 //! in practice).
 
+// Library code reports failures as values: malformed journals and
+// diverging replays are typed errors, never panics. CI runs clippy
+// with `-D warnings`, which makes these denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::admission::{AdmissionConfig, AdmissionEngine, AdmissionRequest};
+use crate::text;
 use std::error::Error;
 use std::fmt;
 use vc2m_model::Platform;
@@ -164,7 +173,9 @@ impl DecisionJournal {
                     text.push('\n');
                 }
                 JournalRecord::Batch { requests, decisions } => {
-                    text.push_str(&format!("batch {}\n", requests.len()));
+                    text.push_str("batch ");
+                    text::put_u64(&mut text, requests.len() as u64, 0);
+                    text.push('\n');
                     for request in requests {
                         text.push_str(request);
                         text.push('\n');
@@ -305,6 +316,8 @@ where
     F: FnMut(&str) -> Result<AdmissionRequest, String>,
 {
     let mut engine = AdmissionEngine::new(platform, config);
+    // One buffer holds each regenerated line in turn.
+    let mut line = String::new();
     for (record, entry) in journal.records().iter().enumerate() {
         match entry {
             JournalRecord::Single { request, decision } => {
@@ -313,12 +326,13 @@ where
                         record,
                         detail,
                     })?;
-                let replayed = engine.submit(materialized).log_line();
-                if &replayed != decision {
+                line.clear();
+                engine.submit(materialized).write_log_line(&mut line);
+                if line != *decision {
                     return Err(RecoveryError::Divergence {
                         record,
                         journaled: decision.clone(),
-                        replayed,
+                        replayed: line,
                     });
                 }
             }
@@ -329,17 +343,15 @@ where
                         RecoveryError::BadRequest { record, detail }
                     })?);
                 }
-                let replayed: Vec<String> = engine
-                    .submit_batch(materialized)
-                    .iter()
-                    .map(|d| d.log_line())
-                    .collect();
-                for (journaled, replayed) in decisions.iter().zip(&replayed) {
-                    if journaled != replayed {
+                let replayed = engine.submit_batch(materialized);
+                for (journaled, replayed) in decisions.iter().zip(replayed) {
+                    line.clear();
+                    replayed.write_log_line(&mut line);
+                    if *journaled != line {
                         return Err(RecoveryError::Divergence {
                             record,
                             journaled: journaled.clone(),
-                            replayed: replayed.clone(),
+                            replayed: line,
                         });
                     }
                 }

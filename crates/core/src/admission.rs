@@ -49,6 +49,16 @@
 //! yields byte-identical decision logs, and a trace file pins its
 //! whole workload.
 
+// Library code reports failures as values: malformed traces are
+// line-numbered errors, and the two generator invariants in
+// `trace_vm` carry audited `#[allow]`s with their reasons. CI runs
+// clippy with `-D warnings`, which makes these denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use std::fmt::Write as _;
 use vc2m_alloc::recovery::{recover_engine, DecisionJournal, RecoveryError};
 use vc2m_alloc::{AdmissionConfig, AdmissionEngine, AdmissionRequest, Criticality, FleetWorkItem};
 use vc2m_model::Platform;
@@ -91,20 +101,25 @@ pub enum TraceRequest {
 impl TraceRequest {
     /// Renders the request's stable one-line text form (also the
     /// request half of a journal record — see [`replay`]).
+    ///
+    /// The utilization prints as `milli / 1000`, `.`, and `milli %
+    /// 1000` padded to three digits: the bytes `{:.3}` prints for
+    /// `milli as f64 / 1000.0`, without rendering a float.
     pub fn render(&self) -> String {
-        match *self {
+        let (keyword, vm, milli, seed) = match *self {
             TraceRequest::Arrive {
                 vm,
                 utilization_milli,
                 seed,
-            } => format!("arrive {vm} {:.3} {seed}", utilization_milli as f64 / 1000.0),
-            TraceRequest::Depart { vm } => format!("depart {vm}"),
+            } => ("arrive", vm, utilization_milli, seed),
+            TraceRequest::Depart { vm } => return format!("depart {vm}"),
             TraceRequest::Mode {
                 vm,
                 utilization_milli,
                 seed,
-            } => format!("mode {vm} {:.3} {seed}", utilization_milli as f64 / 1000.0),
-        }
+            } => ("mode", vm, utilization_milli, seed),
+        };
+        format!("{keyword} {vm} {}.{:03} {seed}", milli / 1000, milli % 1000)
     }
 
     /// Parses a single request line — the inverse of [`render`], for
@@ -231,13 +246,15 @@ impl AdmissionTrace {
     pub fn render(&self) -> String {
         let mut text = String::from(TRACE_HEADER);
         text.push('\n');
+        // Writing into a `String` cannot fail, so the results below
+        // are discarded.
         if self.hosts > 1 {
-            text.push_str(&format!("hosts {}\n", self.hosts));
+            let _ = writeln!(text, "hosts {}", self.hosts);
         }
         if !self.hi_vms.is_empty() {
             text.push_str("crit");
             for vm in &self.hi_vms {
-                text.push_str(&format!(" {vm}"));
+                let _ = write!(text, " {vm}");
             }
             text.push('\n');
         }
@@ -248,7 +265,7 @@ impl AdmissionTrace {
                     text.push('\n');
                 }
                 TraceItem::Batch(requests) => {
-                    text.push_str(&format!("batch {}\n", requests.len()));
+                    let _ = writeln!(text, "batch {}", requests.len());
                     for request in requests {
                         text.push_str(&request.render());
                         text.push('\n');
@@ -281,7 +298,9 @@ impl AdmissionTrace {
             .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
         while let Some((number, line)) = lines.next() {
             let mut fields = line.split_whitespace();
-            let keyword = fields.next().expect("non-empty line has a field");
+            let Some(keyword) = fields.next() else {
+                return Err(format!("line {number}: no keyword"));
+            };
             if keyword == "hosts" {
                 if !items.is_empty() {
                     return Err(format!(
@@ -629,6 +648,10 @@ fn trace_vm(vm: usize, utilization_milli: u32, seed: u64, space: ResourceSpace) 
         .iter()
         .enumerate()
         .map(|(i, task)| {
+            // Invariant: `Task::new` checks only the period and the
+            // surface, never the id, and the generator built `task`
+            // through it from this very period and surface.
+            #[allow(clippy::expect_used)]
             Task::new(
                 TaskId(vm * TASK_ID_STRIDE + i),
                 task.period(),
@@ -637,6 +660,10 @@ fn trace_vm(vm: usize, utilization_milli: u32, seed: u64, space: ResourceSpace) 
             .expect("re-identified task keeps its validity")
         })
         .collect();
+    // Invariant: `TasksetConfig::new` accepted a positive target, and
+    // the generator emits tasks until their utilization reaches it, so
+    // the taskset is non-empty (`VmSpec::new`'s only error).
+    #[allow(clippy::expect_used)]
     VmSpec::new(VmId(vm), tasks).expect("generated taskset is non-empty")
 }
 
@@ -713,6 +740,26 @@ mod tests {
     use super::*;
     use vc2m_alloc::{AdmissionConfig, AdmissionFleet, FleetConfig};
     use vc2m_model::Platform;
+
+    #[test]
+    fn request_render_matches_float_formatting_over_the_parsed_range() {
+        // Every milli value the parser accepts (0.001 ..= 1000.000).
+        for milli in 1..=1_000_000u32 {
+            let expected = format!("{:.3}", milli as f64 / 1000.0);
+            let arrive = TraceRequest::Arrive {
+                vm: 7,
+                utilization_milli: milli,
+                seed: 42,
+            };
+            assert_eq!(arrive.render(), format!("arrive 7 {expected} 42"));
+            let mode = TraceRequest::Mode {
+                vm: 7,
+                utilization_milli: milli,
+                seed: 42,
+            };
+            assert_eq!(mode.render(), format!("mode 7 {expected} 42"));
+        }
+    }
 
     #[test]
     fn generate_is_deterministic_and_sized() {
