@@ -54,19 +54,32 @@
 //! result is a pure function of the working set. No wall clock, no
 //! global state.
 //!
-//! # The per-state repack prefix
+//! # The per-state cache
 //!
-//! Every repack in one engine state seeds the same engine seed and
-//! runs the VM level over the same incumbents before the newcomer, so
-//! the incumbents' VCPUs, the RNG state after their VM-level pass and
-//! their k-means feature rows are the same for every repack until the
-//! state changes. Fast mode builds them once per state, with the state
-//! signature the rejection memo keys on, and a repack appends only
-//! the newcomer to them. Every write to the working set, the VCPUs or
-//! the cores bumps a state generation that retires the prefix.
-//! Reference mode never uses the prefix: it calls
-//! [`allocate_with_degradation`] on every repack and hashes the state
-//! on every signature use, so it stays the naive oracle.
+//! Two things derived from the engine state live exactly as long as
+//! that state, in one per-state cache: the repack prefix and the
+//! rejection memo. Every write to the working set, the VCPUs or the
+//! cores empties both, so neither can describe a state other than
+//! the current one.
+//!
+//! * **Repack prefix** — every repack in one state seeds the same
+//!   engine seed and runs the VM level over the same incumbents
+//!   before the newcomer, so the incumbents' VCPUs, the RNG state
+//!   after their VM-level pass and their k-means feature rows are the
+//!   same for every repack until the state changes. Fast mode builds
+//!   them once per state, and a repack appends only the newcomer.
+//!   Reference mode never uses the prefix: it calls
+//!   [`allocate_with_degradation`] on every repack, so it stays the
+//!   naive oracle.
+//! * **Rejection memo** — the engine is deterministic, so an
+//!   arrival's verdict is a pure function of the state and the
+//!   newcomer. A solver rejection is recorded under the newcomer's
+//!   content signature (id, VCPU cap, every task's id, period and
+//!   WCET surface), and a repeat of that arrival in the same state
+//!   replays the recorded reason instead of re-running the failing
+//!   search. Memo-on and memo-off decision logs are therefore
+//!   bit-identical (pinned by the conformance suite); only the
+//!   `memo_*` counters differ. Reference mode disables the memo.
 //!
 //! # Safety guarantee
 //!
@@ -76,14 +89,6 @@
 //! seeded property suite asserts `verify()` after every request.
 //!
 //! [`allocate_with_degradation`]: crate::allocate_with_degradation
-
-// Library code reports failures as values; the reference oracle's
-// deliberate panic carries an audited `#[allow]` with its reason. CI
-// runs clippy with `-D warnings`, which makes these denials there.
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
 
 use crate::degrade::{allocate_with_degradation, DegradationPolicy};
 use crate::error::AllocError;
@@ -115,12 +120,13 @@ pub struct AdmissionConfig {
     /// verification shortcuts, so it serves as the slow differential
     /// oracle. Reference mode also disables the rejection memo.
     pub reference: bool,
-    /// Saturated-regime rejection memo: remember solver rejections
-    /// keyed by `(state signature, newcomer signature)` so a repeat of
-    /// a just-failed arrival skips the failing solver search. The memo
-    /// never changes a decision — memo-on and memo-off decision logs
-    /// are bit-identical (pinned by the conformance suite) — only the
-    /// cost of reaching it.
+    /// Saturated-regime rejection memo: remember the solver rejections
+    /// of the current state, keyed by the newcomer's content, so a
+    /// repeat of a just-failed arrival skips the failing solver
+    /// search. Any change to the state forgets them. The memo never
+    /// changes a decision — memo-on and memo-off decision logs are
+    /// bit-identical (pinned by the conformance suite) — only the cost
+    /// of reaching it.
     pub memo: bool,
 }
 
@@ -366,7 +372,8 @@ pub struct AdmissionStats {
     pub memo_hits: u64,
     /// Solver rejections recorded into the memo.
     pub memo_inserts: u64,
-    /// Memo invalidations (any state mutation clears it).
+    /// Memo invalidations: state changes that emptied a non-empty
+    /// rejection memo.
     pub memo_invalidations: u64,
 }
 
@@ -426,7 +433,7 @@ pub(crate) fn canonical_vm_order(a: &VmSpec, b: &VmSpec) -> Ordering {
 }
 
 /// FNV-1a 64-bit step, the stable in-tree hash behind the memo
-/// signatures (no `RandomState`, so signatures are identical across
+/// signature (no `RandomState`, so signatures are identical across
 /// runs and platforms).
 fn fnv_mix(hash: &mut u64, word: u64) {
     *hash ^= word;
@@ -468,45 +475,6 @@ fn vm_signature(vm: &VmSpec) -> u64 {
     hash
 }
 
-/// The saturated-regime rejection memo: solver rejections keyed by
-/// `(engine-state signature, newcomer signature)`.
-///
-/// Soundness: the engine is deterministic, so an arrival's verdict is
-/// a pure function of the engine state (working set, VCPUs, core
-/// layout) and the newcomer spec. The state signature hashes all of
-/// that content, and the memo is *additionally* cleared on every state
-/// mutation (admission, departure, committed mode change), so a hit
-/// can only occur when the exact failing computation would be re-run —
-/// the memo replays its recorded verdict instead. Decision logs with
-/// the memo on and off are therefore bit-identical (pinned by the
-/// conformance suite); only `memo_*` counters differ.
-#[derive(Debug, Default)]
-struct RejectionMemo {
-    entries: HashMap<(u64, u64), String>,
-}
-
-impl RejectionMemo {
-    fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    fn get(&self, key: (u64, u64)) -> Option<&String> {
-        self.entries.get(&key)
-    }
-
-    fn insert(&mut self, key: (u64, u64), reason: String) {
-        self.entries.insert(key, reason);
-    }
-
-    fn clear(&mut self) -> bool {
-        if self.entries.is_empty() {
-            return false;
-        }
-        self.entries.clear();
-        true
-    }
-}
-
 /// The no-shed repack policy: one attempt, so an arrival can never
 /// evict an already admitted VM.
 const REPACK_POLICY: DegradationPolicy = DegradationPolicy { max_attempts: 1 };
@@ -525,16 +493,17 @@ struct RepackPrefix {
     features: Features,
 }
 
-/// Values derived from the engine state, valid for one state
-/// generation and computed when first needed.
+/// Values derived from the current engine state, filled in as
+/// requests need them and all emptied together by
+/// `AdmissionEngine::state_changed`.
 #[derive(Debug, Default)]
 struct StateCache {
-    /// The state generation these values describe.
-    generation: u64,
-    signature: Option<u64>,
     /// The repack prefix, or why the incumbents' VM-level pass fails
     /// (which fails every repack in this state the same way).
     prefix: Option<Result<RepackPrefix, String>>,
+    /// The rejection memo: the reason of every solver rejection in
+    /// this state, keyed by the newcomer's `vm_signature`.
+    rejections: HashMap<u64, String>,
 }
 
 /// Snapshot of the mutable engine state, for mode-change rollback and
@@ -566,13 +535,10 @@ pub struct AdmissionEngine {
     next_index: u64,
     decisions: Vec<AdmissionDecision>,
     stats: AdmissionStats,
-    memo: RejectionMemo,
-    /// State generation: bumped by every write to `vms`, `revisions`,
-    /// `vcpus` or `cores` that outlasts the call making it (a trial
-    /// placement restored before its caller returns leaves the state
-    /// as it was), so it tells whether `cache` still describes the
-    /// state.
-    generation: u64,
+    /// Values derived from the current state; emptied by every write
+    /// to `vms`, `revisions`, `vcpus` or `cores` that outlasts the
+    /// call making it (a trial placement restored before its caller
+    /// returns leaves the state as it was).
     cache: StateCache,
     /// Armed transient verification faults (fleet fault injection):
     /// each pending fault makes one `verify_state` call fail with a
@@ -594,8 +560,6 @@ impl AdmissionEngine {
             next_index: 0,
             decisions: Vec::new(),
             stats: AdmissionStats::default(),
-            memo: RejectionMemo::default(),
-            generation: 0,
             cache: StateCache::default(),
             injected_verify_faults: 0,
         }
@@ -718,7 +682,7 @@ impl AdmissionEngine {
                 }
             }
         }
-        vms.sort_by(Self::canonical_order);
+        vms.sort_by(canonical_vm_order);
         let snapshot = self.snapshot();
         let saved = (self.stats, self.next_index, self.decisions.len());
         let mut merged = DirtyCores::new();
@@ -758,14 +722,6 @@ impl AdmissionEngine {
             .fold(0.0, |load, v| load + v.reference_utilization())
     }
 
-    /// Canonical within-batch order: decreasing utilization, then
-    /// [`VmId`] ascending — a total order over distinct VMs, so any
-    /// permutation of a batch sorts identically. (Shared with the
-    /// fleet's cross-shard batch routing via [`canonical_vm_order`].)
-    fn canonical_order(a: &VmSpec, b: &VmSpec) -> Ordering {
-        canonical_vm_order(a, b)
-    }
-
     fn position(&self, id: VmId) -> Option<usize> {
         self.vms.iter().position(|v| v.id() == id)
     }
@@ -789,43 +745,15 @@ impl AdmissionEngine {
         self.state_changed();
     }
 
-    /// Records a write to the state: the cached signature and repack
-    /// prefix describe the previous state from here on.
+    /// Records a write to the state: everything the cache derived
+    /// from the previous state goes. The memo's map is cleared in
+    /// place, keeping its allocation for the next state.
     fn state_changed(&mut self) {
-        self.generation += 1;
-    }
-
-    /// The state cache, emptied first if it describes an older state.
-    fn state_cache(&mut self) -> &mut StateCache {
-        if self.cache.generation != self.generation {
-            self.cache = StateCache {
-                generation: self.generation,
-                ..StateCache::default()
-            };
+        self.cache.prefix = None;
+        if !self.cache.rejections.is_empty() {
+            self.cache.rejections.clear();
+            self.stats.memo_invalidations += 1;
         }
-        &mut self.cache
-    }
-
-    /// The state signature, hashed once per state (every time in
-    /// reference mode).
-    fn current_signature(&mut self) -> u64 {
-        if self.config.reference {
-            return self.state_signature();
-        }
-        let signature = match self.state_cache().signature {
-            Some(signature) => signature,
-            None => {
-                let signature = self.state_signature();
-                self.cache.signature = Some(signature);
-                signature
-            }
-        };
-        debug_assert_eq!(
-            signature,
-            self.state_signature(),
-            "stale cached state signature"
-        );
-        signature
     }
 
     fn push_decision(
@@ -881,25 +809,23 @@ impl AdmissionEngine {
             };
         }
 
-        // Saturated-regime memo: a repeat of a just-failed arrival
-        // against the unchanged state replays its recorded rejection
-        // instead of re-running the failing search. Signatures are
-        // computed lazily — the memo is empty outside the saturated
-        // regime (every state mutation clears it), so the churn-regime
-        // fast path never hashes anything.
-        let memo_key = if self.config.memo && !self.memo.is_empty() {
-            let key = (self.current_signature(), vm_signature(&vm));
-            if let Some(reason) = self.memo.get(key) {
+        // Saturated-regime memo: a repeat of an arrival rejected in
+        // this state replays the recorded rejection instead of
+        // re-running the failing search. The memo is empty outside the
+        // saturated regime, so the churn-regime fast path never hashes
+        // the newcomer.
+        let mut newcomer = None;
+        if !self.cache.rejections.is_empty() {
+            let signature = vm_signature(&vm);
+            if let Some(reason) = self.cache.rejections.get(&signature) {
                 self.stats.memo_hits += 1;
                 self.stats.rejected += 1;
                 return AdmissionVerdict::Rejected {
                     reason: reason.clone(),
                 };
             }
-            Some(key)
-        } else {
-            None
-        };
+            newcomer = Some(signature);
+        }
 
         // Warm start: place only the newcomer; untouched cores keep
         // their standing schedulability proof.
@@ -916,40 +842,25 @@ impl AdmissionEngine {
                 }
                 None => self.verify_state(&dirty),
             };
-            match verified {
-                Ok(()) => {
-                    self.vms.push(vm);
-                    self.revisions.push(revision);
-                    self.state_changed();
-                    self.stats.admitted_incremental += 1;
-                    self.invalidate_memo();
-                    return AdmissionVerdict::Admitted {
-                        path: AdmissionPath::Incremental,
-                    };
-                }
-                Err(_) => {
-                    // Unreachable in practice (placement proves every
-                    // dirty core); fall back to the repack, which
-                    // fully re-verifies.
-                    self.cores = saved_cores;
-                    self.vcpus.truncate(saved_vcpus_len);
-                    self.next_vcpu_id = saved_next;
-                }
+            if verified.is_ok() {
+                self.vms.push(vm);
+                self.revisions.push(revision);
+                self.state_changed();
+                self.stats.admitted_incremental += 1;
+                return AdmissionVerdict::Admitted {
+                    path: AdmissionPath::Incremental,
+                };
             }
-        } else {
-            self.cores = saved_cores;
-            self.vcpus.truncate(saved_vcpus_len);
-            self.next_vcpu_id = saved_next;
+            // Unreachable in practice (placement proves every dirty
+            // core); fall back to the repack, which fully re-verifies.
         }
-        let newcomer_sig = if self.config.memo {
-            memo_key.map(|(_, sig)| sig).or_else(|| Some(vm_signature(&vm)))
-        } else {
-            None
-        };
+        self.cores = saved_cores;
+        self.vcpus.truncate(saved_vcpus_len);
+        self.next_vcpu_id = saved_next;
+        let newcomer = newcomer.or_else(|| self.config.memo.then(|| vm_signature(&vm)));
         let verdict = self.repack(vm, revision);
         match &verdict {
             AdmissionVerdict::Admitted { .. } => {
-                self.invalidate_memo();
                 // A repack renumbered every core; dirty indices
                 // collected so far in this batch are stale, and the
                 // repack itself verified the whole allocation, so the
@@ -959,57 +870,16 @@ impl AdmissionEngine {
                 }
             }
             AdmissionVerdict::Rejected { reason } => {
-                // The expensive failing search just ran; the state is
-                // untouched, so its signature still describes the
-                // state the verdict was computed against.
-                if let Some(sig) = newcomer_sig {
-                    let state = match memo_key {
-                        Some((state, _)) => state,
-                        None => self.current_signature(),
-                    };
-                    self.memo.insert((state, sig), reason.clone());
+                // The expensive failing search just ran against the
+                // unchanged state.
+                if let Some(signature) = newcomer {
+                    self.cache.rejections.insert(signature, reason.clone());
                     self.stats.memo_inserts += 1;
                 }
             }
             _ => {}
         }
         verdict
-    }
-
-    /// Clears the rejection memo after a state mutation (admission or
-    /// departure): recorded rejections were computed against capacity
-    /// that no longer exists in that shape.
-    fn invalidate_memo(&mut self) {
-        if self.memo.clear() {
-            self.stats.memo_invalidations += 1;
-        }
-    }
-
-    /// Content signature of the whole mutable engine state: the
-    /// working set (specs and revisions, in sequence) plus the live
-    /// VCPUs and core layout. Equal signatures mean the next arrival
-    /// decision is computed from identical inputs.
-    fn state_signature(&self) -> u64 {
-        let mut hash = 0x84_22_23_25_CB_F2_9C_E4u64;
-        for (vm, revision) in self.vms.iter().zip(&self.revisions) {
-            fnv_mix(&mut hash, vm_signature(vm));
-            fnv_mix(&mut hash, *revision);
-        }
-        for vcpu in &self.vcpus {
-            fnv_mix(&mut hash, vcpu.id().0 as u64);
-            fnv_mix(&mut hash, vcpu.vm().0 as u64);
-            fnv_mix(&mut hash, vcpu.period().to_bits());
-            fnv_mix_surface(&mut hash, vcpu.budget_surface());
-        }
-        for core in &self.cores {
-            fnv_mix(&mut hash, u64::from(core.alloc.cache));
-            fnv_mix(&mut hash, u64::from(core.alloc.bandwidth));
-            for &index in &core.vcpus {
-                fnv_mix(&mut hash, index as u64);
-            }
-            fnv_mix(&mut hash, u64::MAX); // core boundary
-        }
-        hash
     }
 
     /// Full repack fallback: re-allocate the whole working set plus
@@ -1118,7 +988,7 @@ impl AdmissionEngine {
 
     /// The state's repack prefix, built on first use.
     fn repack_prefix(&mut self) -> &mut Result<RepackPrefix, String> {
-        let prefix = match self.state_cache().prefix.take() {
+        let prefix = match self.cache.prefix.take() {
             Some(prefix) => prefix,
             None => self.build_prefix(),
         };
@@ -1156,7 +1026,6 @@ impl AdmissionEngine {
         };
         self.remove_vm(position);
         self.stats.departed += 1;
-        self.invalidate_memo();
         if self.config.reference {
             // The slow oracle re-proves what the fast path relies on:
             // removal only shrinks per-core demand.
@@ -1327,7 +1196,7 @@ impl AdmissionEngine {
         }
         // Pass 2: grant spare partitions to a core until it fits.
         for k in 0..self.cores.len() {
-            if let Some(upgraded) = self.upgraded_alloc_for(k, index) {
+            if let Some(upgraded) = self.grow_until_accepted(k, index) {
                 self.stats.core_upgrades +=
                     u64::from(upgraded.cache - self.cores[k].alloc.cache)
                         + u64::from(upgraded.bandwidth - self.cores[k].alloc.bandwidth);
@@ -1351,7 +1220,7 @@ impl AdmissionEngine {
                 alloc: space.minimum(),
             });
             let k = self.cores.len() - 1;
-            if let Some(alloc) = self.upgraded_alloc_for_or_current(k, index) {
+            if let Some(alloc) = self.grow_until_accepted(k, index) {
                 self.stats.core_upgrades += u64::from(alloc.cache - space.minimum().cache)
                     + u64::from(alloc.bandwidth - space.minimum().bandwidth);
                 self.cores[k].alloc = alloc;
@@ -1420,26 +1289,6 @@ impl AdmissionEngine {
             .map(|&i| &self.vcpus[i])
             .chain(std::iter::once(&self.vcpus[extra]));
         core_check::core_utilization(members, alloc)
-    }
-
-    /// Searches a strictly-upgraded allocation for core `k` that
-    /// accepts `extra`, granting one spare partition at a time in the
-    /// direction of the larger utilization reduction (cache on ties,
-    /// phase-2 style). `None` when the core cannot accept it.
-    fn upgraded_alloc_for(&self, k: usize, extra: usize) -> Option<Alloc> {
-        let alloc = self.grow_until_accepted(k, extra)?;
-        if alloc == self.cores[k].alloc {
-            // Pass 1 already rejected the current allocation; "found
-            // it without growing" cannot happen, but be explicit.
-            return None;
-        }
-        Some(alloc)
-    }
-
-    /// Like [`Self::upgraded_alloc_for`], but also accepts the current
-    /// allocation (used for a just-opened core at the space minimum).
-    fn upgraded_alloc_for_or_current(&self, k: usize, extra: usize) -> Option<Alloc> {
-        self.grow_until_accepted(k, extra)
     }
 
     /// Grows core `k`'s allocation one spare partition at a time until
@@ -1827,6 +1676,46 @@ mod tests {
         assert_eq!(e.stats().memo_hits, 1, "stale memo entry must not hit");
         assert!(matches!(after.verdict, AdmissionVerdict::Admitted { .. }));
         e.allocation().verify(e.platform()).unwrap();
+    }
+
+    /// The memo lives exactly as long as the state it describes: a
+    /// degraded mode change rolls the state back to where it was, but
+    /// the rollback is a state change, so a rejection recorded before
+    /// it is not replayed after it.
+    #[test]
+    fn memo_entries_do_not_survive_a_degraded_mode_change() {
+        let mut e = engine();
+        e.submit(AdmissionRequest::Arrival(vm(1, 2.0, 2)));
+        let first = e
+            .submit(AdmissionRequest::Arrival(unpackable_vm(2)))
+            .clone();
+        assert!(matches!(first.verdict, AdmissionVerdict::Rejected { .. }));
+        let retry = e
+            .submit(AdmissionRequest::Arrival(unpackable_vm(2)))
+            .clone();
+        assert_eq!(retry.verdict, first.verdict);
+        assert_eq!(e.stats().memo_hits, 1, "an unchanged state replays");
+        let before = (e.allocation(), *e.stats());
+        let degraded = e
+            .submit(AdmissionRequest::ModeChange(vm(1, 9.0, 10)))
+            .clone();
+        assert!(matches!(degraded.verdict, AdmissionVerdict::Degraded { .. }));
+        assert_eq!(e.allocation(), before.0, "the rollback restores the state");
+        assert_eq!(
+            e.stats().memo_invalidations,
+            before.1.memo_invalidations + 1,
+            "the mode change retires the memo"
+        );
+        let after = e
+            .submit(AdmissionRequest::Arrival(unpackable_vm(2)))
+            .clone();
+        assert_eq!(after.verdict, first.verdict, "byte-identical verdict");
+        assert_eq!(e.stats().memo_hits, 1, "a retired entry must not hit");
+        assert_eq!(e.stats().memo_inserts, before.1.memo_inserts + 1);
+        assert_eq!(e.stats().repack_attempts, before.1.repack_attempts + 1);
+        // The re-run's rejection is recorded for the current state.
+        e.submit(AdmissionRequest::Arrival(unpackable_vm(2)));
+        assert_eq!(e.stats().memo_hits, 2);
     }
 
     #[test]

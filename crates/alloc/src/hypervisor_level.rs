@@ -22,14 +22,6 @@
 //! The baseline discipline ([`evenly_partitioned`]) splits cache and
 //! bandwidth evenly over all cores and packs VCPUs best-fit decreasing.
 
-// Library code reports failures as values; the few invariant-backed
-// `expect`s carry an audited `#[allow]` with their reason. CI runs
-// clippy with `-D warnings`, which makes these denials there.
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use crate::kmeans::{kmeans, Features};
 use crate::packing::{best_fit_open, sort_decreasing, Item};
 use crate::result::{AllocationOutcome, CoreAssignment, SystemAllocation};

@@ -22,14 +22,6 @@
 //! centroids are the seeds themselves, reuses the columns k-means++
 //! already computed.
 
-// Library code reports failures as values; the invariant-backed
-// `expect` carries an audited `#[allow]` with its reason. CI runs
-// clippy with `-D warnings`, which makes these denials there.
-#![cfg_attr(
-    not(test),
-    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
-)]
-
 use vc2m_model::Surface;
 use vc2m_rng::Rng;
 

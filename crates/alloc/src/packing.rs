@@ -34,13 +34,32 @@ impl Item {
 }
 
 /// Sorts items by decreasing size (ties broken by id for determinism).
+///
+/// # Panics
+///
+/// Panics if a size is NaN, which [`Item::new`] never builds.
 pub fn sort_decreasing(items: &mut [Item]) {
     items.sort_by(|a, b| {
+        // Invariant: every item in this crate comes from `Item::new`,
+        // which admits only finite sizes.
+        #[allow(clippy::expect_used)]
         b.size
             .partial_cmp(&a.size)
             .expect("sizes are finite")
             .then(a.id.cmp(&b.id))
     });
+}
+
+/// The index of the least of `loads`, the lowest index on ties (the
+/// worst-fit choice); `0` for an empty slice, which no caller passes.
+pub(crate) fn least_loaded(loads: &[f64]) -> usize {
+    let mut best = 0;
+    for (i, &load) in loads.iter().enumerate().skip(1) {
+        if load < loads[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 /// Worst-fit packing into a **fixed** number of bins: each item (taken
@@ -59,11 +78,7 @@ pub fn worst_fit_fixed(items: &[Item], bins: usize) -> Vec<Vec<usize>> {
     let mut contents: Vec<Vec<usize>> = vec![Vec::new(); bins];
     let mut loads = vec![0.0f64; bins];
     for item in items {
-        let (best, _) = loads
-            .iter()
-            .enumerate()
-            .min_by(|(i, a), (j, b)| a.partial_cmp(b).expect("loads are finite").then(i.cmp(j)))
-            .expect("bins is non-zero");
+        let best = least_loaded(&loads);
         contents[best].push(item.id);
         loads[best] += item.size;
     }
@@ -79,13 +94,15 @@ pub fn best_fit_open(items: &[Item]) -> Vec<Vec<usize>> {
     let mut contents: Vec<Vec<usize>> = Vec::new();
     let mut loads: Vec<f64> = Vec::new();
     for item in items {
-        let candidate = loads
-            .iter()
-            .enumerate()
-            .filter(|(_, load)| *load + item.size <= 1.0 + 1e-9)
-            .max_by(|(i, a), (j, b)| a.partial_cmp(b).expect("loads are finite").then(j.cmp(i)));
+        // The fullest bin that still fits, the lowest index on ties.
+        let mut candidate: Option<usize> = None;
+        for (bin, &load) in loads.iter().enumerate() {
+            if load + item.size <= 1.0 + 1e-9 && candidate.is_none_or(|best| load > loads[best]) {
+                candidate = Some(bin);
+            }
+        }
         match candidate {
-            Some((bin, _)) => {
+            Some(bin) => {
                 contents[bin].push(item.id);
                 loads[bin] += item.size;
             }

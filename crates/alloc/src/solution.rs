@@ -84,6 +84,11 @@ impl Solution {
                 AllocationOutcome::schedulable(SystemAllocation::new(Vec::new(), Vec::new()))
             }
             Err(AllocError::Analysis(_)) => AllocationOutcome::unschedulable(),
+            // Invariant: `try_allocate` fails only with `NoVms` or with
+            // the VM level's errors, and every VM-level routine
+            // (flattening and the VCPU sizing analyses) fails with an
+            // `AnalysisError`.
+            #[allow(clippy::panic)]
             Err(e) => panic!("allocation failed structurally: {e}"),
         }
     }

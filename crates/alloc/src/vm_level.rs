@@ -16,7 +16,7 @@
 //! VCPU parameters come from the selected [`VcpuSizing`] analysis.
 
 use crate::kmeans::{kmeans, Features};
-use crate::packing::{best_fit_open, sort_decreasing, Item};
+use crate::packing::{best_fit_open, least_loaded, sort_decreasing, Item};
 use crate::AllocError;
 use vc2m_analysis::{existing, regulated};
 use vc2m_model::{Alloc, Task, TaskSet, VcpuId, VcpuSpec, VmSpec};
@@ -121,28 +121,16 @@ pub fn clustered<R: Rng>(
         bins.extend(std::iter::repeat_with(Vec::new).take(*quota));
         loads.extend(std::iter::repeat_n(0.0, *quota));
         for item in items {
-            let slot = (base..base + quota)
-                .min_by(|&a, &b| {
-                    loads[a]
-                        .partial_cmp(&loads[b])
-                        .expect("finite")
-                        .then(a.cmp(&b))
-                })
-                .expect("quota >= 1");
+            let slot = base + least_loaded(&loads[base..base + quota]);
             bins[slot].push(item.id);
             loads[slot] += item.size;
         }
     }
     sort_decreasing(&mut orphans);
+    // The quotas apportion all `m >= 1` slots, so `loads` is
+    // non-empty here.
     for item in orphans {
-        let slot = (0..bins.len())
-            .min_by(|&a, &b| {
-                loads[a]
-                    .partial_cmp(&loads[b])
-                    .expect("finite")
-                    .then(a.cmp(&b))
-            })
-            .expect("at least one cluster has quota >= 1");
+        let slot = least_loaded(&loads);
         bins[slot].push(item.id);
         loads[slot] += item.size;
     }
@@ -168,13 +156,11 @@ fn dhondt_quotas(masses: &[f64], total: usize) -> Vec<usize> {
         }
         return quotas;
     }
+    // `masses` is non-empty: an empty slice took the branch above.
     for _ in 0..total {
-        let (winner, _) = masses
-            .iter()
-            .enumerate()
-            .map(|(i, &m)| (i, m / (quotas[i] + 1) as f64))
-            .max_by(|(i, a), (j, b)| a.partial_cmp(b).expect("finite").then(j.cmp(i)))
-            .expect("masses is non-empty");
+        let score = |i: usize| masses[i] / (quotas[i] + 1) as f64;
+        let winner =
+            (1..masses.len()).fold(0, |best, i| if score(i) > score(best) { i } else { best });
         quotas[winner] += 1;
     }
     quotas

@@ -444,8 +444,8 @@ fn saturating_steps(platform: &Platform, rng: &mut DetRng, n: usize) -> Vec<Step
 
 /// Memo-on, memo-off and reference engines agree byte for byte at
 /// every step of saturating streams with restores. A rollback returns
-/// the engine to an earlier state, so a signature or repack prefix
-/// cached for the state the rollback left would answer for the wrong
+/// the engine to an earlier state, so a memo entry or repack prefix
+/// kept for the state the rollback left would answer for the wrong
 /// state here first.
 #[test]
 fn memo_and_reference_agree_through_rollbacks() {

@@ -101,11 +101,14 @@ fn pre_materialize(trace: &AdmissionTrace, space: vc2m::model::ResourceSpace) ->
         .map(|item| match item {
             TraceItem::Single(r) => StreamItem {
                 batch: false,
-                requests: vec![materialize(r, space)],
+                requests: vec![materialize(r, space).expect("trace request materializes")],
             },
             TraceItem::Batch(rs) => StreamItem {
                 batch: true,
-                requests: rs.iter().map(|r| materialize(r, space)).collect(),
+                requests: rs
+                    .iter()
+                    .map(|r| materialize(r, space).expect("trace request materializes"))
+                    .collect(),
             },
         })
         .collect()
@@ -396,7 +399,7 @@ mod tests {
         let items = (1..=5)
             .map(|vm| TraceItem::Single(TraceRequest::Depart { vm }))
             .collect();
-        let trace = AdmissionTrace::from_items(items);
+        let trace = AdmissionTrace::from_items(items).unwrap();
         let (json, _) = run(&trace, 1);
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
     }

@@ -130,6 +130,28 @@ impl TraceRequest {
     pub fn parse_line(line: &str) -> Result<TraceRequest, String> {
         parse_request_bare(line.trim())
     }
+
+    /// Whether the request can be materialized: an arrival or a mode
+    /// change must ask for some utilization.
+    fn check(&self) -> Result<(), String> {
+        match *self {
+            TraceRequest::Arrive {
+                utilization_milli: 0,
+                ..
+            }
+            | TraceRequest::Mode {
+                utilization_milli: 0,
+                ..
+            } => Err(rounds_to_zero(0.0)),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The error for a utilization below 0.0005, which rounds to zero
+/// milli-units: no taskset can be generated for it.
+fn rounds_to_zero(utilization: f64) -> String {
+    format!("utilization {utilization} rounds to zero (the least is 0.0005)")
 }
 
 /// One scheduling unit of a trace: a single request, or a batch of
@@ -164,12 +186,26 @@ impl Default for AdmissionTrace {
 
 impl AdmissionTrace {
     /// Builds a single-host, all-LO trace from items.
-    pub fn from_items(items: Vec<TraceItem>) -> Self {
-        AdmissionTrace {
+    ///
+    /// # Errors
+    ///
+    /// Returns the trace parser's message, naming the 1-based item,
+    /// when a request asks for zero utilization (see [`materialize`]).
+    pub fn from_items(items: Vec<TraceItem>) -> Result<Self, String> {
+        for (number, item) in (1..).zip(&items) {
+            let requests = match item {
+                TraceItem::Single(request) => std::slice::from_ref(request),
+                TraceItem::Batch(requests) => requests,
+            };
+            for request in requests {
+                request.check().map_err(|e| format!("item {number}: {e}"))?;
+            }
+        }
+        Ok(AdmissionTrace {
             items,
             hosts: 1,
             hi_vms: Vec::new(),
-        }
+        })
     }
 
     /// Marks the given VM ids HI-criticality (the `crit` directive).
@@ -398,13 +434,8 @@ fn parse_request_bare(line: &str) -> Result<TraceRequest, String> {
                 return Err(format!("utilization {utilization} out of range"));
             }
             let utilization_milli = (utilization * 1000.0).round() as u32;
-            // A VM must ask for some utilization: below 0.0005 the
-            // request rounds to zero milli-units, which no taskset can
-            // be generated for.
             if utilization_milli == 0 {
-                return Err(format!(
-                    "utilization {utilization} rounds to zero (the least is 0.0005)"
-                ));
+                return Err(rounds_to_zero(utilization));
             }
             let seed = parse_field(fields.next(), "seed")?;
             if keyword == "arrive" {
@@ -447,7 +478,8 @@ pub struct TraceSpec {
     /// Generator seed (also seeds nothing else — per-VM taskset seeds
     /// are drawn from this stream and stored in the trace).
     pub seed: u64,
-    /// Per-VM target utilization range, milli-units, inclusive.
+    /// Per-VM target utilization range, milli-units, inclusive. A
+    /// lower end of 0 counts as 1: a VM must ask for some utilization.
     pub utilization_milli: (u32, u32),
     /// Live-set bounds: below `lo` only arrivals are emitted, at or
     /// above `hi` only departures — the churn regime in between.
@@ -533,7 +565,7 @@ impl TraceSpec {
 /// retries of rejected VMs exercise the rejection memo).
 pub fn generate(spec: &TraceSpec) -> AdmissionTrace {
     let mut rng = DetRng::seed_from_u64(spec.seed);
-    let (lo, hi) = spec.utilization_milli;
+    let (lo, hi) = (spec.utilization_milli.0.max(1), spec.utilization_milli.1);
     let (live_lo, live_hi) = spec.live_range;
     let mut items = Vec::new();
     // Live VMs with their original arrival lines (re-emitted verbatim
@@ -621,7 +653,25 @@ pub fn generate(spec: &TraceSpec) -> AdmissionTrace {
 /// taskset is generated from `(utilization, seed)` alone, with task
 /// ids offset into a per-VM range so ids stay globally unique across
 /// the whole stream.
-pub fn materialize(request: &TraceRequest, space: ResourceSpace) -> AdmissionRequest {
+///
+/// # Errors
+///
+/// Returns the trace parser's "rounds to zero" message for an arrival
+/// or mode change with `utilization_milli: 0`, which no taskset can be
+/// generated for.
+pub fn materialize(
+    request: &TraceRequest,
+    space: ResourceSpace,
+) -> Result<AdmissionRequest, String> {
+    request.check()?;
+    Ok(engine_request(request, space))
+}
+
+/// [`materialize`] for a request known to pass its check: every
+/// request of an [`AdmissionTrace`] does, since each way of building
+/// one ([`AdmissionTrace::parse`], [`AdmissionTrace::from_items`],
+/// [`generate`]) refuses or never makes a zero utilization.
+fn engine_request(request: &TraceRequest, space: ResourceSpace) -> AdmissionRequest {
     match *request {
         TraceRequest::Arrive {
             vm,
@@ -682,13 +732,13 @@ pub fn replay(engine: &mut AdmissionEngine, trace: &AdmissionTrace) -> DecisionJ
     for item in trace.items() {
         match item {
             TraceItem::Single(request) => {
-                let decision = engine.submit(materialize(request, space));
+                let decision = engine.submit(engine_request(request, space));
                 journal.append_single(request.render(), decision.log_line());
             }
             TraceItem::Batch(requests) => {
                 let lines: Vec<String> = requests.iter().map(|r| r.render()).collect();
                 let decisions = engine
-                    .submit_batch(requests.iter().map(|r| materialize(r, space)).collect())
+                    .submit_batch(requests.iter().map(|r| engine_request(r, space)).collect())
                     .iter()
                     .map(|d| d.log_line())
                     .collect();
@@ -708,9 +758,9 @@ pub fn fleet_items(trace: &AdmissionTrace, space: ResourceSpace) -> Vec<FleetWor
         .items()
         .iter()
         .map(|item| match item {
-            TraceItem::Single(request) => FleetWorkItem::Single(materialize(request, space)),
+            TraceItem::Single(request) => FleetWorkItem::Single(engine_request(request, space)),
             TraceItem::Batch(requests) => {
-                FleetWorkItem::Batch(requests.iter().map(|r| materialize(r, space)).collect())
+                FleetWorkItem::Batch(requests.iter().map(|r| engine_request(r, space)).collect())
             }
         })
         .collect()
@@ -731,7 +781,7 @@ pub fn recover(
 ) -> Result<AdmissionEngine, RecoveryError> {
     let space = platform.resources();
     recover_engine(platform, config, journal, |line| {
-        TraceRequest::parse_line(line).map(|request| materialize(&request, space))
+        TraceRequest::parse_line(line).map(|request| engine_request(&request, space))
     })
 }
 
@@ -1016,6 +1066,47 @@ mod tests {
         assert_eq!(recovered.log_text(), engine.log_text());
         assert_eq!(recovered.stats(), engine.stats());
         assert_eq!(recovered.allocation(), engine.allocation());
+    }
+
+    #[test]
+    fn zero_utilization_requests_are_refused_not_materialized() {
+        let space = Platform::platform_a().resources();
+        let valid = TraceRequest::Arrive {
+            vm: 1,
+            utilization_milli: 100,
+            seed: 3,
+        };
+        assert!(matches!(
+            materialize(&valid, space),
+            Ok(AdmissionRequest::Arrival(_))
+        ));
+        let zero_arrival = TraceRequest::Arrive {
+            vm: 2,
+            utilization_milli: 0,
+            seed: 5,
+        };
+        let zero_mode = TraceRequest::Mode {
+            vm: 1,
+            utilization_milli: 0,
+            seed: 5,
+        };
+        for zero in [zero_arrival, zero_mode] {
+            let err = materialize(&zero, space).expect_err("zero utilization materializes");
+            assert_eq!(err, "utilization 0 rounds to zero (the least is 0.0005)");
+            let err = AdmissionTrace::from_items(vec![
+                TraceItem::Single(valid),
+                TraceItem::Batch(vec![valid, zero]),
+            ])
+            .expect_err("a trace holding a zero-utilization request builds");
+            assert!(err.starts_with("item 2: ") && err.contains("rounds to zero"), "{err}");
+        }
+        // A generator range starting at 0 draws from 1 up, so its trace
+        // replays.
+        let mut spec = TraceSpec::new(40, 3);
+        spec.utilization_milli = (0, 2);
+        let trace = generate(&spec);
+        let mut engine = AdmissionEngine::new(Platform::platform_a(), AdmissionConfig::new(42));
+        assert_eq!(replay(&mut engine, &trace).decisions(), trace.len());
     }
 
     #[test]

@@ -157,6 +157,7 @@ fn recovery_continues_byte_identically_at_every_journal_prefix() {
             &TraceRequest::parse_line(line).expect("journaled request line parses"),
             space,
         )
+        .expect("journaled request materializes")
     };
     for crash_point in 0..=journal.len() {
         let mut engine = recover(platform, config, &journal.prefix(crash_point))
