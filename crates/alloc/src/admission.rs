@@ -65,9 +65,11 @@
 //! * **Repack prefix** — every repack in one state seeds the same
 //!   engine seed and runs the VM level over the same incumbents
 //!   before the newcomer, so the incumbents' VCPUs, the RNG state
-//!   after their VM-level pass and their k-means feature rows are the
-//!   same for every repack until the state changes. Fast mode builds
-//!   them once per state, and a repack appends only the newcomer.
+//!   after their VM-level pass, their k-means feature rows and the
+//!   squared distances between those rows are the same for every
+//!   repack until the state changes. Fast mode builds them once per
+//!   state (the distances at the state's second repack), and a repack
+//!   appends only the newcomer.
 //!   Reference mode never uses the prefix: it calls
 //!   [`allocate_with_degradation`] on every repack, so it stays the
 //!   naive oracle.
@@ -488,8 +490,9 @@ struct RepackPrefix {
     /// The repack RNG (seeded with the engine seed) after the
     /// incumbents' VM-level pass.
     rng: DetRng,
-    /// The incumbents' k-means feature rows; empty unless the solution
-    /// runs the heuristic.
+    /// The incumbents' k-means feature rows, with the exact squared
+    /// distance between every two of them from the state's second
+    /// repack on; empty unless the solution runs the heuristic.
     features: Features,
 }
 
@@ -986,30 +989,42 @@ impl AdmissionEngine {
         solved
     }
 
-    /// The state's repack prefix, built on first use.
+    /// The state's repack prefix, built on first use. From the state's
+    /// second repack on, its features also keep the distances between
+    /// the incumbents' rows: building that table costs about as much
+    /// as the distance columns of one repack's clusterings, so a state
+    /// that serves one repack would never repay it.
     fn repack_prefix(&mut self) -> &mut Result<RepackPrefix, String> {
-        let prefix = match self.cache.prefix.take() {
+        let reused = self.cache.prefix.is_some();
+        let mut prefix = match self.cache.prefix.take() {
             Some(prefix) => prefix,
-            None => self.build_prefix(),
+            None => self.build_prefix(false),
         };
-        debug_assert!(prefix == self.build_prefix(), "stale repack prefix");
+        if let (true, Ok(prefix)) = (reused, &mut prefix) {
+            prefix.features.keep_distances();
+        }
+        debug_assert!(prefix == self.build_prefix(reused), "stale repack prefix");
         self.cache.prefix.insert(prefix)
     }
 
     /// The incumbents' VM-level pass from the engine seed, as the
-    /// repack's from-scratch solve starts, and their feature rows.
-    fn build_prefix(&self) -> Result<RepackPrefix, String> {
+    /// repack's from-scratch solve starts, and their feature rows, with
+    /// the distances between them if `distances`.
+    fn build_prefix(&self, distances: bool) -> Result<RepackPrefix, String> {
         let mut rng = DetRng::seed_from_u64(self.config.seed);
         let vcpus = self
             .config
             .solution
             .vm_level(&self.vms, &self.platform, &mut rng)
             .map_err(|e| e.to_string())?;
-        let features = if self.config.solution.uses_heuristic_allocation() {
+        let mut features = if self.config.solution.uses_heuristic_allocation() {
             Features::from_surfaces(vcpus.iter().map(VcpuSpec::budget_surface))
         } else {
             Features::from_surfaces([])
         };
+        if distances {
+            features.keep_distances();
+        }
         Ok(RepackPrefix {
             vcpus,
             rng,

@@ -21,6 +21,21 @@
 //! long serial one. That is also why the first Lloyd iteration, whose
 //! centroids are the seeds themselves, reuses the columns k-means++
 //! already computed.
+//!
+//! Features that serve many clusterings (the admission engine keeps
+//! them for one engine state) may also keep the exact squared distance
+//! between every pair of points (`Features::keep_distances`). Seeding
+//! and the first iteration then read their columns from that table,
+//! bitwise the same values, and later iterations never materialise a
+//! centroid: a point's squared distance to the mean of cluster `S` is
+//! `(1/|S|)·Σ_{j∈S} D_ij − (1/(2|S|²))·Σ_{j,l∈S} D_jl`, which costs
+//! `O(n²)` per iteration instead of `k` columns. A point keeps the
+//! cluster that identity names only where the gap to the runner-up
+//! exceeds twice a rounding-error bound between the identity's value
+//! and the column path's float distance to its float centroid; so
+//! every assignment is the column path's. An iteration with an
+//! uncertified point or an empty cluster hands over to the column path,
+//! with the centroids it would hold at that point.
 
 use vc2m_model::Surface;
 use vc2m_rng::Rng;
@@ -30,6 +45,10 @@ const MAX_ITERATIONS: usize = 50;
 
 /// Points per group of the distance kernel.
 const LANES: usize = 4;
+
+/// Largest squared point norm under which the pairwise table certifies
+/// assignments; no sum the identity forms can overflow below it.
+const NORM_LIMIT: f64 = 1e150;
 
 /// Equal-length feature rows stored point-major in one buffer: row `i`
 /// occupies `data[i * dim..(i + 1) * dim]`.
@@ -42,6 +61,31 @@ pub struct Features {
     groups: Vec<[f64; LANES]>,
     dim: usize,
     len: usize,
+    /// The pairwise table, kept from [`Features::keep_distances`] on
+    /// through every append and truncation.
+    distances: Option<Distances>,
+}
+
+/// The exact squared distance between every two points, and each
+/// point's squared norm.
+#[derive(Debug, Clone, PartialEq)]
+struct Distances {
+    /// Lower triangle with its diagonal, row after row: points `i` and
+    /// `j ≤ i` at `i * (i + 1) / 2 + j`. Row `i` is `push_column`'s
+    /// column for a centroid copied from row `i`, cut after point `i`.
+    /// `(a − b)²` and `(b − a)²` round alike, so each entry is bitwise
+    /// the column path's distance between the two points whichever of
+    /// them is the centroid.
+    triangle: Vec<f64>,
+    /// `Σ_d x_id²` per point, summed in dimension order.
+    norms: Vec<f64>,
+}
+
+impl Distances {
+    fn get(&self, i: usize, j: usize) -> f64 {
+        let (high, low) = if i >= j { (i, j) } else { (j, i) };
+        self.triangle[high * (high + 1) / 2 + low]
+    }
 }
 
 impl Features {
@@ -75,6 +119,22 @@ impl Features {
         features
     }
 
+    /// Keeps from now on the exact squared distance between every two
+    /// points, through appends and truncations, so that clusterings
+    /// skip most distance columns (see the [module docs](self)); does
+    /// nothing if the table is already kept. The table costs about
+    /// `n / 2` columns to build and one per appended point, so it pays
+    /// only where the features outlive a few clusterings.
+    pub(crate) fn keep_distances(&mut self) {
+        if self.distances.is_none() {
+            self.distances = Some(Distances {
+                triangle: Vec::new(),
+                norms: Vec::new(),
+            });
+            self.extend_distances(0);
+        }
+    }
+
     /// Appends one row per surface, as [`Features::from_surfaces`]
     /// builds them. Only the groups from the old last, partial one on
     /// are rebuilt, and the result equals a from-scratch build over all
@@ -90,6 +150,7 @@ impl Features {
             self.push(surface.as_slice().iter().map(|v| v / reference));
         }
         self.regroup_from(first);
+        self.extend_distances(first);
     }
 
     /// Keeps the first `len` points (nothing changes when there are no
@@ -105,6 +166,10 @@ impl Features {
             self.dim = 0;
         }
         self.regroup_from(len);
+        if let Some(table) = &mut self.distances {
+            table.triangle.truncate(len * (len + 1) / 2);
+            table.norms.truncate(len);
+        }
     }
 
     fn empty() -> Self {
@@ -113,6 +178,7 @@ impl Features {
             groups: Vec::new(),
             dim: 0,
             len: 0,
+            distances: None,
         }
     }
 
@@ -130,6 +196,24 @@ impl Features {
             let rows: [&[f64]; LANES] = std::array::from_fn(|l| row((group + l).min(n - 1)));
             self.groups.extend((0..dim).map(|d| rows.map(|row| row[d])));
         }
+    }
+
+    /// Adds the pairwise table's rows for points `first..`, when the
+    /// table is kept; `groups` must already hold every point.
+    fn extend_distances(&mut self, first: usize) {
+        let Some(mut table) = self.distances.take() else {
+            return;
+        };
+        let n = self.len;
+        table
+            .triangle
+            .reserve((n * (n + 1) - first * (first + 1)) / 2);
+        for i in first..n {
+            let row = self.row(i);
+            push_column(self, row, i + 1, &mut table.triangle);
+            table.norms.push(row.iter().map(|v| v * v).sum());
+        }
+        self.distances = Some(table);
     }
 
     fn push(&mut self, row: impl ExactSizeIterator<Item = f64>) {
@@ -205,6 +289,19 @@ impl Clustering {
     }
 }
 
+/// The centroids of the Lloyd iteration under way.
+enum Centroids {
+    /// The k-means++ seeds (the first iteration), point-major, whose
+    /// columns seeding computed.
+    Seeds(Vec<f64>),
+    /// Materialised, point-major, as the column path holds them.
+    Rows(Vec<f64>),
+    /// The means of the clusters of this assignment, every one
+    /// non-empty, left implicit: the pairwise table gives each point's
+    /// distance to them.
+    Means(Vec<usize>),
+}
+
 /// Runs k-means over `points`, producing at most `k` clusters.
 ///
 /// Empty inputs yield an empty clustering; `k` is clamped to the
@@ -238,89 +335,294 @@ pub fn kmeans<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Clustering {
     // `columns[c * n + i]` is the squared distance from point `i` to
     // centroid `c`. The first iteration's centroids are the seeds
     // themselves, whose columns seeding already computed.
-    let (mut centroids, mut columns) = init_plus_plus(points, k, rng);
+    let (seeds, mut columns) = init_plus_plus(points, k, rng);
+    let table = points.distances.as_ref();
+    let margin = table.map_or(f64::INFINITY, |table| certify_margin(table, dim));
+    let mut centroids = Centroids::Seeds(seeds);
     let mut assignment = vec![0usize; n];
     let mut sums = vec![0.0; k * dim];
     let mut counts = vec![0usize; k];
-    for iteration in 0..MAX_ITERATIONS {
-        if iteration > 0 {
-            columns.clear();
-            for c in 0..k {
-                push_column(points, &centroids[c * dim..(c + 1) * dim], &mut columns);
+    for _ in 0..MAX_ITERATIONS {
+        #[cfg(test)]
+        let from_table = matches!(centroids, Centroids::Means(_));
+        let certified = match (&centroids, table) {
+            (Centroids::Means(sets), Some(table)) => {
+                assign_from_table(table, sets, &counts, margin, &mut sums, &mut assignment)
             }
-        }
-        let mut changed = false;
-        for i in 0..n {
-            let closest = nearest((0..k).map(|c| columns[c * n + i]));
-            if assignment[i] != closest {
-                assignment[i] = closest;
-                changed = true;
+            _ => None,
+        };
+        let mut changed = match certified {
+            Some(changed) => changed,
+            None => {
+                if let Centroids::Means(sets) = &centroids {
+                    #[cfg(test)]
+                    note(|h| h.ambiguous += 1);
+                    assignment.copy_from_slice(sets);
+                    centroids = Centroids::Rows(means(points, k, sets));
+                }
+                if let Centroids::Rows(rows) = &centroids {
+                    columns.clear();
+                    for centroid in rows.chunks_exact(dim) {
+                        push_column(points, centroid, n, &mut columns);
+                    }
+                }
+                assign(&columns, k, &mut assignment)
             }
-        }
+        };
         counts.fill(0);
         for &c in &assignment {
             counts[c] += 1;
         }
+        let full = counts.iter().all(|&count| count > 0);
         // Converged with no cluster to refill: the loop ends here, and
         // no one would read the centroids an update computes.
-        if !changed && counts.iter().all(|&count| count > 0) {
+        if !changed && full {
             break;
         }
-        // Recompute centroids; refill an empty cluster by stealing the
-        // point farthest from its centroid — but only when that point
-        // is at a strictly positive distance and leaves at least one
-        // point behind. (With identical points there is nothing
-        // meaningful to split; empty clusters are then left empty and
-        // callers skip them.)
-        sums.fill(0.0);
-        for (i, &c) in assignment.iter().enumerate() {
-            for (s, v) in sums[c * dim..(c + 1) * dim].iter_mut().zip(points.row(i)) {
-                *s += v;
+        // With no cluster to refill, the update sets every centroid to
+        // its cluster's mean, which the table leaves implicit.
+        if full && table.is_some() {
+            match &mut centroids {
+                Centroids::Means(sets) => sets.copy_from_slice(&assignment),
+                _ => centroids = Centroids::Means(assignment.clone()),
             }
+            continue;
         }
-        for c in 0..k {
-            if counts[c] == 0 {
-                // Audited expect: squared distances between finite
-                // feature rows are finite.
-                #[allow(clippy::expect_used)]
-                let candidate = (0..n)
-                    .filter(|&i| counts[assignment[i]] >= 2)
-                    .map(|i| {
-                        let own = assignment[i];
-                        (
-                            i,
-                            distance_sq(points.row(i), &centroids[own * dim..(own + 1) * dim]),
-                        )
-                    })
-                    .max_by(|(i, a), (j, b)| {
-                        a.partial_cmp(b)
-                            .expect("distances are finite")
-                            .then(i.cmp(j))
-                    });
-                if let Some((far, dist)) = candidate {
-                    if dist > 0.0 {
-                        counts[assignment[far]] -= 1;
-                        assignment[far] = c;
-                        counts[c] = 1;
-                        centroids[c * dim..(c + 1) * dim].copy_from_slice(points.row(far));
-                        changed = true;
-                    }
-                }
-            } else {
-                let count = counts[c] as f64;
-                for (d, s) in centroids[c * dim..(c + 1) * dim]
-                    .iter_mut()
-                    .zip(&sums[c * dim..(c + 1) * dim])
-                {
-                    *d = s / count;
-                }
+        let mut rows = match centroids {
+            Centroids::Seeds(rows) | Centroids::Rows(rows) => rows,
+            Centroids::Means(sets) => {
+                #[cfg(test)]
+                note(|h| h.empty += 1);
+                means(points, k, &sets)
             }
+        };
+        let stole = update(points, &mut assignment, &mut counts, &mut rows, &mut sums);
+        #[cfg(test)]
+        if from_table {
+            note(|h| h.steals += u64::from(stole));
         }
+        centroids = Centroids::Rows(rows);
+        changed |= stole;
         if !changed {
             break;
         }
     }
     Clustering { assignment, k }
+}
+
+/// The column path's update step: each non-empty cluster's centroid
+/// becomes its mean, summed in point order, and an empty cluster steals
+/// the point farthest from its centroid — but only when that point is
+/// at a strictly positive distance and leaves at least one point
+/// behind. (With identical points there is nothing meaningful to split;
+/// empty clusters are then left empty and callers skip them.) Clusters
+/// are visited in order and updated in place, so a steal measures
+/// against the new centroids of the clusters before it and the old ones
+/// of those after. Returns whether a point was stolen.
+fn update(
+    points: &Features,
+    assignment: &mut [usize],
+    counts: &mut [usize],
+    centroids: &mut [f64],
+    sums: &mut Vec<f64>,
+) -> bool {
+    let (n, dim, k) = (points.len(), points.dim(), counts.len());
+    sums.clear();
+    sums.resize(k * dim, 0.0);
+    for (i, &c) in assignment.iter().enumerate() {
+        for (s, v) in sums[c * dim..(c + 1) * dim].iter_mut().zip(points.row(i)) {
+            *s += v;
+        }
+    }
+    let mut stole = false;
+    for c in 0..k {
+        if counts[c] == 0 {
+            // Audited expect: squared distances between finite
+            // feature rows are finite.
+            #[allow(clippy::expect_used)]
+            let candidate = (0..n)
+                .filter(|&i| counts[assignment[i]] >= 2)
+                .map(|i| {
+                    let own = assignment[i];
+                    (
+                        i,
+                        distance_sq(points.row(i), &centroids[own * dim..(own + 1) * dim]),
+                    )
+                })
+                .max_by(|(i, a), (j, b)| {
+                    a.partial_cmp(b)
+                        .expect("distances are finite")
+                        .then(i.cmp(j))
+                });
+            if let Some((far, dist)) = candidate {
+                if dist > 0.0 {
+                    counts[assignment[far]] -= 1;
+                    assignment[far] = c;
+                    counts[c] = 1;
+                    centroids[c * dim..(c + 1) * dim].copy_from_slice(points.row(far));
+                    stole = true;
+                }
+            }
+        } else {
+            let count = counts[c] as f64;
+            for (d, s) in centroids[c * dim..(c + 1) * dim]
+                .iter_mut()
+                .zip(&sums[c * dim..(c + 1) * dim])
+            {
+                *d = s / count;
+            }
+        }
+    }
+    stole
+}
+
+/// The centroids an update without steals leaves behind: the mean of
+/// each cluster of `sets`, summed in point order, point-major.
+fn means(points: &Features, k: usize, sets: &[usize]) -> Vec<f64> {
+    let dim = points.dim();
+    let mut rows = vec![0.0; k * dim];
+    let mut counts = vec![0usize; k];
+    for (i, &c) in sets.iter().enumerate() {
+        counts[c] += 1;
+        for (s, v) in rows[c * dim..(c + 1) * dim].iter_mut().zip(points.row(i)) {
+            *s += v;
+        }
+    }
+    for (row, &count) in rows.chunks_exact_mut(dim).zip(&counts) {
+        let count = count as f64;
+        for d in row {
+            *d /= count;
+        }
+    }
+    rows
+}
+
+/// The assignment step from `columns`: each point joins its nearest
+/// centroid, the first on ties. Returns whether an assignment changed.
+fn assign(columns: &[f64], k: usize, assignment: &mut [usize]) -> bool {
+    let n = assignment.len();
+    let mut changed = false;
+    for (i, own) in assignment.iter_mut().enumerate() {
+        let closest = nearest((0..k).map(|c| columns[c * n + i]));
+        if *own != closest {
+            *own = closest;
+            changed = true;
+        }
+    }
+    changed
+}
+
+/// The assignment step against the means of the clusters of `sets`,
+/// from the pairwise table alone; `sizes` counts each cluster's points
+/// (none zero). Returns whether an assignment changed, or `None`, with
+/// `assignment` partly written, at the first point whose two nearest
+/// clusters are not more than `margin` apart (see [`certify_margin`]).
+fn assign_from_table(
+    table: &Distances,
+    sets: &[usize],
+    sizes: &[usize],
+    margin: f64,
+    sums: &mut Vec<f64>,
+    assignment: &mut [usize],
+) -> Option<bool> {
+    let (n, k) = (sets.len(), sizes.len());
+    // `sums[i * k + c]` is `Σ_{j∈S_c} D_ij`, and `sums[n * k + c]`
+    // becomes `Σ_{j,l∈S_c} D_jl / (2|S_c|²)`.
+    sums.clear();
+    sums.resize((n + 1) * k, 0.0);
+    let mut start = 0;
+    for (i, &own) in sets.iter().enumerate() {
+        let row = &table.triangle[start..=start + i];
+        start += i + 1;
+        for (j, (&other, &d)) in sets.iter().zip(row).enumerate().take(i) {
+            sums[i * k + other] += d;
+            sums[j * k + own] += d;
+        }
+        sums[i * k + own] += row[i];
+    }
+    let (point_sums, spread) = sums.split_at_mut(n * k);
+    for (row, &own) in point_sums.chunks_exact(k).zip(sets) {
+        spread[own] += row[own];
+    }
+    for (s, &size) in spread.iter_mut().zip(sizes) {
+        let size = size as f64;
+        *s /= 2.0 * size * size;
+    }
+    let mut changed = false;
+    for (row, own) in point_sums.chunks_exact(k).zip(assignment.iter_mut()) {
+        let (mut best, mut best_d, mut second_d) = (0, f64::INFINITY, f64::INFINITY);
+        for (c, ((&sum, &size), &s)) in row.iter().zip(sizes).zip(spread.iter()).enumerate() {
+            let d = sum / size as f64 - s;
+            if d < best_d {
+                (best, best_d, second_d) = (c, d, best_d);
+            } else if d < second_d {
+                second_d = d;
+            }
+        }
+        // A NaN gap certifies nothing.
+        let certified = second_d - best_d > margin;
+        if !certified {
+            return None;
+        }
+        if *own != best {
+            *own = best;
+            changed = true;
+        }
+    }
+    Some(changed)
+}
+
+/// The least gap between a point's two smallest identity distances
+/// that certifies its nearest cluster: `2δ`, where `δ` bounds the
+/// difference between the identity's float value `E` and the column
+/// path's float distance `F` to its float centroid, for every point and
+/// every cluster of `table`'s points.
+///
+/// Write `u = 2⁻⁵³`, `γ_m = m·u/(1 − m·u)`, `d` for the dimension, `n`
+/// for the point count, `S` for a cluster of `s ≤ n` points with real
+/// mean `μ`, `R²` for the largest `‖x_j‖²`, and `T = ‖x_i − μ‖²` for the
+/// real distance, which both values approximate. Barring underflow:
+///
+/// - *Column path.* The centroid sums `s` rows in point order and
+///   divides once, so `|μ̂ − μ| ≤ γ_s·(1/s)·Σ_{j∈S}|x_j|` per dimension
+///   and `‖μ̂ − μ‖ ≤ γ_s·R`. Each `(x − μ̂)²` rounds twice and `d`
+///   non-negative terms are summed in order, so `|F − ‖x_i − μ̂‖²| ≤
+///   γ_{d+2}·‖x_i − μ̂‖²`; with `‖x_i − μ‖ ≤ 2R`, `|F − T| ≤
+///   γ_{d+2}·(2 + γ_s)²·R² + (4 + γ_s)·γ_s·R²`.
+/// - *Identity.* Each entry is `D_ij·(1 + θ)`, `|θ| ≤ γ_{d+2}`, with
+///   `D_ij ≤ 4R²`. The per-point sum adds `s` entries and the
+///   per-cluster sum `s` of those, each divided once (`2s²` is exact),
+///   and the difference rounds once. In real terms `T = P − Q` with
+///   `P = (1/s)·Σ_j D_ij ≤ 4R²` and `Q = (1/(2s²))·Σ_{j,l} D_jl ≤ 2R²`,
+///   so `|E − T| ≤ γ_{d+2s+3}·(P + Q) ≤ 6·γ_{d+2s+3}·R²`.
+///
+/// With `m·u ≤ 0.01`, `γ_m ≤ 1.0102·m·u`, and the two bounds add up to
+/// `|E − F| ≤ 1.011·(10d + 16s + 26)·u·R² ≤ 11·(d + 2n + 3)·u·R²`. The
+/// margin takes `δ = 16·(d + 2n + 3)·u·R̂²`, with `R̂²` the largest
+/// computed squared norm; the slack covers `R̂²`'s own rounding and the
+/// rounding of the gap test's subtraction. If the nearest cluster's `E`
+/// is more than `2δ` below every other, its `F` is below every other
+/// `F`, so the column path, first on ties, picks the same cluster.
+///
+/// Gradual underflow adds at most `2⁻¹⁰⁷⁵` per multiplication or
+/// division (a sum that underflows is exact), well within the absolute
+/// term `(d + 2n + 3)·(1 + R̂²)·2⁻¹⁰²²`. A squared norm above
+/// [`NORM_LIMIT`], or not finite, makes the margin infinite: then no
+/// sum can overflow in a certified comparison, and every iteration
+/// after the first runs the column path.
+fn certify_margin(table: &Distances, dim: usize) -> f64 {
+    let mut r2: f64 = 0.0;
+    for &norm in &table.norms {
+        // A NaN norm is not within the limit either.
+        let within = norm <= NORM_LIMIT;
+        if !within {
+            return f64::INFINITY;
+        }
+        r2 = r2.max(norm);
+    }
+    let terms = (dim + 2 * table.norms.len() + 3) as f64;
+    let delta = 8.0 * terms * f64::EPSILON * r2 + terms * (1.0 + r2) * f64::MIN_POSITIVE;
+    2.0 * delta
 }
 
 /// k-means++ seeding. Returns `k` centroids, point-major, and the
@@ -334,10 +636,11 @@ fn init_plus_plus<R: Rng>(points: &Features, k: usize, rng: &mut R) -> (Vec<f64>
     let (n, dim) = (points.len(), points.dim());
     let mut centroids = Vec::with_capacity(k * dim);
     let mut columns = Vec::with_capacity(k * n);
-    centroids.extend_from_slice(points.row(rng.gen_range(0..n)));
+    let mut seed = rng.gen_range(0..n);
+    centroids.extend_from_slice(points.row(seed));
     let mut weights = vec![f64::INFINITY; n];
     for c in 1..k {
-        push_column(points, &centroids[(c - 1) * dim..], &mut columns);
+        push_seed_column(points, seed, &mut columns);
         for (w, d) in weights.iter_mut().zip(&columns[(c - 1) * n..]) {
             *w = w.min(*d);
         }
@@ -356,10 +659,20 @@ fn init_plus_plus<R: Rng>(points: &Features, k: usize, rng: &mut R) -> (Vec<f64>
             }
             chosen
         };
-        centroids.extend_from_slice(points.row(chosen));
+        seed = chosen;
+        centroids.extend_from_slice(points.row(seed));
     }
-    push_column(points, &centroids[(k - 1) * dim..], &mut columns);
+    push_seed_column(points, seed, &mut columns);
     (centroids, columns)
+}
+
+/// Appends the squared distance from every point to point `seed`: read
+/// from the pairwise table when there is one, computed otherwise.
+fn push_seed_column(points: &Features, seed: usize, out: &mut Vec<f64>) {
+    match &points.distances {
+        Some(table) => out.extend((0..points.len()).map(|i| table.get(i, seed))),
+        None => push_column(points, points.row(seed), points.len(), out),
+    }
 }
 
 /// Index of the smallest of `distances`, the first on ties.
@@ -380,12 +693,13 @@ fn distance_sq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
 }
 
-/// Appends the squared distance from every point to `centroid`, in
-/// point order, computed one group of `LANES` points at a time. Every
-/// entry is bit-identical to `distance_sq(points.row(i), centroid)`.
-fn push_column(points: &Features, centroid: &[f64], out: &mut Vec<f64>) {
-    let (n, dim) = (points.len(), points.dim());
-    for group in 0..n.div_ceil(LANES) {
+/// Appends the squared distance from each of the first `count` points
+/// to `centroid`, in point order, computed one group of `LANES` points
+/// at a time. Every entry is bit-identical to
+/// `distance_sq(points.row(i), centroid)`.
+fn push_column(points: &Features, centroid: &[f64], count: usize, out: &mut Vec<f64>) {
+    let dim = points.dim();
+    for group in 0..count.div_ceil(LANES) {
         let mut acc = [0.0; LANES];
         for (lanes, &c) in points.groups[group * dim..(group + 1) * dim]
             .iter()
@@ -396,9 +710,38 @@ fn push_column(points: &Features, centroid: &[f64], out: &mut Vec<f64>) {
                 *sum += dx * dx;
             }
         }
-        // The repeats that pad a short last group are dropped.
-        out.extend_from_slice(&acc[..LANES.min(n - group * LANES)]);
+        // Points past `count`, and the repeats that pad a short last
+        // group, are dropped.
+        out.extend_from_slice(&acc[..LANES.min(count - group * LANES)]);
     }
+}
+
+/// How often the pairwise table handed an iteration over to the column
+/// path on this thread: for an uncertified point, and for an empty
+/// cluster after a certified assignment step; and how many points the
+/// updates of iterations that began on the table's means stole.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct Handovers {
+    ambiguous: u64,
+    empty: u64,
+    steals: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    static HANDOVERS: std::cell::Cell<Handovers> = const {
+        std::cell::Cell::new(Handovers { ambiguous: 0, empty: 0, steals: 0 })
+    };
+}
+
+#[cfg(test)]
+fn note(f: impl FnOnce(&mut Handovers)) {
+    HANDOVERS.with(|cell| {
+        let mut handovers = cell.get();
+        f(&mut handovers);
+        cell.set(handovers);
+    });
 }
 
 #[cfg(test)]
@@ -517,7 +860,7 @@ mod tests {
                     (0..k * dim).map(|_| rng.gen_range(-5.0f64..5.0)).collect();
                 let mut columns = Vec::new();
                 for c in 0..k {
-                    push_column(&points, &centroids[c * dim..(c + 1) * dim], &mut columns);
+                    push_column(&points, &centroids[c * dim..(c + 1) * dim], n, &mut columns);
                 }
                 assert_eq!(columns.len(), n * k);
                 for i in 0..n {
@@ -544,16 +887,27 @@ mod tests {
                     Surface::from_fn(&space, |a| base * (1.0 + slope / f64::from(a.cache))).unwrap()
                 })
                 .collect();
-            let fresh = |n: usize| Features::from_surfaces(&surfaces[..n]);
-            let split = rng.gen_range(0usize..=surfaces.len());
-            let mut grown = fresh(split);
-            grown.extend_surfaces(&surfaces[split..]);
-            assert_eq!(grown, fresh(surfaces.len()), "append at {split}");
-            let keep = rng.gen_range(0usize..=surfaces.len());
-            grown.truncate(keep);
-            assert_eq!(grown, fresh(keep), "truncate to {keep}");
-            grown.extend_surfaces(&surfaces[keep..]);
-            assert_eq!(grown, fresh(surfaces.len()), "re-append at {keep}");
+            let (split, keep) = (
+                rng.gen_range(0usize..=surfaces.len()),
+                rng.gen_range(0usize..=surfaces.len()),
+            );
+            // With and without the pairwise table, which must follow.
+            for table in [false, true] {
+                let fresh = |n: usize| {
+                    let mut features = Features::from_surfaces(&surfaces[..n]);
+                    if table {
+                        features.keep_distances();
+                    }
+                    features
+                };
+                let mut grown = fresh(split);
+                grown.extend_surfaces(&surfaces[split..]);
+                assert_eq!(grown, fresh(surfaces.len()), "append at {split}, table {table}");
+                grown.truncate(keep);
+                assert_eq!(grown, fresh(keep), "truncate to {keep}, table {table}");
+                grown.extend_surfaces(&surfaces[keep..]);
+                assert_eq!(grown, fresh(surfaces.len()), "re-append at {keep}, table {table}");
+            }
         });
     }
 
@@ -768,39 +1122,167 @@ mod tests {
         }
     }
 
-    #[test]
-    fn matches_previous_implementation_and_rng_position() {
-        check(256, |rng| {
-            let n = rng.gen_range(1usize..=24); // odd and even counts
-            let dim = rng.gen_range(1usize..=12);
-            // A few distinct rows, repeated: duplicates force uniform
-            // re-draws in seeding and empty clusters in Lloyd.
-            let distinct = rng.gen_range(1usize..=n);
-            let pool: Vec<Vec<f64>> = (0..distinct)
-                .map(|_| (0..dim).map(|_| rng.gen_range(-3.0f64..3.0)).collect())
-                .collect();
-            let raw: Vec<Vec<f64>> = (0..n)
-                .map(|i| {
-                    if i < distinct {
-                        pool[i].clone()
-                    } else {
-                        pool[rng.gen_range(0..distinct)].clone()
-                    }
-                })
-                .collect();
-            let points = features(&raw);
-            for k in 1..=8 {
-                let seed = rng.next_u64();
-                let (mut now_rng, mut then_rng) =
-                    (DetRng::seed_from_u64(seed), DetRng::seed_from_u64(seed));
-                let now = kmeans(&points, k, &mut now_rng);
-                let then = previous::kmeans(&points, k, &mut then_rng);
-                assert_eq!(now, then, "n {n}, distinct {distinct}, k {k}");
+    /// Random rows with near ties: small-integer coordinates times one
+    /// scale (dyadic, or not, so that means round), whose cluster means
+    /// often sit exactly as far from a point as each other; midpoints
+    /// of two rows; duplicate rows, whose clusters have equal means;
+    /// and one-ulp perturbations of a few coordinates.
+    fn near_tie_rows(rng: &mut DetRng) -> Vec<Vec<f64>> {
+        let n = rng.gen_range(2usize..=24);
+        let dim = rng.gen_range(1usize..=4);
+        let scale = [1.0, 0.5, 0.1, 3.0, 1e-3][rng.gen_range(0usize..5)];
+        let mut raw: Vec<Vec<f64>> = Vec::with_capacity(n);
+        while raw.len() < n {
+            let row = match (raw.len(), rng.gen_range(0usize..4)) {
+                (0 | 1, _) | (_, 0) => (0..dim)
+                    .map(|_| rng.gen_range(0usize..=4) as f64 * scale)
+                    .collect(),
+                (len, 1) => {
+                    let (a, b) = (rng.gen_range(0..len), rng.gen_range(0..len));
+                    raw[a].iter().zip(&raw[b]).map(|(x, y)| (x + y) / 2.0).collect()
+                }
+                (len, _) => raw[rng.gen_range(0..len)].clone(),
+            };
+            raw.push(row);
+        }
+        for _ in 0..rng.gen_range(0usize..=3) {
+            let (i, d) = (rng.gen_range(0..n), rng.gen_range(0..dim));
+            let x = raw[i][d];
+            raw[i][d] = if rng.gen_bool(0.5) { x.next_up() } else { x.next_down() };
+        }
+        raw
+    }
+
+    /// Rows from a few distinct ones, repeated: duplicates force
+    /// uniform re-draws in seeding and empty clusters in Lloyd.
+    fn pooled_rows(rng: &mut DetRng) -> Vec<Vec<f64>> {
+        let n = rng.gen_range(1usize..=24); // odd and even counts
+        let dim = rng.gen_range(1usize..=12);
+        let distinct = rng.gen_range(1usize..=n);
+        let pool: Vec<Vec<f64>> = (0..distinct)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-3.0f64..3.0)).collect())
+            .collect();
+        (0..n)
+            .map(|i| {
+                if i < distinct {
+                    pool[i].clone()
+                } else {
+                    pool[rng.gen_range(0..distinct)].clone()
+                }
+            })
+            .collect()
+    }
+
+    /// Clusters `raw` for `k = 1..=8` with and without the pairwise
+    /// table and checks both against the previous implementation:
+    /// the same assignment and the same RNG position.
+    fn assert_matches_previous(raw: &[Vec<f64>], rng: &mut DetRng) {
+        let points = features(raw);
+        let mut with_table = points.clone();
+        with_table.keep_distances();
+        for k in 1..=8 {
+            let seed = rng.next_u64();
+            let mut then_rng = DetRng::seed_from_u64(seed);
+            let then = previous::kmeans(&points, k, &mut then_rng);
+            let then_next = then_rng.next_u64();
+            for (table, points) in [(false, &points), (true, &with_table)] {
+                let mut now_rng = DetRng::seed_from_u64(seed);
+                let now = kmeans(points, k, &mut now_rng);
+                assert_eq!(now, then, "table {table}, k {k}, rows {raw:?}");
                 assert_eq!(
                     now_rng.next_u64(),
-                    then_rng.next_u64(),
-                    "RNG position: n {n}, distinct {distinct}, k {k}"
+                    then_next,
+                    "RNG position: table {table}, k {k}, rows {raw:?}"
                 );
+            }
+        }
+    }
+
+    /// One oracle case: pooled or near-tie rows.
+    fn oracle_case(rng: &mut DetRng) {
+        let raw = if rng.gen_bool(0.5) {
+            pooled_rows(rng)
+        } else {
+            near_tie_rows(rng)
+        };
+        assert_matches_previous(&raw, rng);
+    }
+
+    #[test]
+    fn matches_previous_implementation_and_rng_position() {
+        check(256, oracle_case);
+    }
+
+    #[test]
+    fn near_ties_run_every_hand_over() {
+        // A fixed set of cases, so that the counts below never depend
+        // on `VC2M_CASES`: a family that never reached the column path
+        // from the table would prove nothing about the hand-over.
+        HANDOVERS.with(|cell| cell.set(Handovers::default()));
+        for seed in 0..400 {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let raw = near_tie_rows(&mut rng);
+            assert_matches_previous(&raw, &mut rng);
+        }
+        let handovers = HANDOVERS.with(std::cell::Cell::get);
+        assert!(handovers.ambiguous > 0, "{handovers:?}");
+        assert!(handovers.steals > 0, "{handovers:?}");
+        // An uncertified point after the only points the iteration
+        // moved, found by search: a hand-over that kept the partly
+        // written assignment would see no change and stop early.
+        oracle_case(&mut DetRng::seed_from_u64(0x9c79_f0f6_7baf_ad9d));
+        // A certified assignment step that empties a cluster is rare
+        // (about once in 50 000 random clusterings), so one, found by
+        // search, is pinned: ten integer points in 3-D at `k = 6`.
+        let raw: Vec<Vec<f64>> = [
+            [2, 1, 0],
+            [4, 0, 2],
+            [0, 4, 1],
+            [0, 1, 2],
+            [0, 1, 3],
+            [1, 0, 0],
+            [1, 1, 2],
+            [4, 2, 3],
+            [3, 3, 3],
+            [1, 4, 1],
+        ]
+        .iter()
+        .map(|row| row.iter().map(|&x| f64::from(x)).collect())
+        .collect();
+        let points = features(&raw);
+        let mut with_table = points.clone();
+        with_table.keep_distances();
+        let before = HANDOVERS.with(std::cell::Cell::get).empty;
+        let (mut now_rng, mut then_rng) =
+            (DetRng::seed_from_u64(12_459), DetRng::seed_from_u64(12_459));
+        let now = kmeans(&with_table, 6, &mut now_rng);
+        let then = previous::kmeans(&points, 6, &mut then_rng);
+        assert_eq!(now, then);
+        assert_eq!(now_rng.next_u64(), then_rng.next_u64());
+        assert_eq!(HANDOVERS.with(std::cell::Cell::get).empty, before + 1);
+    }
+
+    #[test]
+    fn table_entries_equal_the_column_path_bitwise() {
+        check(64, |rng| {
+            let raw = if rng.gen_bool(0.5) {
+                pooled_rows(rng)
+            } else {
+                near_tie_rows(rng)
+            };
+            let n = raw.len();
+            let mut points = features(&raw);
+            points.keep_distances();
+            let Some(table) = &points.distances else {
+                panic!("keep_distances keeps a table");
+            };
+            assert_eq!(table.triangle.len(), n * (n + 1) / 2);
+            for s in 0..n {
+                let mut column = Vec::new();
+                push_column(&points, points.row(s), n, &mut column);
+                for (i, d) in column.iter().enumerate() {
+                    assert_eq!(table.get(i, s).to_bits(), d.to_bits(), "point {i}, seed {s}");
+                }
             }
         });
     }

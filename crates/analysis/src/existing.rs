@@ -122,7 +122,8 @@ pub fn existing_vcpu(id: VcpuId, vm: VmId, taskset: &TaskSet) -> Result<VcpuSpec
     .expect("task parameters are validated at construction");
     let period = best_period(&reference_demand, p_min);
     let periods: Vec<f64> = taskset.iter().map(Task::period).collect();
-    let solver = MinBudgetSolver::new(&periods, period);
+    let solver = MinBudgetSolver::new(&periods, period)
+        .expect("task parameters are validated at construction");
     let mut wcets = vec![0.0; periods.len()];
     let budget = BudgetSurface::from_fn(&space, |alloc| {
         for (wcet, t) in wcets.iter_mut().zip(taskset.iter()) {

@@ -131,28 +131,54 @@ impl TraceRequest {
         parse_request_bare(line.trim())
     }
 
-    /// Whether the request can be materialized: an arrival or a mode
-    /// change must ask for some utilization.
+    /// Whether the request can be materialized, with the parser's
+    /// message where it cannot: an arrival or a mode change must ask
+    /// for some utilization, and for no more than the parser accepts.
     fn check(&self) -> Result<(), String> {
         match *self {
             TraceRequest::Arrive {
-                utilization_milli: 0,
+                utilization_milli,
                 ..
             }
             | TraceRequest::Mode {
-                utilization_milli: 0,
+                utilization_milli,
                 ..
-            } => Err(rounds_to_zero(0.0)),
-            _ => Ok(()),
+            } => {
+                if utilization_milli == 0 {
+                    Err(rounds_to_zero(0.0))
+                } else if utilization_milli > MAX_UTILIZATION_MILLI {
+                    Err(out_of_range(f64::from(utilization_milli) / 1000.0))
+                } else {
+                    Ok(())
+                }
+            }
+            TraceRequest::Depart { .. } => Ok(()),
         }
     }
 }
+
+/// The largest utilization a request may ask for, in milli-units.
+const MAX_UTILIZATION_MILLI: u32 = 1_000_000;
 
 /// The error for a utilization below 0.0005, which rounds to zero
 /// milli-units: no taskset can be generated for it.
 fn rounds_to_zero(utilization: f64) -> String {
     format!("utilization {utilization} rounds to zero (the least is 0.0005)")
 }
+
+/// The error for a utilization past the largest one accepted.
+fn out_of_range(utilization: f64) -> String {
+    format!("utilization {utilization} out of range")
+}
+
+/// The error for a batch with no member.
+const EMPTY_BATCH: &str = "batch arity must be at least 1";
+
+/// The error for a batch member other than an arrival.
+const BATCH_MEMBER: &str = "only arrivals may appear in a batch";
+
+/// The error for a `crit` directive out of canonical order.
+const CRIT_ORDER: &str = "crit vm ids must be strictly increasing";
 
 /// One scheduling unit of a trace: a single request, or a batch of
 /// concurrent arrivals admitted in one pass.
@@ -189,17 +215,27 @@ impl AdmissionTrace {
     ///
     /// # Errors
     ///
-    /// Returns the trace parser's message, naming the 1-based item,
-    /// when a request asks for zero utilization (see [`materialize`]).
+    /// Refuses exactly the items [`AdmissionTrace::parse`] refuses,
+    /// with the parser's message naming the 1-based item: a request
+    /// whose utilization rounds to zero or is out of range (see
+    /// [`materialize`]), an empty batch, and a batch member that is not
+    /// an arrival.
     pub fn from_items(items: Vec<TraceItem>) -> Result<Self, String> {
         for (number, item) in (1..).zip(&items) {
-            let requests = match item {
-                TraceItem::Single(request) => std::slice::from_ref(request),
-                TraceItem::Batch(requests) => requests,
+            let checked = match item {
+                TraceItem::Single(request) => request.check(),
+                TraceItem::Batch(requests) if requests.is_empty() => Err(EMPTY_BATCH.to_string()),
+                // Member by member, as the parser reads them: the
+                // request first, then whether it is an arrival.
+                TraceItem::Batch(requests) => requests.iter().try_for_each(|request| {
+                    request.check()?;
+                    match request {
+                        TraceRequest::Arrive { .. } => Ok(()),
+                        _ => Err(BATCH_MEMBER.to_string()),
+                    }
+                }),
             };
-            for request in requests {
-                request.check().map_err(|e| format!("item {number}: {e}"))?;
-            }
+            checked.map_err(|e| format!("item {number}: {e}"))?;
         }
         Ok(AdmissionTrace {
             items,
@@ -210,18 +246,17 @@ impl AdmissionTrace {
 
     /// Marks the given VM ids HI-criticality (the `crit` directive).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the ids are not strictly increasing — the same
-    /// canonical form the parser enforces, so render → parse stays an
-    /// exact round trip.
-    pub fn with_hi_vms(mut self, hi_vms: Vec<usize>) -> Self {
-        assert!(
-            hi_vms.windows(2).all(|w| w[0] < w[1]),
-            "crit vm ids must be strictly increasing"
-        );
+    /// Refuses ids that are not strictly increasing, with the parser's
+    /// message: that is the canonical form the parser enforces, so
+    /// render → parse stays an exact round trip.
+    pub fn with_hi_vms(mut self, hi_vms: Vec<usize>) -> Result<Self, String> {
+        if !hi_vms.windows(2).all(|w| w[0] < w[1]) {
+            return Err(CRIT_ORDER.to_string());
+        }
         self.hi_vms = hi_vms;
-        self
+        Ok(self)
     }
 
     /// The HI-criticality VM ids, strictly increasing (empty when the
@@ -370,9 +405,7 @@ impl AdmissionTrace {
                         .parse()
                         .map_err(|_| format!("line {number}: malformed vm id '{field}'"))?;
                     if ids.last().is_some_and(|&last| last >= vm) {
-                        return Err(format!(
-                            "line {number}: crit vm ids must be strictly increasing"
-                        ));
+                        return Err(format!("line {number}: {CRIT_ORDER}"));
                     }
                     ids.push(vm);
                 }
@@ -384,7 +417,7 @@ impl AdmissionTrace {
                 let arity: usize = parse_field(fields.next(), "batch arity")
                     .map_err(|e| format!("line {number}: {e}"))?;
                 if arity == 0 {
-                    return Err(format!("line {number}: batch arity must be at least 1"));
+                    return Err(format!("line {number}: {EMPTY_BATCH}"));
                 }
                 let mut batch = Vec::with_capacity(arity);
                 for _ in 0..arity {
@@ -393,9 +426,7 @@ impl AdmissionTrace {
                         .ok_or_else(|| format!("line {number}: batch truncated"))?;
                     let request = parse_request(member_line, member_number)?;
                     if !matches!(request, TraceRequest::Arrive { .. }) {
-                        return Err(format!(
-                            "line {member_number}: only arrivals may appear in a batch"
-                        ));
+                        return Err(format!("line {member_number}: {BATCH_MEMBER}"));
                     }
                     batch.push(request);
                 }
@@ -431,7 +462,7 @@ fn parse_request_bare(line: &str) -> Result<TraceRequest, String> {
                 return Err(format!("non-finite utilization '{utilization}'"));
             }
             if !(0.0..=1000.0).contains(&utilization) {
-                return Err(format!("utilization {utilization} out of range"));
+                return Err(out_of_range(utilization));
             }
             let utilization_milli = (utilization * 1000.0).round() as u32;
             if utilization_milli == 0 {
@@ -479,7 +510,9 @@ pub struct TraceSpec {
     /// are drawn from this stream and stored in the trace).
     pub seed: u64,
     /// Per-VM target utilization range, milli-units, inclusive. A
-    /// lower end of 0 counts as 1: a VM must ask for some utilization.
+    /// lower end of 0 counts as 1: a VM must ask for some utilization;
+    /// an upper end past 1 000 000 (a utilization of 1000) counts as
+    /// that, the most a trace line may ask for.
     pub utilization_milli: (u32, u32),
     /// Live-set bounds: below `lo` only arrivals are emitted, at or
     /// above `hi` only departures — the churn regime in between.
@@ -565,7 +598,10 @@ impl TraceSpec {
 /// retries of rejected VMs exercise the rejection memo).
 pub fn generate(spec: &TraceSpec) -> AdmissionTrace {
     let mut rng = DetRng::seed_from_u64(spec.seed);
-    let (lo, hi) = (spec.utilization_milli.0.max(1), spec.utilization_milli.1);
+    let (lo, hi) = (
+        spec.utilization_milli.0.max(1),
+        spec.utilization_milli.1.min(MAX_UTILIZATION_MILLI),
+    );
     let (live_lo, live_hi) = spec.live_range;
     let mut items = Vec::new();
     // Live VMs with their original arrival lines (re-emitted verbatim
@@ -670,7 +706,7 @@ pub fn materialize(
 /// [`materialize`] for a request known to pass its check: every
 /// request of an [`AdmissionTrace`] does, since each way of building
 /// one ([`AdmissionTrace::parse`], [`AdmissionTrace::from_items`],
-/// [`generate`]) refuses or never makes a zero utilization.
+/// [`generate`]) refuses or never makes a utilization out of range.
 fn engine_request(request: &TraceRequest, space: ResourceSpace) -> AdmissionRequest {
     match *request {
         TraceRequest::Arrive {
@@ -1107,6 +1143,96 @@ mod tests {
         let trace = generate(&spec);
         let mut engine = AdmissionEngine::new(Platform::platform_a(), AdmissionConfig::new(42));
         assert_eq!(replay(&mut engine, &trace).decisions(), trace.len());
+    }
+
+    /// A random request over a few VM ids; arrivals and mode changes
+    /// ask for a utilization in the accepted range or past either end.
+    fn random_request(rng: &mut DetRng) -> TraceRequest {
+        let vm = rng.gen_range(1usize..=6);
+        let utilization_milli = match rng.gen_range(0u32..10) {
+            0 => 0,
+            1 => MAX_UTILIZATION_MILLI + 1,
+            2 => u32::MAX,
+            _ => rng.gen_range(1u32..=300),
+        };
+        let seed = rng.gen_range(0u64..1000);
+        match rng.gen_range(0u32..4) {
+            0 => TraceRequest::Depart { vm },
+            1 => TraceRequest::Mode {
+                vm,
+                utilization_milli,
+                seed,
+            },
+            _ => TraceRequest::Arrive {
+                vm,
+                utilization_milli,
+                seed,
+            },
+        }
+    }
+
+    /// The message of a parse or build error, without its line or item.
+    fn message(error: &str) -> &str {
+        error.split_once(": ").map_or(error, |(_, message)| message)
+    }
+
+    #[test]
+    fn from_items_refuses_exactly_what_parse_refuses() {
+        vc2m_rng::cases::check(256, |rng| {
+            let items: Vec<TraceItem> = (0..rng.gen_range(1usize..=6))
+                .map(|_| {
+                    if rng.gen_bool(0.3) {
+                        let arity = rng.gen_range(0usize..=3);
+                        TraceItem::Batch((0..arity).map(|_| random_request(rng)).collect())
+                    } else {
+                        TraceItem::Single(random_request(rng))
+                    }
+                })
+                .collect();
+            let text = AdmissionTrace {
+                items: items.clone(),
+                ..AdmissionTrace::default()
+            }
+            .render();
+            match (AdmissionTrace::from_items(items), AdmissionTrace::parse(&text)) {
+                (Ok(trace), Ok(parsed)) => {
+                    assert_eq!(parsed, trace, "{text}");
+                    assert_eq!(parsed.render(), text);
+                    let mut engine =
+                        AdmissionEngine::new(Platform::platform_a(), AdmissionConfig::new(42));
+                    let journal = replay(&mut engine, &trace);
+                    let reparsed = DecisionJournal::parse(&journal.render())
+                        .unwrap_or_else(|e| panic!("{e}\n{text}"));
+                    assert_eq!(reparsed, journal, "{text}");
+                }
+                (Err(built), Err(parsed)) => {
+                    assert!(built.starts_with("item "), "{built}");
+                    assert_eq!(message(&built), message(&parsed), "{text}");
+                }
+                (built, parsed) => panic!("from_items {built:?}, parse {parsed:?}\n{text}"),
+            }
+        });
+    }
+
+    #[test]
+    fn with_hi_vms_refuses_what_parse_refuses() {
+        vc2m_rng::cases::check(256, |rng| {
+            let ids: Vec<usize> = (0..rng.gen_range(0usize..=4))
+                .map(|_| rng.gen_range(1usize..=8))
+                .collect();
+            let trace = AdmissionTrace::parse("arrive 1 0.100 3").unwrap();
+            match trace.with_hi_vms(ids.clone()) {
+                Ok(trace) => {
+                    assert_eq!(trace.hi_vms(), ids);
+                    assert_eq!(AdmissionTrace::parse(&trace.render()).unwrap(), trace);
+                }
+                Err(error) => {
+                    let text = format!("crit {}", ids.iter().map(usize::to_string).collect::<Vec<_>>().join(" "));
+                    let parsed = AdmissionTrace::parse(&text).unwrap_err();
+                    assert_eq!(error, message(&parsed), "{text}");
+                }
+            }
+        });
     }
 
     #[test]

@@ -75,18 +75,26 @@ impl Platform {
 
     /// Platform A of the evaluation: 4 cores, 20 cache/BW partitions
     /// (modeled on the Intel Xeon E5-2618L v3 prototype machine).
+    // Invariant: `symmetric` fails only for zero cores or for fewer
+    // partitions than `(Cmin, Bmin) = (2, 1)`; the paper's three
+    // platforms have neither.
+    #[allow(clippy::expect_used)]
     pub fn platform_a() -> Self {
         Platform::symmetric(4, 20).expect("platform A parameters are valid")
     }
 
     /// Platform B of the evaluation: 6 cores, 20 cache/BW partitions
     /// (modeled on the Intel Xeon D-1528).
+    // Invariant: as for `platform_a`.
+    #[allow(clippy::expect_used)]
     pub fn platform_b() -> Self {
         Platform::symmetric(6, 20).expect("platform B parameters are valid")
     }
 
     /// Platform C of the evaluation: 4 cores, 12 cache/BW partitions
     /// (modeled on the Intel Xeon D-1518).
+    // Invariant: as for `platform_a`.
+    #[allow(clippy::expect_used)]
     pub fn platform_c() -> Self {
         Platform::symmetric(4, 12).expect("platform C parameters are valid")
     }

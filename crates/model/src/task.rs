@@ -182,7 +182,7 @@ impl TaskSet {
         self.tasks
             .iter()
             .map(Task::period)
-            .min_by(|a, b| a.partial_cmp(b).expect("periods are finite"))
+            .min_by(f64::total_cmp)
     }
 }
 
@@ -220,10 +220,11 @@ impl<'a> IntoIterator for &'a TaskSet {
 /// periods pᵢ, pⱼ, either pᵢ divides pⱼ or pⱼ divides pᵢ.
 ///
 /// Division is checked to a relative tolerance of 1e-9 to absorb
-/// floating-point representation error in generated periods.
+/// floating-point representation error in generated periods. A NaN
+/// period divides and is divided by nothing.
 pub fn are_harmonic(periods: impl IntoIterator<Item = f64>) -> bool {
     let mut ps: Vec<f64> = periods.into_iter().collect();
-    ps.sort_by(|a, b| a.partial_cmp(b).expect("periods are finite"));
+    ps.sort_by(f64::total_cmp);
     ps.windows(2).all(|w| divides(w[0], w[1]))
 }
 

@@ -146,6 +146,11 @@ impl AddAssign for SimDuration {
 
 impl Sub for SimDuration {
     type Output = SimDuration;
+    // Like the integer types' `-`, an underflow here is a bug in the
+    // caller, never input: callers that may underflow use
+    // `saturating_sub`. Panicking keeps a wrapped duration from
+    // silently corrupting a schedule.
+    #[allow(clippy::expect_used)]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0

@@ -36,6 +36,14 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Library code reports failures as values. Where an invariant makes
+// a panic unreachable, the site carries an `#[allow]` that states the
+// invariant. CI runs clippy with `-D warnings`, which makes these
+// denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod dbf;
 pub mod edf;

@@ -21,7 +21,7 @@
 //! period-Π resource — the quantity whose inflation over the taskset
 //! utilization is the *abstraction overhead* vC²M eliminates.
 
-use crate::dbf::Demand;
+use crate::dbf::{Demand, InvalidDemandError};
 use crate::kernel::analysis_horizon;
 
 /// A periodic resource Γ = (Π, Θ).
@@ -209,11 +209,15 @@ impl MinBudgetSolver {
     /// Precomputes the checkpoint structure for demands over
     /// `task_periods` analyzed against a resource of period `period`.
     ///
+    /// # Errors
+    ///
+    /// Returns [`InvalidDemandError`] (with a unit WCET) for a task
+    /// period that is not positive and finite.
+    ///
     /// # Panics
     ///
-    /// Panics if `period` or any task period is not positive and
-    /// finite.
-    pub fn new(task_periods: &[f64], period: f64) -> Self {
+    /// Panics if `period` is not positive and finite.
+    pub fn new(task_periods: &[f64], period: f64) -> Result<Self, InvalidDemandError> {
         assert!(
             period.is_finite() && period > 0.0,
             "resource period must be positive and finite, got {period}"
@@ -223,8 +227,7 @@ impl MinBudgetSolver {
         // — the all-positive fast path of `min_budget` below relies on
         // this, and mixed-zero WCET vectors fall back to the reference
         // implementation.
-        let proxy = Demand::new(task_periods.iter().map(|&p| (p, 1.0)).collect())
-            .expect("task periods must be positive and finite");
+        let proxy = Demand::new(task_periods.iter().map(|&p| (p, 1.0)).collect())?;
         let horizon = analysis_horizon(&proxy, period);
         let points = proxy.checkpoints(horizon, crate::kernel::MAX_CHECKPOINTS);
         let mut floors = vec![0.0; task_periods.len() * points.len()];
@@ -233,14 +236,14 @@ impl MinBudgetSolver {
                 *slot = ((t / p) + 1e-9).floor();
             }
         }
-        MinBudgetSolver {
+        Ok(MinBudgetSolver {
             periods: task_periods.to_vec(),
             period,
             points,
             floors,
             demands: std::cell::RefCell::new(Vec::new()),
             thresholds: std::cell::RefCell::new(Vec::new()),
-        }
+        })
     }
 
     /// The resource period Π this solver was built for.
@@ -275,7 +278,10 @@ impl MinBudgetSolver {
             // set (zero-WCET tasks contribute no deadlines); defer to
             // the reference implementation rather than replicate that
             // rarely-exercised branch. Negative or non-finite WCETs
-            // also land here, where `Demand::new` rejects them.
+            // also land here, where `Demand::new` rejects them: `new`
+            // validated the periods, so only such a WCET, the panic
+            // documented above, fails this `expect`.
+            #[allow(clippy::expect_used)]
             let demand =
                 Demand::new(self.periods.iter().copied().zip(wcets.iter().copied()).collect())
                     .expect("solver WCETs must be finite and non-negative");
@@ -657,7 +663,7 @@ mod tests {
     }
 
     fn assert_solver_matches(periods: &[f64], period: f64, wcet_vectors: &[Vec<f64>]) {
-        let solver = MinBudgetSolver::new(periods, period);
+        let solver = MinBudgetSolver::new(periods, period).unwrap();
         for wcets in wcet_vectors {
             let demand =
                 Demand::new(periods.iter().copied().zip(wcets.iter().copied()).collect()).unwrap();
@@ -705,7 +711,7 @@ mod tests {
     #[test]
     fn solver_zero_and_mixed_wcets_match() {
         let periods = [10.0, 20.0];
-        let solver = MinBudgetSolver::new(&periods, 5.0);
+        let solver = MinBudgetSolver::new(&periods, 5.0).unwrap();
         assert_eq!(solver.min_budget(&[0.0, 0.0]), Some(0.0));
         // Mixed zero WCETs change the checkpoint set; the solver must
         // still agree with the reference implementation.
@@ -719,7 +725,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "length must match")]
     fn solver_rejects_wrong_arity() {
-        let _ = MinBudgetSolver::new(&[10.0, 20.0], 5.0).min_budget(&[1.0]);
+        let _ = MinBudgetSolver::new(&[10.0, 20.0], 5.0).unwrap().min_budget(&[1.0]);
     }
 
     #[test]
@@ -833,7 +839,7 @@ mod tests {
         // evaluates exactly, so the bits still match the reference.
         let periods = [1.0, 2.0];
         for period in [1e-16, 3e-17] {
-            let solver = MinBudgetSolver::new(&periods, period);
+            let solver = MinBudgetSolver::new(&periods, period).unwrap();
             for wcets in [[0.1, 0.2], [0.5, 0.9]] {
                 let demand =
                     Demand::new(periods.iter().copied().zip(wcets).collect()).unwrap();

@@ -59,7 +59,7 @@ fn steady_state_kernels_never_allocate() {
     let small = Demand::new(vec![(10.0, 1.5), (20.0, 2.0)]).expect("valid demand");
 
     let mut workspace = AnalysisWorkspace::new();
-    let solver = MinBudgetSolver::new(demand.periods(), 5.0);
+    let solver = MinBudgetSolver::new(demand.periods(), 5.0).unwrap();
     let wcets: Vec<f64> = demand.wcets().to_vec();
 
     // Warm-up: size every reusable buffer (merge scratch, checkpoint,

@@ -259,7 +259,7 @@ fn workspace_min_budget_matches_fresh_demand_bitwise() {
 }
 
 fn assert_solver_budget_matches(demand: &Demand, period: f64) {
-    let solver = MinBudgetSolver::new(demand.periods(), period);
+    let solver = MinBudgetSolver::new(demand.periods(), period).unwrap();
     // Zero-WCET draws exercise the solver's fallback route; all-
     // positive draws its floor-table fast path. Both must land on the
     // reference bit pattern.
