@@ -60,6 +60,7 @@ mod result;
 mod text;
 
 pub mod admission;
+pub mod codec;
 pub mod degrade;
 pub mod fleet;
 pub mod hypervisor_level;
@@ -83,6 +84,7 @@ pub use fleet::{
     FleetFaultPlan, FleetFaultSpec, FleetRouter, FleetScenario, FleetStats, FleetWorkItem,
     ScheduledFleetFault,
 };
-pub use recovery::{DecisionJournal, JournalRecord, RecoveryError};
+pub use codec::{DecisionJournal, JournalRecord};
+pub use recovery::RecoveryError;
 pub use result::{AllocationOutcome, CoreAssignment, SystemAllocation};
 pub use solution::Solution;

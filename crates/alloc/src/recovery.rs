@@ -18,230 +18,16 @@
 //! to an engine that never crashed, which the differential conformance
 //! suite pins at every journal prefix.
 //!
-//! # Journal format (`vc2m-admission-journal-v1`)
-//!
-//! One record per decision, append-only (a record is a pure byte
-//! append — nothing earlier in the file is ever rewritten, so a
-//! producer issues one buffered, fsync-free append per decision):
-//!
-//! ```text
-//! # vc2m-admission-journal-v1
-//! arrive 1 0.180 9054 => #00000 arrive vm=1 u=0.180000 -> admitted/incremental | ...
-//! batch 2
-//! arrive 2 0.120 53
-//! arrive 3 0.305 99
-//! => #00001 arrive vm=3 u=0.305000 -> ...
-//! => #00002 arrive vm=2 u=0.120000 -> ...
-//! ```
-//!
-//! A single record is `<request line> => <decision line>`. A batch
-//! record keeps the batch grouping (batch admission is
-//! order-canonicalized and counted differently from singles, so the
-//! grouping is part of the state): a `batch n` header, the `n` member
-//! request lines in submission order, then the `n` decision lines in
-//! the engine's canonical emission order, each prefixed `=> `.
-//!
-//! The request half of every record is format-agnostic to this module:
-//! callers supply the line when appending and a materializer closure
-//! when recovering, so the journal works for any request encoding with
-//! a stable one-line form (the trace model's `TraceRequest::render`
-//! in practice).
+//! The journal's format (`vc2m-admission-journal-v1`) belongs to the
+//! admission codec, [`codec`](crate::codec), beside the trace format
+//! whose request lines it journals.
 
-use crate::admission::{AdmissionConfig, AdmissionEngine, AdmissionRequest};
-use crate::text;
+use crate::admission::{AdmissionConfig, AdmissionEngine};
+use crate::codec::{engine_request, materialize, AdmissionTrace, TraceItem};
+use crate::codec::{DecisionJournal, JournalRecord};
 use std::error::Error;
 use std::fmt;
 use vc2m_model::Platform;
-
-/// The first line every rendered journal carries.
-pub const JOURNAL_HEADER: &str = "# vc2m-admission-journal-v1";
-
-/// The request/decision separator of a single record. Request lines
-/// never contain it, so parsing splits on the first occurrence.
-const SEPARATOR: &str = " => ";
-
-/// One journaled decision record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JournalRecord {
-    /// One request submitted on its own.
-    Single {
-        /// The request's stable one-line text form.
-        request: String,
-        /// The decision's `log_line()` bytes.
-        decision: String,
-    },
-    /// A concurrent-arrival batch submitted in one pass.
-    Batch {
-        /// Member request lines, in submission order.
-        requests: Vec<String>,
-        /// Decision lines, in the engine's canonical emission order.
-        decisions: Vec<String>,
-    },
-}
-
-impl JournalRecord {
-    /// Number of decisions the record carries.
-    pub fn decisions(&self) -> usize {
-        match self {
-            JournalRecord::Single { .. } => 1,
-            JournalRecord::Batch { decisions, .. } => decisions.len(),
-        }
-    }
-}
-
-/// The write-ahead decision journal (see the [module docs](self)).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DecisionJournal {
-    records: Vec<JournalRecord>,
-}
-
-impl DecisionJournal {
-    /// An empty journal.
-    pub fn new() -> Self {
-        DecisionJournal::default()
-    }
-
-    /// The journaled records, in decision order.
-    pub fn records(&self) -> &[JournalRecord] {
-        &self.records
-    }
-
-    /// Number of records (a batch is one record).
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the journal holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total number of journaled decisions (batch members count
-    /// individually).
-    pub fn decisions(&self) -> usize {
-        self.records.iter().map(JournalRecord::decisions).sum()
-    }
-
-    /// Appends a single-request record.
-    pub fn append_single(&mut self, request: String, decision: String) {
-        self.records.push(JournalRecord::Single { request, decision });
-    }
-
-    /// Appends a batch record.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless exactly one decision was journaled per member
-    /// request — a batch always decides each member.
-    pub fn append_batch(&mut self, requests: Vec<String>, decisions: Vec<String>) {
-        assert_eq!(
-            requests.len(),
-            decisions.len(),
-            "a batch decides each member exactly once"
-        );
-        self.records.push(JournalRecord::Batch { requests, decisions });
-    }
-
-    /// The journal truncated to its first `records` records — a crash
-    /// point for the conformance suite.
-    pub fn prefix(&self, records: usize) -> DecisionJournal {
-        DecisionJournal {
-            records: self.records[..records.min(self.records.len())].to_vec(),
-        }
-    }
-
-    /// Renders the stable text form (header + records,
-    /// newline-terminated). [`parse`](DecisionJournal::parse) of the
-    /// result reproduces `self`.
-    pub fn render(&self) -> String {
-        let mut text = String::from(JOURNAL_HEADER);
-        text.push('\n');
-        for record in &self.records {
-            match record {
-                JournalRecord::Single { request, decision } => {
-                    text.push_str(request);
-                    text.push_str(SEPARATOR);
-                    text.push_str(decision);
-                    text.push('\n');
-                }
-                JournalRecord::Batch { requests, decisions } => {
-                    text.push_str("batch ");
-                    text::put_u64(&mut text, requests.len() as u64, 0);
-                    text.push('\n');
-                    for request in requests {
-                        text.push_str(request);
-                        text.push('\n');
-                    }
-                    for decision in decisions {
-                        text.push_str("=> ");
-                        text.push_str(decision);
-                        text.push('\n');
-                    }
-                }
-            }
-        }
-        text
-    }
-
-    /// Parses the text form. Comment (`#`) and blank lines are
-    /// ignored; a `batch n` header consumes the next `n` member
-    /// request lines and then `n` `=> `-prefixed decision lines.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending line on malformed input.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut records = Vec::new();
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| (i + 1, l.trim()))
-            .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'));
-        while let Some((number, line)) = lines.next() {
-            if let Some(arity) = line.strip_prefix("batch ") {
-                let arity: usize = arity
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("line {number}: malformed batch arity"))?;
-                if arity == 0 {
-                    return Err(format!("line {number}: batch arity must be at least 1"));
-                }
-                let mut requests = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    let (member_number, member) = lines
-                        .next()
-                        .ok_or_else(|| format!("line {number}: batch truncated"))?;
-                    if member.starts_with("=> ") {
-                        return Err(format!(
-                            "line {member_number}: decision line where a batch member request \
-                             was expected"
-                        ));
-                    }
-                    requests.push(member.to_string());
-                }
-                let mut decisions = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    let (member_number, member) = lines
-                        .next()
-                        .ok_or_else(|| format!("line {number}: batch truncated"))?;
-                    let decision = member.strip_prefix("=> ").ok_or_else(|| {
-                        format!("line {member_number}: batch decision line must start with '=> '")
-                    })?;
-                    decisions.push(decision.to_string());
-                }
-                records.push(JournalRecord::Batch { requests, decisions });
-            } else if let Some((request, decision)) = line.split_once(SEPARATOR) {
-                records.push(JournalRecord::Single {
-                    request: request.to_string(),
-                    decision: decision.to_string(),
-                });
-            } else {
-                return Err(format!("line {number}: record has no '{SEPARATOR}' separator"));
-            }
-        }
-        Ok(DecisionJournal { records })
-    }
-}
 
 /// Why a journal could not be replayed into a fresh engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -287,10 +73,42 @@ impl fmt::Display for RecoveryError {
 
 impl Error for RecoveryError {}
 
-/// Reconstructs a replacement engine from `journal`: replays every
-/// journaled request (materialized from its text line by
-/// `materialize`) into a fresh engine with `config`, comparing each
-/// regenerated decision line byte-for-byte against the journaled one.
+/// Replays `trace` into `engine` (appending to its decision log):
+/// singles via [`AdmissionEngine::submit`], batches via
+/// [`AdmissionEngine::submit_batch`]. Returns the write-ahead
+/// [`DecisionJournal`] of the replayed items, one record per item:
+/// the request's canonical trace line paired with the engine's
+/// byte-stable decision line (batch records keep requests in
+/// submission order and decisions in the engine's canonical order).
+/// Persisting the rendered journal lets [`recover_engine`] reconstruct
+/// a bit-identical replacement engine after a crash.
+pub fn replay(engine: &mut AdmissionEngine, trace: &AdmissionTrace) -> DecisionJournal {
+    let space = engine.platform().resources();
+    let mut journal = DecisionJournal::new();
+    for item in trace.items() {
+        match item {
+            TraceItem::Single(request) => {
+                let decision = engine.submit(engine_request(request, space));
+                journal.append_single(request.render(), decision.log_line());
+            }
+            TraceItem::Batch(requests) => {
+                let lines: Vec<String> = requests.iter().map(|r| r.render()).collect();
+                let decisions = engine
+                    .submit_batch(requests.iter().map(|r| engine_request(r, space)).collect())
+                    .iter()
+                    .map(|d| d.log_line())
+                    .collect();
+                journal.append_batch(lines, decisions);
+            }
+        }
+    }
+    journal
+}
+
+/// Reconstructs a replacement engine from `journal`: every journaled
+/// request line is parsed and materialized ([`materialize`]) and
+/// replayed into a fresh engine with `config`, and each regenerated
+/// decision line is compared byte-for-byte against the journaled one.
 ///
 /// On success the returned engine is in the exact state of the engine
 /// that wrote the journal — same working set, allocation, decision
@@ -298,63 +116,53 @@ impl Error for RecoveryError {}
 /// byte-identical to an engine that never crashed (see the
 /// [module docs](self) for the argument, and the conformance suite
 /// for the pin).
-pub fn recover_engine<F>(
+///
+/// # Errors
+///
+/// [`RecoveryError::BadRequest`] for a request line the codec refuses,
+/// [`RecoveryError::Divergence`] for a replayed decision that differs
+/// from the journaled one.
+pub fn recover_engine(
     platform: Platform,
     config: AdmissionConfig,
     journal: &DecisionJournal,
-    mut materialize: F,
-) -> Result<AdmissionEngine, RecoveryError>
-where
-    F: FnMut(&str) -> Result<AdmissionRequest, String>,
-{
+) -> Result<AdmissionEngine, RecoveryError> {
+    let space = platform.resources();
     let mut engine = AdmissionEngine::new(platform, config);
     // One buffer holds each regenerated line in turn.
     let mut line = String::new();
     for (record, entry) in journal.records().iter().enumerate() {
-        match entry {
-            JournalRecord::Single { request, decision } => {
-                let materialized =
-                    materialize(request).map_err(|detail| RecoveryError::BadRequest {
-                        record,
-                        detail,
-                    })?;
-                line.clear();
-                engine.submit(materialized).write_log_line(&mut line);
-                if line != *decision {
-                    return Err(RecoveryError::Divergence {
-                        record,
-                        journaled: decision.clone(),
-                        replayed: line,
-                    });
-                }
-            }
+        let parse = |request: &String| {
+            materialize(request, space)
+                .map_err(|detail| RecoveryError::BadRequest { record, detail })
+        };
+        let (journaled, replayed) = match entry {
+            JournalRecord::Single { request, decision } => (
+                std::slice::from_ref(decision),
+                std::slice::from_ref(engine.submit(parse(request)?)),
+            ),
             JournalRecord::Batch { requests, decisions } => {
-                let mut materialized = Vec::with_capacity(requests.len());
-                for request in requests {
-                    materialized.push(materialize(request).map_err(|detail| {
-                        RecoveryError::BadRequest { record, detail }
-                    })?);
-                }
-                let replayed = engine.submit_batch(materialized);
-                for (journaled, replayed) in decisions.iter().zip(replayed) {
-                    line.clear();
-                    replayed.write_log_line(&mut line);
-                    if *journaled != line {
-                        return Err(RecoveryError::Divergence {
-                            record,
-                            journaled: journaled.clone(),
-                            replayed: line,
-                        });
-                    }
-                }
-                if replayed.len() != decisions.len() {
-                    return Err(RecoveryError::Divergence {
-                        record,
-                        journaled: format!("{} decisions", decisions.len()),
-                        replayed: format!("{} decisions", replayed.len()),
-                    });
-                }
+                let materialized = requests.iter().map(parse).collect::<Result<_, _>>()?;
+                (decisions.as_slice(), engine.submit_batch(materialized))
             }
+        };
+        for (journaled, replayed) in journaled.iter().zip(replayed) {
+            line.clear();
+            replayed.write_log_line(&mut line);
+            if *journaled != line {
+                return Err(RecoveryError::Divergence {
+                    record,
+                    journaled: journaled.clone(),
+                    replayed: line,
+                });
+            }
+        }
+        if replayed.len() != journaled.len() {
+            return Err(RecoveryError::Divergence {
+                record,
+                journaled: format!("{} decisions", journaled.len()),
+                replayed: format!("{} decisions", replayed.len()),
+            });
         }
     }
     Ok(engine)
@@ -363,52 +171,21 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vc2m_model::{Task, TaskId, TaskSet, VmId, VmSpec, WcetSurface};
+    use crate::codec::{generate, TraceSpec, JOURNAL_HEADER};
 
-    fn vm(id: usize, wcet_ms: f64, n: usize) -> VmSpec {
-        let platform = Platform::platform_a();
-        let space = platform.resources();
-        let tasks: TaskSet = (0..n)
-            .map(|i| {
-                Task::new(
-                    TaskId(id * 1000 + i),
-                    10.0,
-                    WcetSurface::flat(&space, wcet_ms).unwrap(),
-                )
-                .unwrap()
-            })
-            .collect();
-        VmSpec::new(VmId(id), tasks).unwrap()
-    }
-
-    /// A toy one-line request encoding for these unit tests: `a <id>`
-    /// arrives a small VM, `d <id>` departs it. (The production
-    /// encoding lives in the trace model; the journal is agnostic.)
-    fn materialize(line: &str) -> Result<AdmissionRequest, String> {
-        let (kind, id) = line.split_once(' ').ok_or("missing id")?;
-        let id: usize = id.parse().map_err(|_| "bad id".to_string())?;
-        match kind {
-            "a" => Ok(AdmissionRequest::Arrival(vm(id, 1.0, 2))),
-            "d" => Ok(AdmissionRequest::Departure(VmId(id))),
-            other => Err(format!("unknown kind '{other}'")),
-        }
-    }
-
+    /// A generated trace with batches, mode changes and departures,
+    /// replayed into an engine, and the journal it wrote.
     fn journaled_engine() -> (AdmissionEngine, DecisionJournal) {
+        let trace = generate(&TraceSpec::new(30, 13));
+        assert!(trace.items().iter().any(|item| matches!(item, TraceItem::Batch(_))));
         let mut engine = AdmissionEngine::new(Platform::platform_a(), AdmissionConfig::new(42));
-        let mut journal = DecisionJournal::new();
-        for line in ["a 1", "a 2", "d 1", "a 3"] {
-            let decision = engine.submit(materialize(line).unwrap()).log_line();
-            journal.append_single(line.to_string(), decision);
-        }
-        let batch = ["a 4", "a 5"];
-        let decisions = engine
-            .submit_batch(batch.iter().map(|l| materialize(l).unwrap()).collect())
-            .iter()
-            .map(|d| d.log_line())
-            .collect();
-        journal.append_batch(batch.iter().map(|l| l.to_string()).collect(), decisions);
+        let journal = replay(&mut engine, &trace);
+        assert_eq!(journal.decisions(), trace.len());
         (engine, journal)
+    }
+
+    fn recover(journal: &DecisionJournal) -> Result<AdmissionEngine, RecoveryError> {
+        recover_engine(Platform::platform_a(), AdmissionConfig::new(42), journal)
     }
 
     #[test]
@@ -419,7 +196,6 @@ mod tests {
         let parsed = DecisionJournal::parse(&text).unwrap();
         assert_eq!(parsed, journal);
         assert_eq!(parsed.render(), text);
-        assert_eq!(parsed.decisions(), 6);
     }
 
     #[test]
@@ -439,71 +215,52 @@ mod tests {
         assert!(err.contains("must start with '=> '"), "{err}");
     }
 
+    /// The persisted text form round-trips, and a replacement engine
+    /// recovered from it is in the exact state of the one that wrote
+    /// it.
     #[test]
     fn recovery_reconstructs_the_exact_engine_state() {
         let (original, journal) = journaled_engine();
-        let recovered = recover_engine(
-            Platform::platform_a(),
-            AdmissionConfig::new(42),
-            &journal,
-            materialize,
-        )
-        .unwrap();
+        let parsed = DecisionJournal::parse(&journal.render()).unwrap();
+        assert_eq!(parsed, journal);
+        let recovered = recover(&parsed).unwrap();
         assert_eq!(recovered.log_text(), original.log_text());
         assert_eq!(recovered.stats(), original.stats());
         assert_eq!(recovered.allocation(), original.allocation());
     }
 
+    /// For every crash point: recover the journal prefix, re-drive the
+    /// records it missed, serve a live tail, and the engine equals the
+    /// one that never crashed.
     #[test]
     fn recovery_continues_byte_identically_at_every_prefix() {
-        // For every crash point: recover from the journal prefix,
-        // replay the remaining requests live, and demand the full log
-        // byte-identical to the never-crashed engine's.
-        let (original, journal) = journaled_engine();
-        let tail = ["a 6", "d 2", "a 7"];
-        let mut never_crashed = recover_engine(
-            Platform::platform_a(),
-            AdmissionConfig::new(42),
-            &journal,
-            materialize,
-        )
-        .unwrap();
-        for line in tail {
-            never_crashed.submit(materialize(line).unwrap());
-        }
-        for crash_point in 0..=journal.len() {
-            let mut recovered = recover_engine(
-                Platform::platform_a(),
-                AdmissionConfig::new(42),
-                &journal.prefix(crash_point),
-                materialize,
-            )
-            .unwrap();
-            // Re-drive what the prefix missed from the journal's own
-            // request lines, then the live tail.
-            for record in &journal.records()[crash_point..] {
+        let (_, journal) = journaled_engine();
+        let request = |line: &str| materialize(line, Platform::platform_a().resources()).unwrap();
+        let tail = ["arrive 1000 0.150 6", "depart 2", "mode 3 0.120 7"];
+        let serve = |engine: &mut AdmissionEngine, records: &[JournalRecord]| {
+            for record in records {
                 match record {
-                    JournalRecord::Single { request, .. } => {
-                        recovered.submit(materialize(request).unwrap());
+                    JournalRecord::Single { request: line, .. } => {
+                        engine.submit(request(line));
                     }
                     JournalRecord::Batch { requests, .. } => {
-                        recovered.submit_batch(
-                            requests.iter().map(|l| materialize(l).unwrap()).collect(),
-                        );
+                        engine.submit_batch(requests.iter().map(|l| request(l)).collect());
                     }
                 }
             }
             for line in tail {
-                recovered.submit(materialize(line).unwrap());
+                engine.submit(request(line));
             }
-            assert_eq!(
-                recovered.log_text(),
-                never_crashed.log_text(),
-                "crash point {crash_point}"
-            );
+        };
+        let mut never_crashed = recover(&journal).unwrap();
+        serve(&mut never_crashed, &[]);
+        for crash_point in 0..=journal.len() {
+            let mut recovered = recover(&journal.prefix(crash_point)).unwrap();
+            serve(&mut recovered, &journal.records()[crash_point..]);
+            assert_eq!(recovered.log_text(), never_crashed.log_text(), "crash point {crash_point}");
             assert_eq!(recovered.allocation(), never_crashed.allocation());
+            assert_eq!(recovered.stats(), never_crashed.stats());
         }
-        assert_eq!(original.decisions().len(), 6);
     }
 
     #[test]
@@ -511,24 +268,11 @@ mod tests {
         let (_, journal) = journaled_engine();
         // Tamper with one decision byte: recovery under the same
         // config must fail loudly.
-        let mut text = journal.render();
-        text = text.replace("vm=2", "vm=9");
+        let text = journal.render().replacen("vm=2 ", "vm=9 ", 1);
         let tampered = DecisionJournal::parse(&text).unwrap();
-        let err = recover_engine(
-            Platform::platform_a(),
-            AdmissionConfig::new(42),
-            &tampered,
-            materialize,
-        )
-        .unwrap_err();
+        let err = recover(&tampered).unwrap_err();
         assert!(matches!(err, RecoveryError::Divergence { .. }), "{err}");
-        let err = recover_engine(
-            Platform::platform_a(),
-            AdmissionConfig::new(42),
-            &DecisionJournal::parse("frob 1 => #00000 x").unwrap(),
-            materialize,
-        )
-        .unwrap_err();
+        let err = recover(&DecisionJournal::parse("frob 1 => #00000 x").unwrap()).unwrap_err();
         assert!(matches!(err, RecoveryError::BadRequest { .. }), "{err}");
         assert!(err.to_string().contains("record 0"), "{err}");
     }

@@ -17,42 +17,27 @@
 //!   admitted VMs, replay is byte-deterministic, and batch admission
 //!   is order-independent under permutation.
 //!
-//! The request streams are built in-test (this crate cannot see the
-//! trace model in `vc2m`), mirroring the core trace materializer:
-//! per-VM seeded tasksets with globally unique task ids.
+//! The request streams are built in-test, their VMs materialized by
+//! the trace codec: per-VM seeded tasksets with globally unique task
+//! ids.
 
 use std::cell::Cell;
+use vc2m_alloc::codec::materialize;
 use vc2m_alloc::{
     allocate_with_degradation, AdmissionConfig, AdmissionEngine, AdmissionPath, AdmissionRequest,
     AdmissionVerdict, DegradationPolicy, Solution,
 };
 use vc2m_model::{Platform, Task, TaskId, TaskSet, VmId, VmSpec, WcetSurface};
 use vc2m_rng::{cases::check, DetRng, Rng};
-use vc2m_workload::{TasksetConfig, TasksetGenerator, UtilizationDist};
-
-/// Task-id range reserved per VM, mirroring the core trace
-/// materializer so ids stay globally unique across mode changes.
-const TASK_ID_STRIDE: usize = 100_000;
 
 /// Build one VM with a seeded taskset at (approximately) the given
 /// utilization, with task ids disjoint from every other VM's.
 fn make_vm(platform: &Platform, id: usize, utilization: f64, seed: u64) -> VmSpec {
-    let config = TasksetConfig::new(utilization, UtilizationDist::Uniform);
-    let mut generator = TasksetGenerator::new(platform.resources(), config, seed);
-    let tasks: TaskSet = generator
-        .generate()
-        .iter()
-        .enumerate()
-        .map(|(i, task)| {
-            Task::new(
-                TaskId(id * TASK_ID_STRIDE + i),
-                task.period(),
-                task.wcet_surface().clone(),
-            )
-            .expect("re-identified task keeps its validity")
-        })
-        .collect();
-    VmSpec::new(VmId(id), tasks).expect("generated taskset is non-empty")
+    let line = format!("arrive {id} {utilization} {seed}");
+    match materialize(&line, platform.resources()) {
+        Ok(AdmissionRequest::Arrival(vm)) => vm,
+        other => panic!("{line}: {other:?}"),
+    }
 }
 
 /// One engine-visible step: a single request or an atomic batch.
@@ -361,7 +346,7 @@ fn memo_keys_on_the_vcpu_cap() {
         let tasks: TaskSet = (0..3)
             .map(|i| {
                 let wcet = WcetSurface::flat(&space, 5.0).expect("positive WCET");
-                Task::new(TaskId(7 * TASK_ID_STRIDE + i), 10.0, wcet).expect("WCET fits period")
+                Task::new(TaskId(700_000 + i), 10.0, wcet).expect("WCET fits period")
             })
             .collect();
         VmSpec::with_max_vcpus(VmId(7), tasks, max_vcpus).expect("positive cap")

@@ -40,7 +40,7 @@
 //! written, so a failing run still leaves its numbers behind).
 
 use std::time::Instant;
-use vc2m::admission::{generate, materialize, replay, AdmissionTrace, TraceItem, TraceSpec};
+use vc2m::admission::{fleet_items, generate, replay, AdmissionTrace, TraceSpec};
 use vc2m::prelude::*;
 use vc2m_bench::timing::{metrics_json, JsonBuilder};
 use vc2m_bench::{full_scale_requested, write_results};
@@ -87,33 +87,6 @@ fn show(rate: Option<f64>, precision: usize) -> String {
     }
 }
 
-/// One pre-materialized trace item: the requests (one, or a batch's
-/// several) ready to submit.
-struct StreamItem {
-    batch: bool,
-    requests: Vec<AdmissionRequest>,
-}
-
-fn pre_materialize(trace: &AdmissionTrace, space: vc2m::model::ResourceSpace) -> Vec<StreamItem> {
-    trace
-        .items()
-        .iter()
-        .map(|item| match item {
-            TraceItem::Single(r) => StreamItem {
-                batch: false,
-                requests: vec![materialize(r, space).expect("trace request materializes")],
-            },
-            TraceItem::Batch(rs) => StreamItem {
-                batch: true,
-                requests: rs
-                    .iter()
-                    .map(|r| materialize(r, space).expect("trace request materializes"))
-                    .collect(),
-            },
-        })
-        .collect()
-}
-
 /// Whether every decision in `decisions` was served without a solver
 /// pass: incremental admissions, departures (including unknown-VM
 /// rejections, which are O(1) lookups) — anything but a repack, a
@@ -132,7 +105,7 @@ fn all_incremental(decisions: &[AdmissionDecision]) -> bool {
 /// each item. Returns the engine plus per-item microseconds.
 fn timed_engine_pass(
     platform: &Platform,
-    items: &[StreamItem],
+    items: &[FleetWorkItem],
 ) -> (AdmissionEngine, Vec<f64>, Vec<bool>) {
     let mut engine = AdmissionEngine::new(*platform, AdmissionConfig::new(SEED));
     let mut per_item = Vec::with_capacity(items.len());
@@ -140,10 +113,13 @@ fn timed_engine_pass(
     for item in items {
         let before = engine.decisions().len();
         let t = Instant::now();
-        if item.batch {
-            engine.submit_batch(item.requests.clone());
-        } else {
-            engine.submit(item.requests[0].clone());
+        match item.clone() {
+            FleetWorkItem::Single(request) => {
+                engine.submit(request);
+            }
+            FleetWorkItem::Batch(requests) => {
+                engine.submit_batch(requests);
+            }
         }
         per_item.push(t.elapsed().as_secs_f64() * 1e6);
         incremental.push(all_incremental(&engine.decisions()[before..]));
@@ -155,12 +131,16 @@ fn timed_engine_pass(
 /// `allocate_with_degradation` pass per request — arrivals and mode
 /// changes solve for the candidate set, departures re-solve for the
 /// survivor set. Returns per-item microseconds.
-fn timed_scratch_pass(platform: &Platform, items: &[StreamItem]) -> Vec<f64> {
+fn timed_scratch_pass(platform: &Platform, items: &[FleetWorkItem]) -> Vec<f64> {
     let mut working: Vec<VmSpec> = Vec::new();
     let mut per_item = Vec::with_capacity(items.len());
     for item in items {
         let t = Instant::now();
-        for request in &item.requests {
+        let requests = match item {
+            FleetWorkItem::Single(request) => std::slice::from_ref(request),
+            FleetWorkItem::Batch(requests) => requests,
+        };
+        for request in requests {
             match request {
                 AdmissionRequest::Arrival(vm) | AdmissionRequest::ModeChange(vm) => {
                     let previous = working.clone();
@@ -258,7 +238,7 @@ fn run(trace: &AdmissionTrace, iters: usize) -> (String, Option<f64>) {
     );
 
     // Timed arms over the identical pre-materialized stream.
-    let items = pre_materialize(trace, space);
+    let items = fleet_items(trace, space);
     let (engine_total, engine_items, (engine, incremental)) = best_of(iters, || {
         let (engine, per_item, incremental) = timed_engine_pass(&platform, &items);
         (per_item, (engine, incremental))

@@ -110,7 +110,7 @@ fn timed_replay(
 /// memo-off. Panics on any divergence.
 fn conformance(platform: Platform, churn: &AdmissionTrace, heavy: &AdmissionTrace) {
     // 1-host fleet IS the plain engine, byte for byte.
-    let one_host = churn.clone().with_hosts(1);
+    let one_host = churn.clone().with_hosts(1).expect("one host is valid");
     let mut engine = AdmissionEngine::new(platform, AdmissionConfig::new(SEED));
     replay(&mut engine, &one_host);
     let mut one = AdmissionFleet::new(platform, FleetConfig::new(1, SEED));
@@ -126,7 +126,8 @@ fn conformance(platform: Platform, churn: &AdmissionTrace, heavy: &AdmissionTrac
     // Parallel replay is thread-count invariant on the multi-host trace.
     let hosts = *HOST_COUNTS.last().expect("non-empty host counts");
     let config = FleetConfig::new(hosts, SEED);
-    let items = fleet_items(&churn.clone().with_hosts(hosts), platform.resources());
+    let trace = churn.clone().with_hosts(hosts).expect("host counts are positive");
+    let items = fleet_items(&trace, platform.resources());
     let mut serial = AdmissionFleet::new(platform, config);
     serial.replay(&items, 1).expect("one thread is valid");
     for threads in [1, 2, 8] {
@@ -191,7 +192,7 @@ fn run(requests: usize, iters: usize) -> (String, Option<f64>) {
     let mut last_fleet = None;
     println!("\n  hosts   total us   decisions/s");
     for hosts in HOST_COUNTS {
-        let trace = churn.clone().with_hosts(hosts);
+        let trace = churn.clone().with_hosts(hosts).expect("host counts are positive");
         let items = fleet_items(&trace, space);
         let (total_us, fleet) =
             timed_replay(platform, FleetConfig::new(hosts, SEED), &items, iters);

@@ -15,7 +15,7 @@
 //!    prefix: recover the prefix, re-drive the tail, and the decision
 //!    log, allocation, and counters equal the never-crashed engine's.
 
-use vc2m::admission::{fleet_items, generate, materialize, recover, replay, TraceRequest, TraceSpec};
+use vc2m::admission::{fleet_items, generate, materialize, recover, replay, TraceSpec};
 use vc2m::prelude::*;
 
 const SEED: u64 = 42;
@@ -152,13 +152,7 @@ fn recovery_continues_byte_identically_at_every_journal_prefix() {
     let mut reference = AdmissionEngine::new(platform, config);
     let journal = replay(&mut reference, &trace);
     assert_eq!(journal.decisions(), trace.len());
-    let parse = |line: &str| {
-        materialize(
-            &TraceRequest::parse_line(line).expect("journaled request line parses"),
-            space,
-        )
-        .expect("journaled request materializes")
-    };
+    let parse = |line: &str| materialize(line, space).expect("journaled request line materializes");
     for crash_point in 0..=journal.len() {
         let mut engine = recover(platform, config, &journal.prefix(crash_point))
             .unwrap_or_else(|e| panic!("recovery failed at prefix {crash_point}: {e}"));

@@ -151,7 +151,9 @@ fn routing_is_deterministic_under_batch_permutation() {
                 single => single.clone(),
             })
             .collect();
-        let shuffled = AdmissionTrace::from_items(shuffled).unwrap().with_hosts(3);
+        let shuffled = AdmissionTrace::from_items(shuffled)
+            .and_then(|trace| trace.with_hosts(3))
+            .unwrap();
         let items = fleet_items(&shuffled, platform.resources());
         let mut f = fleet(platform, 3);
         f.replay(&items, 1).unwrap();
