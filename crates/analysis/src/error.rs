@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 use vc2m_model::ModelError;
+use vc2m_sched::dbf::InvalidDemandError;
+use vc2m_sched::sbf::SolverError;
 
 /// Error returned by the schedulability analyses.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,9 +21,20 @@ pub enum AnalysisError {
         /// The VM's VCPU cap.
         max_vcpus: usize,
     },
+    /// An overhead cost was negative or not finite.
+    InvalidOverhead {
+        /// Name of the offending cost, e.g. `"vcpu_event_ms"`.
+        what: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
     /// An underlying model constructor rejected the computed
     /// parameters.
     Model(ModelError),
+    /// A task's `(period, wcet)` pair was not a valid demand.
+    Demand(InvalidDemandError),
+    /// The minimal-budget solver refused its inputs.
+    Solver(SolverError),
 }
 
 impl fmt::Display for AnalysisError {
@@ -35,7 +48,12 @@ impl fmt::Display for AnalysisError {
                 f,
                 "flattening needs {tasks} VCPUs but the VM supports only {max_vcpus}"
             ),
+            AnalysisError::InvalidOverhead { what, value } => {
+                write!(f, "{what} must be non-negative and finite, got {value}")
+            }
             AnalysisError::Model(e) => write!(f, "model error: {e}"),
+            AnalysisError::Demand(e) => write!(f, "demand: {e}"),
+            AnalysisError::Solver(e) => write!(f, "budget solver: {e}"),
         }
     }
 }
@@ -44,6 +62,8 @@ impl Error for AnalysisError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             AnalysisError::Model(e) => Some(e),
+            AnalysisError::Demand(e) => Some(e),
+            AnalysisError::Solver(e) => Some(e),
             _ => None,
         }
     }
@@ -52,6 +72,18 @@ impl Error for AnalysisError {
 impl From<ModelError> for AnalysisError {
     fn from(e: ModelError) -> Self {
         AnalysisError::Model(e)
+    }
+}
+
+impl From<InvalidDemandError> for AnalysisError {
+    fn from(e: InvalidDemandError) -> Self {
+        AnalysisError::Demand(e)
+    }
+}
+
+impl From<SolverError> for AnalysisError {
+    fn from(e: SolverError) -> Self {
+        AnalysisError::Solver(e)
     }
 }
 
@@ -65,5 +97,8 @@ mod tests {
         let e = AnalysisError::Model(ModelError::Empty { what: "taskset" });
         assert!(Error::source(&e).is_some());
         assert!(Error::source(&AnalysisError::EmptyTaskset).is_none());
+        let e = AnalysisError::Demand(InvalidDemandError { index: 0, pair: (-1.0, 0.0) });
+        assert!(e.to_string().starts_with("demand: "));
+        assert!(Error::source(&e).is_some());
     }
 }

@@ -18,11 +18,11 @@
 //!   eᵢ(Cmin, Bmin)) and the budget surface is flat (used by
 //!   *Baseline (existing CSA)*).
 
-use crate::AnalysisError;
-use vc2m_model::{BudgetSurface, Task, TaskSet, VcpuId, VcpuSpec, VmId};
+use crate::{taskset_preamble, AnalysisError};
+use vc2m_model::{Alloc, BudgetSurface, ResourceSpace, Task, TaskSet, VcpuId, VcpuSpec, VmId};
 use vc2m_sched::dbf::Demand;
-use vc2m_sched::kernel::{record_vcpu_build, with_workspace};
-use vc2m_sched::sbf::{min_budget, MinBudgetSolver};
+use vc2m_sched::kernel::record_vcpu_build;
+use vc2m_sched::sbf::{min_budget, MinBudgetSolver, SolverError};
 
 /// Sentinel multiplier marking an infeasible cell: the budget is set
 /// to `INFEASIBLE_FACTOR · Π`, which fails both the per-VCPU
@@ -39,29 +39,30 @@ const INFEASIBLE_FACTOR: f64 = 2.0;
 const PERIOD_DIVISORS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
 
 /// Picks the candidate VCPU period minimizing the periodic-resource
-/// bandwidth for `demand` (ties broken toward larger periods, which
-/// cost fewer context switches at run time).
+/// bandwidth for the demand pairing `solver`'s periods with `wcets`
+/// (ties broken toward larger periods, which cost fewer context
+/// switches at run time), and returns it with its minimal budget.
 ///
-/// Budgets are evaluated with the thread's shared
-/// [`AnalysisWorkspace`](vc2m_sched::kernel::AnalysisWorkspace), whose
-/// results are bit-identical to [`min_budget`] — so the chosen period
-/// is too.
-fn best_period(demand: &Demand, p_min: f64) -> f64 {
-    let mut best = p_min;
+/// `solver` must be built at `Π_max = p_min`: one checkpoint table
+/// serves all five candidates. Its searches are bit-identical to
+/// [`min_budget`], so the chosen period is too.
+fn best_period(
+    solver: &MinBudgetSolver,
+    wcets: &[f64],
+    p_min: f64,
+) -> Result<(f64, Option<f64>), SolverError> {
+    let mut best = (p_min, None);
     let mut best_bandwidth = f64::INFINITY;
     for divisor in PERIOD_DIVISORS {
         let period = p_min / divisor;
-        let theta = with_workspace(|ws| ws.min_budget(demand, period));
-        let bandwidth = match theta {
-            Some(theta) => theta / period,
-            None => f64::INFINITY,
-        };
+        let theta = solver.min_budget(period, wcets)?;
+        let bandwidth = theta.map_or(f64::INFINITY, |theta| theta / period);
         if bandwidth + 1e-12 < best_bandwidth {
             best_bandwidth = bandwidth;
-            best = period;
+            best = (period, theta);
         }
     }
-    best
+    Ok(best)
 }
 
 /// [`best_period`] evaluated with the naive [`min_budget`] — part of
@@ -83,17 +84,36 @@ fn best_period_reference(demand: &Demand, p_min: f64) -> f64 {
     best
 }
 
+/// The demand pairing each task's period with `wcet(task)`, for the
+/// naive reference builders.
+fn reference_demand(
+    taskset: &TaskSet,
+    wcet: impl Fn(&Task) -> f64,
+) -> Result<Demand, AnalysisError> {
+    Ok(Demand::new(taskset.iter().map(|t| (t.period(), wcet(t))).collect())?)
+}
+
+/// The budget surface holding `budget(alloc)` at every allocation,
+/// stopping at the first error.
+fn budget_surface(
+    space: &ResourceSpace,
+    budget: impl FnMut(Alloc) -> Result<f64, AnalysisError>,
+) -> Result<BudgetSurface, AnalysisError> {
+    let values = space.iter().map(budget).collect::<Result<Vec<f64>, _>>()?;
+    Ok(BudgetSurface::from_values(*space, values)?)
+}
+
 /// Builds a VCPU for `taskset` under the existing compositional
-/// analysis, with the VCPU period Π = min pᵢ and, for each allocation
-/// `(c, b)`, the minimal periodic-resource budget for the WCETs
-/// eᵢ(c,b).
+/// analysis, with the VCPU period Π ∈ {pₘᵢₙ/k} of least bandwidth at
+/// the reference allocation and, for each allocation `(c, b)`, the
+/// minimal periodic-resource budget for the WCETs eᵢ(c,b).
 ///
 /// Cells where no budget ≤ Π suffices are marked infeasible (budget
 /// 2Π), so allocation algorithms reject them via the utilization test.
 ///
-/// Per-cell budgets are computed by a [`MinBudgetSolver`] sharing one
-/// checkpoint/floor table across the whole surface, bit-identical to
-/// the historical per-cell fresh-`Demand` evaluation preserved as
+/// One [`MinBudgetSolver`] serves the period search and every surface
+/// cell from a single checkpoint merge, bit-identical to the
+/// historical fresh-`Demand` evaluation preserved as
 /// [`existing_vcpu_reference`] (the conformance tests pin the two
 /// against each other).
 ///
@@ -101,35 +121,18 @@ fn best_period_reference(demand: &Demand, p_min: f64) -> f64 {
 ///
 /// Returns [`AnalysisError::EmptyTaskset`] for an empty taskset.
 pub fn existing_vcpu(id: VcpuId, vm: VmId, taskset: &TaskSet) -> Result<VcpuSpec, AnalysisError> {
-    if taskset.is_empty() {
-        return Err(AnalysisError::EmptyTaskset);
-    }
-    let p_min = taskset.min_period().expect("taskset is non-empty");
-    let space = *taskset
-        .iter()
-        .next()
-        .expect("taskset is non-empty")
-        .wcet_surface()
-        .space();
+    let (p_min, space) = taskset_preamble(taskset)?;
+    let periods: Vec<f64> = taskset.iter().map(Task::period).collect();
+    let solver = MinBudgetSolver::new(&periods, p_min)?;
     // Select the server period at the reference allocation, then use it
     // consistently for every cell (a VCPU has one period).
-    let reference_demand = Demand::new(
-        taskset
-            .iter()
-            .map(|t| (t.period(), t.reference_wcet()))
-            .collect(),
-    )
-    .expect("task parameters are validated at construction");
-    let period = best_period(&reference_demand, p_min);
-    let periods: Vec<f64> = taskset.iter().map(Task::period).collect();
-    let solver = MinBudgetSolver::new(&periods, period)
-        .expect("task parameters are validated at construction");
-    let mut wcets = vec![0.0; periods.len()];
-    let budget = BudgetSurface::from_fn(&space, |alloc| {
+    let mut wcets: Vec<f64> = taskset.iter().map(Task::reference_wcet).collect();
+    let (period, _) = best_period(&solver, &wcets, p_min)?;
+    let budget = budget_surface(&space, |alloc| {
         for (wcet, t) in wcets.iter_mut().zip(taskset.iter()) {
             *wcet = t.wcet(alloc);
         }
-        solver.min_budget(&wcets).unwrap_or(INFEASIBLE_FACTOR * period)
+        Ok(solver.min_budget(period, &wcets)?.unwrap_or(INFEASIBLE_FACTOR * period))
     })?;
     let tasks = taskset.iter().map(Task::id).collect();
     record_vcpu_build();
@@ -147,33 +150,11 @@ pub fn existing_vcpu_reference(
     vm: VmId,
     taskset: &TaskSet,
 ) -> Result<VcpuSpec, AnalysisError> {
-    if taskset.is_empty() {
-        return Err(AnalysisError::EmptyTaskset);
-    }
-    let p_min = taskset.min_period().expect("taskset is non-empty");
-    let space = *taskset
-        .iter()
-        .next()
-        .expect("taskset is non-empty")
-        .wcet_surface()
-        .space();
-    let reference_demand = Demand::new(
-        taskset
-            .iter()
-            .map(|t| (t.period(), t.reference_wcet()))
-            .collect(),
-    )
-    .expect("task parameters are validated at construction");
-    let period = best_period_reference(&reference_demand, p_min);
-    let budget = BudgetSurface::from_fn(&space, |alloc| {
-        let demand = Demand::new(
-            taskset
-                .iter()
-                .map(|t| (t.period(), t.wcet(alloc)))
-                .collect(),
-        )
-        .expect("task parameters are validated at construction");
-        min_budget(&demand, period).unwrap_or(INFEASIBLE_FACTOR * period)
+    let (p_min, space) = taskset_preamble(taskset)?;
+    let period = best_period_reference(&reference_demand(taskset, Task::reference_wcet)?, p_min);
+    let budget = budget_surface(&space, |alloc| {
+        let demand = reference_demand(taskset, |t| t.wcet(alloc))?;
+        Ok(min_budget(&demand, period).unwrap_or(INFEASIBLE_FACTOR * period))
     })?;
     let tasks = taskset.iter().map(Task::id).collect();
     Ok(VcpuSpec::new(id, vm, period, budget, tasks)?)
@@ -185,9 +166,8 @@ pub fn existing_vcpu_reference(
 /// the `(Cmin, Bmin)` corner of its surface), and the resulting budget
 /// is the same for every allocation.
 ///
-/// The single budget is evaluated with the thread's shared
-/// [`AnalysisWorkspace`](vc2m_sched::kernel::AnalysisWorkspace),
-/// bit-identical to the naive path preserved as
+/// The budget is the one the period search found for the winning
+/// period, bit-identical to the naive path preserved as
 /// [`existing_vcpu_worst_case_reference`].
 ///
 /// # Errors
@@ -198,58 +178,28 @@ pub fn existing_vcpu_worst_case(
     vm: VmId,
     taskset: &TaskSet,
 ) -> Result<VcpuSpec, AnalysisError> {
-    if taskset.is_empty() {
-        return Err(AnalysisError::EmptyTaskset);
-    }
-    let p_min = taskset.min_period().expect("taskset is non-empty");
-    let space = *taskset
-        .iter()
-        .next()
-        .expect("taskset is non-empty")
-        .wcet_surface()
-        .space();
-    let demand = Demand::new(
-        taskset
-            .iter()
-            .map(|t| (t.period(), t.wcet_surface().at_minimum()))
-            .collect(),
-    )
-    .expect("task parameters are validated at construction");
-    let period = best_period(&demand, p_min);
-    let theta = with_workspace(|ws| ws.min_budget(&demand, period))
-        .unwrap_or(INFEASIBLE_FACTOR * period);
-    let budget = BudgetSurface::flat(&space, theta)?;
+    let (p_min, space) = taskset_preamble(taskset)?;
+    let periods: Vec<f64> = taskset.iter().map(Task::period).collect();
+    let solver = MinBudgetSolver::new(&periods, p_min)?;
+    let wcets: Vec<f64> = taskset.iter().map(|t| t.wcet_surface().at_minimum()).collect();
+    let (period, theta) = best_period(&solver, &wcets, p_min)?;
+    let budget = BudgetSurface::flat(&space, theta.unwrap_or(INFEASIBLE_FACTOR * period))?;
     let tasks = taskset.iter().map(Task::id).collect();
     record_vcpu_build();
     Ok(VcpuSpec::new(id, vm, period, budget, tasks)?)
 }
 
 /// The historical [`existing_vcpu_worst_case`] implementation (naive
-/// [`min_budget`]), kept as the conformance anchor and microbench
-/// baseline.
+/// [`min_budget`], with a sixth search at the winning period), kept as
+/// the conformance anchor and microbench baseline.
 #[doc(hidden)]
 pub fn existing_vcpu_worst_case_reference(
     id: VcpuId,
     vm: VmId,
     taskset: &TaskSet,
 ) -> Result<VcpuSpec, AnalysisError> {
-    if taskset.is_empty() {
-        return Err(AnalysisError::EmptyTaskset);
-    }
-    let p_min = taskset.min_period().expect("taskset is non-empty");
-    let space = *taskset
-        .iter()
-        .next()
-        .expect("taskset is non-empty")
-        .wcet_surface()
-        .space();
-    let demand = Demand::new(
-        taskset
-            .iter()
-            .map(|t| (t.period(), t.wcet_surface().at_minimum()))
-            .collect(),
-    )
-    .expect("task parameters are validated at construction");
+    let (p_min, space) = taskset_preamble(taskset)?;
+    let demand = reference_demand(taskset, |t| t.wcet_surface().at_minimum())?;
     let period = best_period_reference(&demand, p_min);
     let theta = min_budget(&demand, period).unwrap_or(INFEASIBLE_FACTOR * period);
     let budget = BudgetSurface::flat(&space, theta)?;
@@ -386,7 +336,7 @@ mod tests {
 
     #[test]
     fn production_paths_match_reference_bitwise() {
-        // The solver/workspace-based builders must replay the
+        // The solver-based builders must replay the
         // historical naive analysis bit for bit — period selection,
         // every surface cell, and the flat worst-case budget.
         let surface = WcetSurface::from_fn(&space(), |a| 0.5 + 2.0 / f64::from(a.cache)).unwrap();

@@ -46,6 +46,14 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Library code reports failures as values. Where an invariant makes
+// a panic unreachable, the site carries an `#[allow]` that states the
+// invariant. CI runs clippy with `-D warnings`, which makes these
+// denials there.
+#![cfg_attr(
+    not(test),
+    warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 mod error;
 
@@ -61,6 +69,20 @@ pub use dirty::DirtyCores;
 pub use error::AnalysisError;
 pub use vc2m_sched::kernel::KernelCounters;
 
+use vc2m_model::{ResourceSpace, TaskSet};
+
+/// The shortest task period and the resource space of `taskset`: what
+/// every VCPU builder reads before it sizes a budget surface.
+///
+/// # Errors
+///
+/// Returns [`AnalysisError::EmptyTaskset`] for an empty taskset.
+pub(crate) fn taskset_preamble(taskset: &TaskSet) -> Result<(f64, ResourceSpace), AnalysisError> {
+    let first = taskset.iter().next().ok_or(AnalysisError::EmptyTaskset)?;
+    let p_min = taskset.min_period().ok_or(AnalysisError::EmptyTaskset)?;
+    Ok((p_min, *first.wcet_surface().space()))
+}
+
 /// Exports kernel telemetry counters into `out` under the
 /// `analysis.checkpoints.*` / `analysis.kernel.*` metric names the
 /// sweep driver publishes (`vc2m sweep --metrics-out`):
@@ -72,8 +94,9 @@ pub use vc2m_sched::kernel::KernelCounters;
 ///   dropped in-horizon deadlines (a bounded-horizon approximation);
 /// * `analysis.checkpoints.fallback_horizons` — analyses that used the
 ///   bounded 10 000 ms horizon because no hyperperiod exists;
-/// * `analysis.kernel.can_schedule` / `.min_budget` /
-///   `.solver_min_budget` — incremental kernel invocations;
+/// * `analysis.kernel.min_budget` — minimal-budget searches, every
+///   one of which runs on a
+///   [`MinBudgetSolver`](vc2m_sched::sbf::MinBudgetSolver);
 /// * `analysis.kernel.vcpu_builds` — VCPU interfaces constructed.
 pub fn export_kernel_metrics(counters: &KernelCounters, out: &mut vc2m_simcore::MetricsRegistry) {
     out.counter_add("analysis.checkpoints.merges", counters.checkpoint_merges);
@@ -83,8 +106,6 @@ pub fn export_kernel_metrics(counters: &KernelCounters, out: &mut vc2m_simcore::
         "analysis.checkpoints.fallback_horizons",
         counters.fallback_horizons,
     );
-    out.counter_add("analysis.kernel.can_schedule", counters.can_schedule_calls);
     out.counter_add("analysis.kernel.min_budget", counters.min_budget_calls);
-    out.counter_add("analysis.kernel.solver_min_budget", counters.solver_calls);
     out.counter_add("analysis.kernel.vcpu_builds", counters.vcpu_builds);
 }

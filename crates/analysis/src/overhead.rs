@@ -15,6 +15,7 @@
 //! cache-reload + context-switch delta. For VCPUs, each server period
 //! additionally pays one completion event.
 
+use crate::AnalysisError;
 use vc2m_model::{ModelError, Task, TaskSet, VcpuSpec};
 
 /// Overhead parameters, in milliseconds per event.
@@ -43,23 +44,23 @@ impl OverheadModel {
 
     /// Creates a model with the given per-event costs.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if either cost is negative or non-finite.
-    pub fn new(task_preemption_ms: f64, vcpu_event_ms: f64) -> Self {
-        for (what, v) in [
+    /// Returns [`AnalysisError::InvalidOverhead`] if either cost is
+    /// negative or non-finite.
+    pub fn new(task_preemption_ms: f64, vcpu_event_ms: f64) -> Result<Self, AnalysisError> {
+        for (what, value) in [
             ("task_preemption_ms", task_preemption_ms),
             ("vcpu_event_ms", vcpu_event_ms),
         ] {
-            assert!(
-                v.is_finite() && v >= 0.0,
-                "{what} must be non-negative and finite, got {v}"
-            );
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(AnalysisError::InvalidOverhead { what, value });
+            }
         }
-        OverheadModel {
+        Ok(OverheadModel {
             task_preemption_ms,
             vcpu_event_ms,
-        }
+        })
     }
 
     /// Inflates one task's WCET surface for intra-core task-preemption
@@ -170,7 +171,7 @@ mod tests {
         let victim = task(0, 40.0, 4.0);
         let preemptor = task(1, 10.0, 1.0);
         let ts: TaskSet = vec![victim.clone(), preemptor].into_iter().collect();
-        let model = OverheadModel::new(0.1, 0.0);
+        let model = OverheadModel::new(0.1, 0.0).unwrap();
         let inflated = model.inflate_task(&victim, &ts).unwrap();
         // ceil(40/10) = 4 preemptions × 0.1 ms.
         assert!((inflated.reference_wcet() - 4.4).abs() < 1e-12);
@@ -185,7 +186,7 @@ mod tests {
         let victim = task(0, 40.0, 39.0);
         let preemptor = task(1, 10.0, 1.0);
         let ts: TaskSet = vec![victim.clone(), preemptor].into_iter().collect();
-        let model = OverheadModel::new(0.5, 0.0);
+        let model = OverheadModel::new(0.5, 0.0).unwrap();
         assert!(matches!(
             model.inflate_task(&victim, &ts),
             Err(ModelError::ExceedsPeriod { .. })
@@ -195,7 +196,7 @@ mod tests {
     #[test]
     fn vcpu_inflation_adds_completion_charge() {
         let lone = vcpu(0, 10.0, 2.0);
-        let model = OverheadModel::new(0.0, 0.05);
+        let model = OverheadModel::new(0.0, 0.05).unwrap();
         let inflated = model
             .inflate_vcpu(&lone, std::slice::from_ref(&lone))
             .unwrap();
@@ -207,15 +208,22 @@ mod tests {
     fn vcpu_inflation_counts_peers() {
         let slow = vcpu(0, 40.0, 8.0);
         let fast = vcpu(1, 10.0, 1.0);
-        let model = OverheadModel::new(0.0, 0.1);
+        let model = OverheadModel::new(0.0, 0.1).unwrap();
         let inflated = model.inflate_vcpu(&slow, &[slow.clone(), fast]).unwrap();
         // 1 completion + ceil(40/10) = 4 preemptions → 0.5 ms.
         assert!((inflated.reference_budget() - 8.5).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "non-negative")]
     fn negative_cost_rejected() {
-        let _ = OverheadModel::new(-0.1, 0.0);
+        assert_eq!(
+            OverheadModel::new(-0.1, 0.0),
+            Err(AnalysisError::InvalidOverhead {
+                what: "task_preemption_ms",
+                value: -0.1
+            })
+        );
+        let err = OverheadModel::new(0.0, f64::NAN).unwrap_err();
+        assert!(err.to_string().contains("vcpu_event_ms must be non-negative"), "{err}");
     }
 }

@@ -14,7 +14,7 @@
 //! i.e. a CPU-bandwidth exactly equal to the taskset's utilization —
 //! zero abstraction overhead, without needing one VCPU per task.
 
-use crate::AnalysisError;
+use crate::{taskset_preamble, AnalysisError};
 use vc2m_model::{BudgetSurface, Task, TaskSet, VcpuId, VcpuSpec, VmId};
 
 /// Builds the well-regulated VCPU for a harmonic taskset (Theorem 2):
@@ -32,19 +32,10 @@ use vc2m_model::{BudgetSurface, Task, TaskSet, VcpuId, VcpuSpec, VmId};
 /// * [`AnalysisError::NotHarmonic`] if some pair of periods does not
 ///   divide evenly (the premise of Theorem 2).
 pub fn regulated_vcpu(id: VcpuId, vm: VmId, taskset: &TaskSet) -> Result<VcpuSpec, AnalysisError> {
-    if taskset.is_empty() {
-        return Err(AnalysisError::EmptyTaskset);
-    }
+    let (period, space) = taskset_preamble(taskset)?;
     if !taskset.is_harmonic() {
         return Err(AnalysisError::NotHarmonic);
     }
-    let period = taskset.min_period().expect("taskset is non-empty");
-    let space = *taskset
-        .iter()
-        .next()
-        .expect("taskset is non-empty")
-        .wcet_surface()
-        .space();
     // Hoist the task walk out of the per-cell closure: the surface has
     // hundreds of cells and `from_fn` evaluates the closure per cell,
     // so resolving the taskset's storage once keeps the inner loop a

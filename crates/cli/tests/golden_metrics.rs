@@ -167,13 +167,11 @@ const SWEEP_GOLDEN: &str = r#"{
   "command": "sweep",
   "metrics": {
     "counters": {
-      "analysis.checkpoints.emitted": 16335,
+      "analysis.checkpoints.emitted": 2760,
       "analysis.checkpoints.fallback_horizons": 0,
-      "analysis.checkpoints.merges": 3402,
+      "analysis.checkpoints.merges": 567,
       "analysis.checkpoints.truncated": 0,
-      "analysis.kernel.can_schedule": 0,
-      "analysis.kernel.min_budget": 3402,
-      "analysis.kernel.solver_min_budget": 0,
+      "analysis.kernel.min_budget": 2835,
       "analysis.kernel.vcpu_builds": 567,
       "sweep.points": 10,
       "sweep.solutions": 1,

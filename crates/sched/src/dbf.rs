@@ -132,44 +132,19 @@ impl Demand {
             .sum()
     }
 
-    /// Evaluates `dbf` at every checkpoint of `points` in one batched,
-    /// task-major pass over the SoA storage, writing into `out`
-    /// (cleared first; capacity is reused across calls).
-    ///
-    /// **Bit-identical** to `points.iter().map(|&t| self.dbf(t))`: the
-    /// reference folds task terms into each point's sum in ascending
-    /// task order starting from `0.0`, and the task-major accumulation
-    /// here performs exactly those additions in exactly that order per
-    /// point — only the *point* loop is interchanged into the inner
-    /// position, where it runs branch-free over contiguous memory and
-    /// vectorizes. (`kernel_conformance` pins the equality on random
-    /// harmonic, incommensurate and zero-WCET demands.)
-    ///
-    /// Every point must be positive — true of any checkpoint stream,
-    /// which is what this kernel exists to serve. (The reference
-    /// `dbf` short-circuits `t ≤ 0` to `0.0` before summing; a
-    /// per-element guard here would defeat vectorization, so
-    /// non-positive points are rejected in debug builds instead.)
-    pub fn dbf_many(&self, points: &[f64], out: &mut Vec<f64>) {
-        debug_assert!(
-            points.iter().all(|&t| t > 0.0),
-            "dbf_many expects positive checkpoint times"
-        );
-        out.clear();
-        out.resize(points.len(), 0.0);
-        for (&p, &e) in self.periods.iter().zip(&self.wcets) {
-            for (acc, &t) in out.iter_mut().zip(points) {
-                *acc += ((t / p) + 1e-9).floor() * e;
-            }
-        }
-    }
-
     /// The sorted, de-duplicated checkpoints (job deadlines) in
     /// `(0, horizon]` at which `dbf` increases.
     ///
-    /// Implemented as a k-way merge over the per-task deadline
-    /// progressions ([`kernel::merge_checkpoints`][crate::kernel]), so
-    /// points come out in order without a sort pass.
+    /// A k-way merge over the per-task deadline progressions emits the
+    /// points in ascending order directly, with no intermediate
+    /// collection and no sort. It matches the naive enumeration
+    /// (collect every multiple, sort, de-duplicate) exactly:
+    ///
+    /// * zero-WCET tasks contribute no deadlines;
+    /// * each task's progression `p, p+p, …` uses the same accumulated
+    ///   float values the naive loop produces;
+    /// * a point within `1e-9` of the last *emitted* point is dropped
+    ///   (the `dedup_by` rule).
     ///
     /// Two caps bound the enumeration, and both keep the **earliest**
     /// points when they bite (never a mid-task prefix, which the
@@ -178,6 +153,11 @@ impl Demand {
     /// * at most `max_points` checkpoints are returned;
     /// * each task contributes at most `max_points` deadline multiples.
     ///
+    /// So the stream for a shorter horizon is exactly the stream for a
+    /// longer one cut at the shorter horizon, which is what lets
+    /// [`MinBudgetSolver`](crate::sbf::MinBudgetSolver) serve every
+    /// resource period up to the one it was built for from one merge.
+    ///
     /// Truncation by either cap is recorded in the thread's
     /// [`kernel::KernelCounters::checkpoints_truncated`][crate::kernel::KernelCounters]
     /// counter, which sweeps export so a bounded enumeration is never
@@ -185,19 +165,70 @@ impl Demand {
     /// equal to the hyperperiod, which for the paper's harmonic
     /// tasksets is small.
     pub fn checkpoints(&self, horizon: f64, max_points: usize) -> Vec<f64> {
-        let mut scratch = crate::kernel::MergeScratch::default();
+        // One cursor per task with a pending deadline: the next
+        // deadline, the task period, and how many deadlines it yielded.
+        let mut next = Vec::new();
+        let mut periods = Vec::new();
+        let mut yielded = Vec::new();
+        for (&p, &e) in self.periods.iter().zip(&self.wcets) {
+            if e != 0.0 && p <= horizon + 1e-9 {
+                next.push(p);
+                periods.push(p);
+                yielded.push(0usize);
+            }
+        }
         let mut points = Vec::new();
-        crate::kernel::merge_checkpoints(
-            &self.periods,
-            &self.wcets,
-            horizon,
-            max_points,
-            &mut scratch,
-            |t| {
-                points.push(t);
+        let mut last = f64::NEG_INFINITY;
+        let mut truncated = false;
+        while !next.is_empty() {
+            // Linear min-scan over the cursors: k is the task count,
+            // which is the same factor every dbf evaluation already
+            // pays, so the merge stays O(k · points) like the work it
+            // feeds.
+            let mut slot = 0usize;
+            for (i, &t) in next.iter().enumerate().skip(1) {
+                if t < next[slot] {
+                    slot = i;
+                }
+            }
+            let t = next[slot];
+            // Advance or retire the cursor, replicating the naive
+            // loop's accumulated `t += p` values bit for bit.
+            yielded[slot] += 1;
+            let next_t = t + periods[slot];
+            let retire = if yielded[slot] >= max_points {
+                // The per-task cap dropped in-horizon deadlines.
+                truncated |= next_t <= horizon + 1e-9;
                 true
-            },
-        );
+            } else {
+                next_t > horizon + 1e-9
+            };
+            if retire {
+                next.swap_remove(slot);
+                periods.swap_remove(slot);
+                yielded.swap_remove(slot);
+            } else {
+                next[slot] = next_t;
+            }
+            // De-duplicate against the last emitted point (the naive
+            // `dedup_by(|a, b| (a - b).abs() < 1e-9)` keeps the first
+            // of each cluster; the stream is ascending, so comparing
+            // against the last emitted value is the same rule).
+            if (t - last).abs() < 1e-9 {
+                continue;
+            }
+            if points.len() == max_points {
+                truncated = true; // an emittable point exists beyond the cap
+                break;
+            }
+            last = t;
+            points.push(t);
+        }
+        crate::kernel::tick(|c| {
+            c.checkpoint_merges += 1;
+            c.checkpoints_emitted += points.len() as u64;
+            c.checkpoints_truncated += u64::from(truncated);
+        });
         points
     }
 }
@@ -290,27 +321,6 @@ mod tests {
         assert_eq!(d.dbf(20.0), 2.0 + 4.0);
         assert_eq!(d.dbf(40.0), 4.0 + 8.0);
         assert!((d.utilization() - 0.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dbf_many_matches_per_point_dbf_bitwise() {
-        let d = Demand::new(vec![(10.0, 1.0), (20.0, 4.0), (7.3, 0.9)]).unwrap();
-        let points = d.checkpoints(80.0, 1000);
-        let mut batched = Vec::new();
-        d.dbf_many(&points, &mut batched);
-        assert_eq!(batched.len(), points.len());
-        for (&t, &b) in points.iter().zip(&batched) {
-            assert_eq!(b.to_bits(), d.dbf(t).to_bits(), "diverged at t={t}");
-        }
-        // The output buffer is cleared, not appended to.
-        d.dbf_many(&points, &mut batched);
-        assert_eq!(batched.len(), points.len());
-        // Empty demands and empty point sets are both fine.
-        d.dbf_many(&[], &mut batched);
-        assert!(batched.is_empty());
-        let empty = Demand::new(vec![]).unwrap();
-        empty.dbf_many(&[1.0, 2.0], &mut batched);
-        assert_eq!(batched, vec![0.0, 0.0]);
     }
 
     #[test]

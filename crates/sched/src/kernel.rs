@@ -1,31 +1,21 @@
-//! Allocation-free incremental schedulability kernels.
+//! Schedulability-kernel plumbing shared by the reference analysis
+//! and the production minimal-budget kernel.
 //!
-//! The analysis inner loops — `can_schedule` probes and minimal-budget
-//! searches — run millions of times per sweep. The reference
-//! implementations in [`dbf`](crate::dbf) and [`sbf`](crate::sbf) are
-//! written for clarity: every call materializes a fresh checkpoint
-//! `Vec`, and historically also sorted and de-duplicated it. This
-//! module provides the production kernels:
+//! The analysis inner loop — the minimal-budget search Θ(Π) of the
+//! periodic resource model — runs millions of times per sweep. The
+//! reference [`min_budget`](crate::sbf::min_budget) is written for
+//! clarity: every call materializes a fresh checkpoint `Vec` and a
+//! fresh demand `Vec`. The production kernel is
+//! [`MinBudgetSolver`](crate::sbf::MinBudgetSolver): one checkpoint
+//! merge and one floor table per VCPU, reused by every search on it.
+//! This module holds what both share:
 //!
-//! * [`merge_checkpoints`](self) — a k-way merge over the per-task
-//!   deadline progressions `p, 2p, 3p, …` that emits checkpoints in
-//!   ascending order directly (no sort, no intermediate collection),
-//!   de-duplicating against the last emitted point exactly the way the
-//!   historical `sort`/`dedup_by` pass did. `Demand::checkpoints` is
-//!   built on it, so the merged stream *is* the reference stream.
-//! * [`AnalysisWorkspace`] — reusable scratch buffers (merge cursors,
-//!   checkpoint/demand arrays, per-checkpoint budget thresholds)
-//!   threading the same pattern `MinBudgetSolver` uses for its
-//!   threshold buffer, turning `can_schedule` into a single O(total
-//!   points) streaming pass and `min_budget` into a
-//!   zero-per-call-allocation certified bisection. Results
-//!   are bit-identical to the reference functions: every float
-//!   expression is evaluated in the same order on the same values
-//!   (`crates/sched/tests/kernel_conformance.rs` pins this).
+//! * [`analysis_horizon`] — the one rule for how far a search walks
+//!   (the hyperperiod, or the bounded fallback, never below 2Π);
+//! * [`MAX_CHECKPOINTS`] — the cap on every checkpoint enumeration;
 //! * [`KernelCounters`] — thread-local telemetry (merge sweeps,
-//!   truncations, fallback horizons, kernel calls) that the sweep
-//!   driver snapshots per work unit and exports as `analysis.*`
-//!   metrics.
+//!   truncations, fallback horizons, searches) that the sweep driver
+//!   snapshots per work unit and exports as `analysis.*` metrics.
 //!
 //! # Why the demand sum is *not* a running accumulator
 //!
@@ -34,21 +24,18 @@
 //! float addition is non-associative, and the accumulated per-task
 //! progression `t += p` drifts from the reference's `⌊t/p + 1e-9⌋`
 //! job count by more than the 1e-9 tolerance at large multiples. The
-//! kernels therefore stream checkpoints incrementally but evaluate the
-//! per-point demand with the reference's own task-order expression
-//! `Σᵢ ⌊t/pᵢ + 1e-9⌋·eᵢ` — the same trade `MinBudgetSolver`'s floor
-//! table makes, preserving bit-identity while still eliminating the
-//! sort, the per-call allocations, and (via certified thresholds) most
-//! probe evaluations.
+//! solver therefore evaluates the per-point demand with the
+//! reference's own task-order expression `Σᵢ ⌊t/pᵢ + 1e-9⌋·eᵢ`, from
+//! a precomputed floor table, preserving bit-identity while still
+//! eliminating the per-call merges and allocations and (via certified
+//! thresholds) most probe evaluations.
 
 use crate::dbf::Demand;
-use crate::sbf::{bisect_certified, PeriodicResource};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 /// The checkpoint cap used by every analysis entry point: at most this
-/// many merged checkpoints are enumerated per `can_schedule` /
-/// `min_budget` evaluation, and at most this many multiples of any
-/// single task period. When the cap bites (or the no-hyperperiod
+/// many merged checkpoints are enumerated per horizon, and at most
+/// this many multiples of any single task period. When the cap bites (or the no-hyperperiod
 /// fallback horizon is used), the analysis is a bounded-horizon
 /// approximation; [`KernelCounters::checkpoints_truncated`] and
 /// [`KernelCounters::fallback_horizons`] make that visible to sweeps.
@@ -62,8 +49,8 @@ pub const MAX_CHECKPOINTS: usize = 100_000;
 /// across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct KernelCounters {
-    /// Checkpoint merge sweeps performed (one per `checkpoints` /
-    /// streaming kernel evaluation).
+    /// Checkpoint merge sweeps performed (one per
+    /// [`Demand::checkpoints`] call).
     pub checkpoint_merges: u64,
     /// Checkpoints emitted across all merge sweeps.
     pub checkpoints_emitted: u64,
@@ -73,12 +60,20 @@ pub struct KernelCounters {
     /// Analyses that fell back to the bounded 10 000 ms horizon
     /// because the taskset has no representable hyperperiod.
     pub fallback_horizons: u64,
-    /// [`AnalysisWorkspace::can_schedule`] calls.
+    /// No kernel increments this any more: the streaming
+    /// `can_schedule` kernel it counted is gone, and every verdict
+    /// runs [`PeriodicResource::can_schedule`](crate::sbf::PeriodicResource::can_schedule).
+    /// The field stays, reading 0, because the benchmark reads every
+    /// field of this struct.
     pub can_schedule_calls: u64,
-    /// [`AnalysisWorkspace::min_budget`] calls.
+    /// [`MinBudgetSolver::min_budget`](crate::sbf::MinBudgetSolver::min_budget)
+    /// calls: every minimal-budget search of the production analysis.
     pub min_budget_calls: u64,
-    /// `MinBudgetSolver::min_budget` fast-path calls (floor-table
-    /// reuse).
+    /// No kernel increments this any more: the solver's searches are
+    /// counted in [`min_budget_calls`](Self::min_budget_calls), now
+    /// that the solver is the only fast kernel. The field stays,
+    /// reading 0, because the benchmark reads every field of this
+    /// struct.
     pub solver_calls: u64,
     /// VCPU interface constructions recorded by the analysis crate.
     pub vcpu_builds: u64,
@@ -133,7 +128,6 @@ impl KernelCounters {
 
 thread_local! {
     static COUNTERS: Cell<KernelCounters> = const { Cell::new(KernelCounters::new()) };
-    static WORKSPACE: RefCell<AnalysisWorkspace> = RefCell::new(AnalysisWorkspace::new());
 }
 
 /// Snapshot of this thread's kernel counters.
@@ -158,21 +152,6 @@ pub fn record_vcpu_build() {
     tick(|c| c.vcpu_builds += 1);
 }
 
-/// Runs `f` with this thread's shared [`AnalysisWorkspace`].
-///
-/// Analysis call sites that cannot conveniently own a workspace (the
-/// period search, cache-miss closures, one-shot worst-case budgets)
-/// borrow the thread-local one; each worker thread of a parallel sweep
-/// gets its own, so no synchronization is involved.
-///
-/// # Panics
-///
-/// Panics if `f` re-enters `with_workspace` on the same thread (the
-/// workspace is a single exclusive scratch buffer).
-pub fn with_workspace<R>(f: impl FnOnce(&mut AnalysisWorkspace) -> R) -> R {
-    WORKSPACE.with(|ws| f(&mut ws.borrow_mut()))
-}
-
 /// The analysis horizon for `demand` against a period-`period`
 /// resource: the hyperperiod when representable, else the bounded
 /// 10 000 ms fallback (counted in
@@ -180,246 +159,35 @@ pub fn with_workspace<R>(f: impl FnOnce(&mut AnalysisWorkspace) -> R) -> R {
 /// periods. Bit-identical to the reference expression
 /// `demand.hyperperiod().unwrap_or(10_000.0).max(2.0 * period)`.
 pub fn analysis_horizon(demand: &Demand, period: f64) -> f64 {
-    let hyperperiod = match demand.hyperperiod() {
+    horizon_at(base_horizon(demand), period)
+}
+
+/// The part of [`analysis_horizon`] that depends on the demand alone.
+pub(crate) fn base_horizon(demand: &Demand) -> f64 {
+    match demand.hyperperiod() {
         Some(h) => h,
         None => {
             tick(|c| c.fallback_horizons += 1);
             10_000.0
         }
-    };
-    hyperperiod.max(2.0 * period)
-}
-
-/// Reusable cursor state for [`merge_checkpoints`]: one slot per task
-/// with a pending deadline, holding the next deadline value, the task
-/// period, and how many deadlines the cursor has yielded.
-#[derive(Debug, Default)]
-pub(crate) struct MergeScratch {
-    next: Vec<f64>,
-    periods: Vec<f64>,
-    yielded: Vec<u32>,
-}
-
-impl MergeScratch {
-    fn clear(&mut self) {
-        self.next.clear();
-        self.periods.clear();
-        self.yielded.clear();
-    }
-
-    fn swap_remove(&mut self, slot: usize) {
-        self.next.swap_remove(slot);
-        self.periods.swap_remove(slot);
-        self.yielded.swap_remove(slot);
     }
 }
 
-/// K-way merge over the per-task deadline progressions, emitting the
-/// sorted de-duplicated checkpoint stream of the demand `periods` ×
-/// `wcets` in `(0, horizon]` directly — no intermediate collection, no
-/// sort.
-///
-/// Semantics match the (fixed) reference enumeration exactly:
-///
-/// * zero-WCET tasks contribute no deadlines;
-/// * each task's progression `p, p+p, …` uses the same accumulated
-///   float values the reference loop produces, and is capped at
-///   `max_points` multiples;
-/// * a point within `1e-9` of the last *emitted* point is dropped
-///   (the `dedup_by` rule);
-/// * emission stops after `max_points` points — the **earliest**
-///   points are kept, never a mid-task prefix.
-///
-/// `emit` returning `false` aborts the sweep early (streaming
-/// `can_schedule` stops at the first violated checkpoint). Returns
-/// `(emitted, truncated)` where `truncated` reports whether either cap
-/// dropped in-horizon deadlines; both are also added to this thread's
-/// [`KernelCounters`].
-pub(crate) fn merge_checkpoints(
-    periods: &[f64],
-    wcets: &[f64],
-    horizon: f64,
-    max_points: usize,
-    scratch: &mut MergeScratch,
-    mut emit: impl FnMut(f64) -> bool,
-) -> (usize, bool) {
-    scratch.clear();
-    for (&p, &e) in periods.iter().zip(wcets) {
-        if e == 0.0 {
-            continue;
-        }
-        if p <= horizon + 1e-9 {
-            scratch.next.push(p);
-            scratch.periods.push(p);
-            scratch.yielded.push(0);
-        }
-    }
-    let mut last = f64::NEG_INFINITY;
-    let mut emitted = 0usize;
-    let mut truncated = false;
-    while !scratch.next.is_empty() {
-        // Linear min-scan over the cursors: k is the task count, which
-        // is the same factor every dbf evaluation already pays, so the
-        // merge stays O(k · points) like the work it feeds.
-        let mut slot = 0usize;
-        for (i, &t) in scratch.next.iter().enumerate().skip(1) {
-            if t < scratch.next[slot] {
-                slot = i;
-            }
-        }
-        let t = scratch.next[slot];
-        // Advance or retire the cursor, replicating the reference
-        // loop's accumulated `t += p` values bit for bit.
-        scratch.yielded[slot] += 1;
-        let next_t = t + scratch.periods[slot];
-        if scratch.yielded[slot] as usize >= max_points {
-            if next_t <= horizon + 1e-9 {
-                truncated = true; // per-task cap dropped in-horizon deadlines
-            }
-            scratch.swap_remove(slot);
-        } else if next_t > horizon + 1e-9 {
-            scratch.swap_remove(slot);
-        } else {
-            scratch.next[slot] = next_t;
-        }
-        // De-duplicate against the last emitted point (the reference's
-        // `dedup_by(|a, b| (a - b).abs() < 1e-9)` keeps the first of
-        // each cluster; the stream is ascending, so comparing against
-        // the last emitted value is the same rule).
-        if (t - last).abs() < 1e-9 {
-            continue;
-        }
-        if emitted == max_points {
-            truncated = true; // an emittable point exists beyond the cap
-            break;
-        }
-        last = t;
-        emitted += 1;
-        if !emit(t) {
-            break;
-        }
-    }
-    tick(|c| {
-        c.checkpoint_merges += 1;
-        c.checkpoints_emitted += emitted as u64;
-        c.checkpoints_truncated += u64::from(truncated);
-    });
-    (emitted, truncated)
-}
-
-/// Reusable scratch buffers for the incremental schedulability
-/// kernels.
-///
-/// One workspace serves any number of demands: every buffer is
-/// `clear()`ed (capacity retained) per call, so steady-state kernel
-/// calls perform **zero heap allocations**
-/// (`crates/sched/tests/kernel_alloc.rs` pins this with a counting
-/// global allocator). Results are bit-identical to the reference
-/// [`PeriodicResource::can_schedule`] and
-/// [`min_budget`](crate::sbf::min_budget) — the conformance argument
-/// is the [module docs](self) plus the certified-threshold proof
-/// behind [`MinBudgetSolver::min_budget`](crate::sbf::MinBudgetSolver::min_budget).
-#[derive(Debug, Default)]
-pub struct AnalysisWorkspace {
-    merge: MergeScratch,
-    points: Vec<f64>,
-    demands: Vec<f64>,
-    thresholds: Vec<f64>,
-}
-
-impl AnalysisWorkspace {
-    /// Creates an empty workspace; buffers grow on first use and are
-    /// reused afterwards.
-    pub fn new() -> Self {
-        AnalysisWorkspace::default()
-    }
-
-    /// Whether `demand` is EDF-schedulable on `resource` — the
-    /// streaming, allocation-free equivalent of
-    /// [`PeriodicResource::can_schedule`], returning the identical
-    /// boolean (same checkpoint stream, same `dbf`/`sbf` expressions,
-    /// same first-violation early exit).
-    pub fn can_schedule(&mut self, resource: &PeriodicResource, demand: &Demand) -> bool {
-        tick(|c| c.can_schedule_calls += 1);
-        if demand.utilization() > resource.bandwidth() + 1e-12 {
-            return false;
-        }
-        let horizon = analysis_horizon(demand, resource.period());
-        let mut ok = true;
-        merge_checkpoints(
-            demand.periods(),
-            demand.wcets(),
-            horizon,
-            MAX_CHECKPOINTS,
-            &mut self.merge,
-            |t| {
-                if demand.dbf(t) > resource.sbf(t) + 1e-9 {
-                    ok = false;
-                    return false;
-                }
-                true
-            },
-        );
-        ok
-    }
-
-    /// The minimal budget Θ making `demand` schedulable on a
-    /// period-`period` resource — bit-identical to
-    /// [`min_budget`](crate::sbf::min_budget), with the checkpoints
-    /// merged into reused buffers and most bisection probes answered
-    /// from per-checkpoint budget thresholds.
-    ///
-    /// Unlike [`MinBudgetSolver`](crate::sbf::MinBudgetSolver), the
-    /// checkpoint stream is built from the *actual* WCETs, so demands
-    /// mixing zero and positive WCETs take the fast path too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not positive and finite.
-    pub fn min_budget(&mut self, demand: &Demand, period: f64) -> Option<f64> {
-        assert!(
-            period.is_finite() && period > 0.0,
-            "resource period must be positive and finite, got {period}"
-        );
-        tick(|c| c.min_budget_calls += 1);
-        if demand.wcets().iter().all(|&e| e == 0.0) {
-            return Some(0.0);
-        }
-        let horizon = analysis_horizon(demand, period);
-        let AnalysisWorkspace {
-            merge,
-            points,
-            demands,
-            thresholds,
-        } = self;
-        points.clear();
-        merge_checkpoints(
-            demand.periods(),
-            demand.wcets(),
-            horizon,
-            MAX_CHECKPOINTS,
-            merge,
-            |t| {
-                points.push(t);
-                true
-            },
-        );
-        // Batched demand evaluation: all checkpoints in one task-major
-        // pass over the SoA layout (bit-identical to mapping `dbf`
-        // point by point — see `Demand::dbf_many`).
-        demand.dbf_many(points, demands);
-        bisect_certified(period, demand.utilization(), points, demands, thresholds)
-    }
+/// [`analysis_horizon`] against a period-`period` resource, from the
+/// demand's [`base_horizon`].
+pub(crate) fn horizon_at(base: f64, period: f64) -> f64 {
+    base.max(2.0 * period)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sbf::min_budget;
+    use crate::sbf::{min_budget, MinBudgetSolver, PeriodicResource};
 
     #[test]
     fn workspace_matches_reference_on_basic_demands() {
-        let mut ws = AnalysisWorkspace::new();
+        // One solver per demand, built at the largest period and
+        // queried at every smaller one.
         for pairs in [
             vec![(10.0, 1.0)],
             vec![(10.0, 1.0), (20.0, 3.0), (40.0, 4.0)],
@@ -429,18 +197,18 @@ mod tests {
             vec![],
         ] {
             let demand = Demand::new(pairs.clone()).unwrap();
+            let solver = MinBudgetSolver::new(demand.periods(), 10.0).unwrap();
             for period in [10.0, 5.0, 2.5] {
+                let budget = solver.min_budget(period, demand.wcets()).unwrap();
                 assert_eq!(
-                    ws.min_budget(&demand, period).map(f64::to_bits),
+                    budget.map(f64::to_bits),
                     min_budget(&demand, period).map(f64::to_bits),
                     "min_budget diverged for {pairs:?} at period {period}"
                 );
-                for frac in [0.05, 0.3, 0.8, 1.0] {
-                    let r = PeriodicResource::new(period, frac * period);
-                    assert_eq!(
-                        ws.can_schedule(&r, &demand),
-                        r.can_schedule(&demand),
-                        "can_schedule diverged for {pairs:?} on ({period}, {frac})"
+                if let Some(theta) = budget {
+                    assert!(
+                        PeriodicResource::new(period, theta).can_schedule(&demand),
+                        "Γ({period}, {theta}) refuses {pairs:?}"
                     );
                 }
             }
@@ -451,14 +219,15 @@ mod tests {
     fn counters_track_kernel_calls() {
         let before = counters();
         let demand = Demand::new(vec![(10.0, 1.0)]).unwrap();
-        let mut ws = AnalysisWorkspace::new();
-        let _ = ws.min_budget(&demand, 10.0);
-        let r = PeriodicResource::new(10.0, 6.0);
-        let _ = ws.can_schedule(&r, &demand);
+        let solver = MinBudgetSolver::new(demand.periods(), 10.0).unwrap();
+        let _ = solver.min_budget(10.0, demand.wcets());
+        let _ = solver.min_budget(5.0, demand.wcets());
         let delta = counters().since(&before);
-        assert_eq!(delta.min_budget_calls, 1);
-        assert_eq!(delta.can_schedule_calls, 1);
-        assert!(delta.checkpoint_merges >= 2);
+        // One merge serves both searches.
+        assert_eq!(delta.checkpoint_merges, 1);
+        assert_eq!(delta.min_budget_calls, 2);
+        assert_eq!(delta.can_schedule_calls, 0);
+        assert_eq!(delta.solver_calls, 0);
         assert!(delta.checkpoints_emitted >= 2);
         assert_eq!(delta.checkpoints_truncated, 0);
     }
@@ -469,8 +238,9 @@ mod tests {
         let demand = Demand::new(vec![(999_937.0, 1.0), (999_983.0, 1.0)]).unwrap();
         assert_eq!(demand.hyperperiod(), None);
         let before = counters();
-        let mut ws = AnalysisWorkspace::new();
-        let _ = ws.min_budget(&demand, 10.0);
+        let solver = MinBudgetSolver::new(demand.periods(), 10.0).unwrap();
+        let _ = solver.min_budget(10.0, demand.wcets());
+        let _ = solver.min_budget(5.0, demand.wcets());
         assert_eq!(counters().since(&before).fallback_horizons, 1);
     }
 

@@ -9,10 +9,12 @@
 //!   model (Shin & Lee 2003), which is the "existing compositional
 //!   analysis" \[13\] the paper compares against, including the minimal
 //!   budget computation;
-//! * [`kernel`] — allocation-free incremental versions of the
-//!   schedulability inner loops (checkpoint merge, reusable
-//!   [`AnalysisWorkspace`](kernel::AnalysisWorkspace), per-thread
-//!   kernel telemetry), bit-identical to the reference functions;
+//! * [`kernel`] — what the reference analysis and its production
+//!   kernel, [`MinBudgetSolver`](sbf::MinBudgetSolver), share: the
+//!   analysis horizon, the checkpoint cap and per-thread kernel
+//!   telemetry. The solver builds one checkpoint table per VCPU and
+//!   serves every minimal-budget search on it, bit-identical to the
+//!   reference [`min_budget`](sbf::min_budget);
 //! * [`server`] — runtime periodic-server state machines (budget
 //!   accounting) used by the hypervisor simulator;
 //! * [`edf`] — a deterministic EDF ready queue implementing the paper's

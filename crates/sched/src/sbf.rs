@@ -22,7 +22,9 @@
 //! utilization is the *abstraction overhead* vC²M eliminates.
 
 use crate::dbf::{Demand, InvalidDemandError};
-use crate::kernel::analysis_horizon;
+use crate::kernel::{analysis_horizon, base_horizon, horizon_at, tick, MAX_CHECKPOINTS};
+use std::cell::RefCell;
+use std::fmt;
 
 /// A periodic resource Γ = (Π, Θ).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +102,7 @@ impl PeriodicResource {
             return false;
         }
         let horizon = analysis_horizon(demand, self.period);
-        for t in demand.checkpoints(horizon, crate::kernel::MAX_CHECKPOINTS) {
+        for t in demand.checkpoints(horizon, MAX_CHECKPOINTS) {
             if demand.dbf(t) > self.sbf(t) + 1e-9 {
                 return false;
             }
@@ -134,7 +136,7 @@ pub fn min_budget(demand: &Demand, period: f64) -> Option<f64> {
     // not depend on the candidate budget, and the binary search below
     // evaluates the predicate dozens of times.
     let horizon = analysis_horizon(demand, period);
-    let points = demand.checkpoints(horizon, crate::kernel::MAX_CHECKPOINTS);
+    let points = demand.checkpoints(horizon, MAX_CHECKPOINTS);
     let demands: Vec<f64> = points.iter().map(|&t| demand.dbf(t)).collect();
     let feasible = |theta: f64| {
         if demand.utilization() > theta / period + 1e-12 {
@@ -169,67 +171,112 @@ pub fn min_budget(demand: &Demand, period: f64) -> Option<f64> {
     Some(hi)
 }
 
+/// Error returned by [`MinBudgetSolver`] for inputs outside its
+/// domain.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SolverError {
+    /// A task period that is not positive and finite, or a WCET that
+    /// is negative or not finite.
+    Demand(InvalidDemandError),
+    /// A resource period that is not positive and finite, or, for a
+    /// search, exceeds the period the solver was built for.
+    Period(f64),
+}
+
+impl fmt::Display for SolverError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SolverError::Demand(e) => e.fmt(f),
+            SolverError::Period(period) => write!(
+                f,
+                "resource period must be positive, finite and at most the solver's, got {period}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SolverError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            SolverError::Demand(e) => Some(e),
+            SolverError::Period(_) => None,
+        }
+    }
+}
+
+impl From<InvalidDemandError> for SolverError {
+    fn from(e: InvalidDemandError) -> Self {
+        SolverError::Demand(e)
+    }
+}
+
 /// Repeated minimal-budget solver for demands sharing one period
-/// vector.
+/// vector: the production kernel of the existing-CSA analysis.
 ///
-/// The existing-CSA analysis ([`min_budget`] behind
-/// `vc2m_analysis::existing`) evaluates the minimal budget once per
-/// allocation cell of a budget surface — hundreds of calls whose
-/// demands share *periods* and differ only in their WCETs. The horizon,
-/// the checkpoints and the per-checkpoint job counts ⌊t/pᵢ⌋ depend only
-/// on the periods, so this solver computes them once and repeats only
-/// the WCET-dependent part per cell.
+/// The existing-CSA analysis (behind `vc2m_analysis::existing`) runs a
+/// minimal-budget search per candidate VCPU period and per budget-
+/// surface cell: hundreds of searches whose demands share *periods*
+/// and differ only in their WCETs and the resource period Π. The
+/// checkpoints and the per-checkpoint job counts ⌊t/pᵢ⌋ depend on
+/// neither, so this solver computes them once, for the horizon of the
+/// largest period `max_period` it will be asked about. A search at
+/// Π ≤ `max_period` walks the prefix of that stream up to its own
+/// horizon ([`analysis_horizon`]): the stream for a shorter horizon
+/// is the longer one cut there ([`Demand::checkpoints`]).
 ///
 /// Results are **bit-identical** to `min_budget(&Demand::new(periods ⨯
-/// wcets), period)`: every floating-point operation of the search is
-/// performed in the same order on the same values (`solver_matches_
-/// min_budget_bitwise` below, and the sweep conformance suite, pin
+/// wcets), Π)`: every floating-point operation of the search is
+/// performed in the same order on the same values (the unit tests
+/// below, `kernel_conformance` and the sweep conformance suite pin
 /// this).
 #[derive(Debug, Clone)]
 pub struct MinBudgetSolver {
     periods: Vec<f64>,
-    period: f64,
+    max_period: f64,
+    /// The demand-only part of the analysis horizon (the hyperperiod
+    /// or the bounded fallback).
+    base_horizon: f64,
+    /// The checkpoints up to the horizon of `max_period`.
     points: Vec<f64>,
     /// `floors[i · points.len() + j] = ⌊points[j] / periods[i] + 1e-9⌋`
     /// — the job count of task `i` at checkpoint `j`, stored flat and
-    /// **task-major** so the per-cell demand fill streams one task's
-    /// contiguous row across all checkpoints at a time (the batched
-    /// layout of [`Demand::dbf_many`], vectorizable and allocated as a
-    /// single block instead of one `Vec` per checkpoint).
+    /// **task-major** so the per-search demand fill streams one task's
+    /// contiguous row across all checkpoints at a time (vectorizable,
+    /// and allocated as a single block instead of one `Vec` per
+    /// checkpoint).
     floors: Vec<f64>,
-    /// Reusable per-call buffer for the checkpoint demands (the solver
-    /// is called once per surface cell; the allocation is not).
-    demands: std::cell::RefCell<Vec<f64>>,
+    /// Reusable per-search buffer for the checkpoint demands.
+    demands: RefCell<Vec<f64>>,
     /// Reusable per-checkpoint budget thresholds for the certified
     /// bisection (see [`CERTIFY_MARGIN`]).
-    thresholds: std::cell::RefCell<Vec<f64>>,
+    thresholds: RefCell<Vec<f64>>,
 }
 
 impl MinBudgetSolver {
     /// Precomputes the checkpoint structure for demands over
-    /// `task_periods` analyzed against a resource of period `period`.
+    /// `task_periods`, for searches at resource periods up to
+    /// `max_period`.
     ///
     /// # Errors
     ///
-    /// Returns [`InvalidDemandError`] (with a unit WCET) for a task
-    /// period that is not positive and finite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is not positive and finite.
-    pub fn new(task_periods: &[f64], period: f64) -> Result<Self, InvalidDemandError> {
-        assert!(
-            period.is_finite() && period > 0.0,
-            "resource period must be positive and finite, got {period}"
-        );
+    /// * [`SolverError::Period`] if `max_period` is not positive and
+    ///   finite;
+    /// * [`SolverError::Demand`] (with a unit WCET) for a task period
+    ///   that is not positive and finite.
+    // `!(x > 0.0)` also refuses NaN.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    pub fn new(task_periods: &[f64], max_period: f64) -> Result<Self, SolverError> {
+        if !(max_period.is_finite() && max_period > 0.0) {
+            return Err(SolverError::Period(max_period));
+        }
         // A unit-WCET proxy demand: checkpoints and hyperperiod depend
         // only on the periods, except that zero-WCET tasks are skipped
         // — the all-positive fast path of `min_budget` below relies on
         // this, and mixed-zero WCET vectors fall back to the reference
         // implementation.
         let proxy = Demand::new(task_periods.iter().map(|&p| (p, 1.0)).collect())?;
-        let horizon = analysis_horizon(&proxy, period);
-        let points = proxy.checkpoints(horizon, crate::kernel::MAX_CHECKPOINTS);
+        let base_horizon = base_horizon(&proxy);
+        let points = proxy.checkpoints(horizon_at(base_horizon, max_period), MAX_CHECKPOINTS);
         let mut floors = vec![0.0; task_periods.len() * points.len()];
         for (row, &p) in floors.chunks_exact_mut(points.len().max(1)).zip(task_periods) {
             for (slot, &t) in row.iter_mut().zip(&points) {
@@ -238,84 +285,95 @@ impl MinBudgetSolver {
         }
         Ok(MinBudgetSolver {
             periods: task_periods.to_vec(),
-            period,
+            max_period,
+            base_horizon,
             points,
             floors,
-            demands: std::cell::RefCell::new(Vec::new()),
-            thresholds: std::cell::RefCell::new(Vec::new()),
+            demands: RefCell::new(Vec::new()),
+            thresholds: RefCell::new(Vec::new()),
         })
     }
 
-    /// The resource period Π this solver was built for.
-    pub fn period(&self) -> f64 {
-        self.period
+    /// The largest resource period this solver serves.
+    pub fn max_period(&self) -> f64 {
+        self.max_period
     }
 
-    /// Computes the minimal budget for the demand pairing this solver's
-    /// periods with `wcets`, bit-identical to [`min_budget`] on the
-    /// corresponding [`Demand`].
+    /// The minimal budget for the demand pairing this solver's periods
+    /// with `wcets` on a period-`period` resource, bit-identical to
+    /// [`min_budget`] on the corresponding [`Demand`].
+    ///
+    /// # Errors
+    ///
+    /// * [`SolverError::Period`] if `period` is not positive or
+    ///   exceeds [`max_period`](Self::max_period) (NaN included): the
+    ///   checkpoint table does not reach that period's horizon;
+    /// * [`SolverError::Demand`] for a negative or non-finite WCET.
     ///
     /// # Panics
     ///
-    /// Panics if `wcets` has the wrong length or contains a negative or
-    /// non-finite WCET.
+    /// Panics if `wcets` has the wrong length.
     // The negated comparisons are load-bearing: `!(e > 0.0)` routes
     // NaN WCETs to the fallback (where `Demand::new` rejects them),
-    // and the feasibility guards must evaluate the reference's exact
-    // boolean expressions, negation included.
+    // `!(period > 0.0)` refuses a NaN period, and the feasibility
+    // guards must evaluate the reference's exact boolean expressions,
+    // negation included.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    pub fn min_budget(&self, wcets: &[f64]) -> Option<f64> {
+    pub fn min_budget(&self, period: f64, wcets: &[f64]) -> Result<Option<f64>, SolverError> {
+        if !(period > 0.0 && period <= self.max_period) {
+            return Err(SolverError::Period(period));
+        }
         assert_eq!(
             wcets.len(),
             self.periods.len(),
             "WCET vector length must match the solver's period vector"
         );
+        tick(|c| c.min_budget_calls += 1);
         if wcets.iter().all(|&e| e == 0.0) {
-            return Some(0.0);
+            return Ok(Some(0.0));
         }
         if wcets.iter().any(|&e| !(e > 0.0)) {
             // A mix of zero and positive WCETs changes the checkpoint
             // set (zero-WCET tasks contribute no deadlines); defer to
             // the reference implementation rather than replicate that
             // rarely-exercised branch. Negative or non-finite WCETs
-            // also land here, where `Demand::new` rejects them: `new`
-            // validated the periods, so only such a WCET, the panic
-            // documented above, fails this `expect`.
-            #[allow(clippy::expect_used)]
+            // also land here, where `Demand::new` refuses them.
             let demand =
-                Demand::new(self.periods.iter().copied().zip(wcets.iter().copied()).collect())
-                    .expect("solver WCETs must be finite and non-negative");
-            return min_budget(&demand, self.period);
+                Demand::new(self.periods.iter().copied().zip(wcets.iter().copied()).collect())?;
+            return Ok(min_budget(&demand, period));
         }
         // From here on the arithmetic mirrors `min_budget` operation
-        // for operation: same folds, same order, same tolerances. The
-        // bisection answers most probes from per-checkpoint budget
-        // thresholds instead of evaluating `sbf` (see
-        // [`CERTIFY_MARGIN`]), but only where the answer is provably
-        // the reference's boolean; every comparison it does perform
-        // uses the exact float expressions of
-        // [`PeriodicResource::sbf`]. So the bisection trajectory, hence
-        // the returned bits, are identical to the reference.
-        crate::kernel::tick(|c| c.solver_calls += 1);
+        // for operation: same checkpoints, same folds, same order,
+        // same tolerances. The prefix up to this period's horizon is
+        // the stream the reference merges for it. The bisection
+        // answers most probes from per-checkpoint budget thresholds
+        // instead of evaluating `sbf` (see [`CERTIFY_MARGIN`]), but
+        // only where the answer is provably the reference's boolean;
+        // every comparison it does perform uses the exact float
+        // expressions of [`PeriodicResource::sbf`]. So the bisection
+        // trajectory, hence the returned bits, are identical to the
+        // reference.
+        let horizon = horizon_at(self.base_horizon, period);
+        let len = self.points.partition_point(|&t| t <= horizon + 1e-9);
+        let points = &self.points[..len];
         let utilization: f64 = self.periods.iter().zip(wcets).map(|(p, e)| e / p).sum();
         let mut demands = self.demands.borrow_mut();
         demands.clear();
-        demands.resize(self.points.len(), 0.0);
+        demands.resize(len, 0.0);
         // Batched demand fill over the task-major floor table: each
         // task's row adds `kᵢⱼ · eᵢ` into every checkpoint's
         // accumulator. Per checkpoint the additions happen in
         // ascending task order from 0.0 — the exact fold the
-        // historical per-checkpoint dot product (and the reference
-        // `dbf`) performs, so the sums are bit-identical; only the
-        // loop order changed, putting the contiguous, vectorizable
-        // sweep innermost.
+        // reference `dbf` performs, so the sums are bit-identical;
+        // only the loop order differs, putting the contiguous,
+        // vectorizable sweep innermost.
         for (row, &e) in self.floors.chunks_exact(self.points.len().max(1)).zip(wcets) {
-            for (acc, &k) in demands.iter_mut().zip(row) {
+            for (acc, &k) in demands.iter_mut().zip(&row[..len]) {
                 *acc += k * e;
             }
         }
         let mut thresholds = self.thresholds.borrow_mut();
-        bisect_certified(self.period, utilization, &self.points, &demands, &mut thresholds)
+        Ok(bisect_certified(period, utilization, points, &demands, &mut thresholds))
     }
 }
 
@@ -470,9 +528,7 @@ impl<'a> CertifiedProbe<'a> {
     }
 }
 
-/// The certified-threshold bisection shared by
-/// [`MinBudgetSolver::min_budget`] and
-/// [`AnalysisWorkspace::min_budget`](crate::kernel::AnalysisWorkspace::min_budget):
+/// The certified-threshold bisection of [`MinBudgetSolver::min_budget`]:
 /// given the precomputed checkpoints and per-checkpoint demands of a
 /// (non-trivial) demand with the given `utilization`, returns the
 /// minimal budget on a period-`period` resource — bit-identical to the
@@ -486,7 +542,7 @@ impl<'a> CertifiedProbe<'a> {
 // Negated comparisons mirror the reference's booleans exactly; see
 // `MinBudgetSolver::min_budget`.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
-pub(crate) fn bisect_certified(
+fn bisect_certified(
     period: f64,
     utilization: f64,
     points: &[f64],
@@ -662,19 +718,24 @@ mod tests {
         assert!(PeriodicResource::new(10.0, 10.0).can_schedule(&demand));
     }
 
-    fn assert_solver_matches(periods: &[f64], period: f64, wcet_vectors: &[Vec<f64>]) {
-        let solver = MinBudgetSolver::new(periods, period).unwrap();
+    /// One solver built at `max_period` serves every WCET vector at
+    /// `max_period` and its period-search divisors.
+    fn assert_solver_matches(periods: &[f64], max_period: f64, wcet_vectors: &[Vec<f64>]) {
+        let solver = MinBudgetSolver::new(periods, max_period).unwrap();
         for wcets in wcet_vectors {
             let demand =
                 Demand::new(periods.iter().copied().zip(wcets.iter().copied()).collect()).unwrap();
-            let reference = min_budget(&demand, period);
-            let fast = solver.min_budget(wcets);
-            assert_eq!(
-                fast.map(f64::to_bits),
-                reference.map(f64::to_bits),
-                "solver diverged for periods {periods:?}, wcets {wcets:?}, period {period}: \
-                 {fast:?} vs {reference:?}"
-            );
+            for divisor in [1.0, 2.0, 4.0, 8.0, 16.0] {
+                let period = max_period / divisor;
+                let reference = min_budget(&demand, period);
+                let fast = solver.min_budget(period, wcets).unwrap();
+                assert_eq!(
+                    fast.map(f64::to_bits),
+                    reference.map(f64::to_bits),
+                    "solver diverged for periods {periods:?}, wcets {wcets:?}, period {period}: \
+                     {fast:?} vs {reference:?}"
+                );
+            }
         }
     }
 
@@ -712,20 +773,52 @@ mod tests {
     fn solver_zero_and_mixed_wcets_match() {
         let periods = [10.0, 20.0];
         let solver = MinBudgetSolver::new(&periods, 5.0).unwrap();
-        assert_eq!(solver.min_budget(&[0.0, 0.0]), Some(0.0));
+        assert_eq!(solver.min_budget(5.0, &[0.0, 0.0]), Ok(Some(0.0)));
         // Mixed zero WCETs change the checkpoint set; the solver must
         // still agree with the reference implementation.
         let demand = Demand::new(vec![(10.0, 0.0), (20.0, 4.0)]).unwrap();
-        assert_eq!(
-            solver.min_budget(&[0.0, 4.0]).map(f64::to_bits),
-            min_budget(&demand, 5.0).map(f64::to_bits)
-        );
+        for period in [5.0, 2.5] {
+            assert_eq!(
+                solver.min_budget(period, &[0.0, 4.0]).unwrap().map(f64::to_bits),
+                min_budget(&demand, period).map(f64::to_bits)
+            );
+        }
     }
 
     #[test]
     #[should_panic(expected = "length must match")]
     fn solver_rejects_wrong_arity() {
-        let _ = MinBudgetSolver::new(&[10.0, 20.0], 5.0).unwrap().min_budget(&[1.0]);
+        let _ = MinBudgetSolver::new(&[10.0, 20.0], 5.0).unwrap().min_budget(5.0, &[1.0]);
+    }
+
+    #[test]
+    fn solver_refuses_periods_outside_its_range() {
+        for max_period in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(matches!(
+                MinBudgetSolver::new(&[10.0], max_period),
+                Err(SolverError::Period(p)) if p.to_bits() == max_period.to_bits()
+            ));
+        }
+        assert!(matches!(
+            MinBudgetSolver::new(&[10.0, 0.0], 5.0),
+            Err(SolverError::Demand(InvalidDemandError { index: 1, .. }))
+        ));
+        let solver = MinBudgetSolver::new(&[10.0, 20.0], 5.0).unwrap();
+        // Above `max_period` the table stops short of the period's
+        // horizon; at or below zero there is no resource. Each search
+        // is refused before it runs, never answered wrongly.
+        for period in [5.0 + 1e-9, 10.0, f64::INFINITY, 0.0, -5.0, f64::NAN] {
+            assert!(matches!(
+                solver.min_budget(period, &[1.0, 2.0]),
+                Err(SolverError::Period(p)) if p.to_bits() == period.to_bits()
+            ));
+        }
+        assert!(solver.min_budget(5.0, &[1.0, 2.0]).unwrap().is_some());
+        // Negative and NaN WCETs are refused through the reference
+        // route's validation.
+        for wcets in [[1.0, -2.0], [f64::NAN, 2.0]] {
+            assert!(matches!(solver.min_budget(5.0, &wcets), Err(SolverError::Demand(_))));
+        }
     }
 
     #[test]
@@ -805,8 +898,8 @@ mod tests {
             let divisor = [1.0, 1.5, 2.0, 3.0, 5.0, 8.0][rng.gen_range(0usize..6)];
             let period = base / divisor;
             let points = demand.checkpoints(analysis_horizon(&demand, period), MAX_CHECKPOINTS);
-            let (mut demands, mut thresholds) = (Vec::new(), Vec::new());
-            demand.dbf_many(&points, &mut demands);
+            let demands: Vec<f64> = points.iter().map(|&t| demand.dbf(t)).collect();
+            let mut thresholds = Vec::new();
             let probe = CertifiedProbe::new(period, &points, &demands, &mut thresholds);
             let reference = |theta: f64| {
                 let resource = PeriodicResource::new(period, theta);
@@ -844,7 +937,7 @@ mod tests {
                 let demand =
                     Demand::new(periods.iter().copied().zip(wcets).collect()).unwrap();
                 assert_eq!(
-                    solver.min_budget(&wcets).map(f64::to_bits),
+                    solver.min_budget(period, &wcets).unwrap().map(f64::to_bits),
                     min_budget(&demand, period).map(f64::to_bits),
                     "Π = {period}, wcets {wcets:?}"
                 );

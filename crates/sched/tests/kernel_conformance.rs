@@ -1,17 +1,25 @@
-//! Seeded conformance properties for the incremental schedulability
-//! kernels: the k-way checkpoint merge, the reusable
-//! [`AnalysisWorkspace`], and the [`MinBudgetSolver`] floor table must
-//! reproduce the naive reference implementations **bit for bit** on
-//! random tasksets — harmonic, non-harmonic, zero-WCET, and
-//! near-incommensurate (no-hyperperiod) alike. The budget properties
-//! also take adversarial inputs aimed at the certified-threshold
-//! bisection. Cases come from the in-tree seeded harness
+//! Seeded conformance properties for the schedulability kernels: the
+//! k-way checkpoint merge behind [`Demand::checkpoints`] and the
+//! [`MinBudgetSolver`] floor table must reproduce the naive reference
+//! implementations **bit for bit** on random tasksets — harmonic,
+//! non-harmonic, zero-WCET, and near-incommensurate (no-hyperperiod)
+//! alike. One solver, built at the largest resource period, serves
+//! every smaller period from a prefix of its table; the budget
+//! properties query it that way, adversarial inputs aimed at the
+//! certified-threshold bisection and streams cut by the checkpoint
+//! cap included. Cases come from the in-tree seeded harness
 //! (`vc2m_rng::cases`); CI reruns this file with `VC2M_CASES=20000`.
 
 use vc2m_rng::{cases::check, DetRng, Rng};
 use vc2m_sched::dbf::Demand;
-use vc2m_sched::kernel::{analysis_horizon, AnalysisWorkspace, MAX_CHECKPOINTS};
+use vc2m_sched::kernel::{analysis_horizon, MAX_CHECKPOINTS};
 use vc2m_sched::sbf::{min_budget, MinBudgetSolver, PeriodicResource};
+
+/// The shortest task period: the largest server period the existing-CSA
+/// period search tries.
+fn p_min(demand: &Demand) -> f64 {
+    demand.periods().iter().copied().fold(f64::INFINITY, f64::min)
+}
 
 /// A harmonic taskset (periods base·2^k), the regime the sweep
 /// generator produces. Bases are quantized to whole nanoseconds so the
@@ -82,8 +90,7 @@ fn arb_near_tolerance_case(rng: &mut DetRng) -> (Demand, f64) {
         .map(|(p, _)| (p, scale * f64::from(rng.gen_range(0u32..4))))
         .collect();
     let demand = Demand::new(tasks).expect("valid demand");
-    let period = demand.periods().iter().copied().fold(f64::INFINITY, f64::min)
-        / f64::from(rng.gen_range(1u32..9));
+    let period = p_min(&demand) / f64::from(rng.gen_range(1u32..9));
     (demand, period)
 }
 
@@ -115,7 +122,7 @@ fn arb_saturated_case(rng: &mut DetRng) -> (Demand, f64) {
     let tasks = base.pairs().map(|(p, e)| (p, (e * factor).min(p))).collect();
     let demand = Demand::new(tasks).expect("valid demand");
     let divisor = f64::from(1u32 << rng.gen_range(0u32..5));
-    let period = demand.periods().iter().copied().fold(f64::INFINITY, f64::min) / divisor;
+    let period = p_min(&demand) / divisor;
     (demand, period)
 }
 
@@ -125,8 +132,8 @@ fn arb_saturated_case(rng: &mut DetRng) -> (Demand, f64) {
 fn arb_odd_divisor_case(rng: &mut DetRng) -> (Demand, f64) {
     let demand = arb_any_demand(rng);
     let divisor = [1.5, 3.0, 5.0, 7.0, 2.5, 3.7, 11.0, 13.0][rng.gen_range(0usize..8)];
-    let p_min = demand.periods().iter().copied().fold(f64::INFINITY, f64::min);
-    (demand, p_min / divisor)
+    let period = p_min(&demand) / divisor;
+    (demand, period)
 }
 
 /// Incommensurate periods of 1.3–4.3 ms on the microsecond grid: the
@@ -212,101 +219,144 @@ fn merged_checkpoint_stream_matches_sorted_dedup_reference() {
     });
 }
 
+/// The solver's search at `period` against the reference search on a
+/// freshly built demand, compared bitwise.
+fn assert_search_matches(solver: &MinBudgetSolver, demand: &Demand, period: f64) {
+    let fast = solver.min_budget(period, demand.wcets()).expect("period within range");
+    let reference = min_budget(demand, period);
+    assert_eq!(
+        fast.map(f64::to_bits),
+        reference.map(f64::to_bits),
+        "solver (Π_max {}) diverged for tasks {:?} at period {period}: {fast:?} vs {reference:?}",
+        solver.max_period(),
+        demand.pairs().collect::<Vec<_>>(),
+    );
+}
+
 #[test]
 fn workspace_can_schedule_matches_reference_verdict() {
-    // One workspace across all cases: reuse (stale buffers from the
-    // previous case) is exactly what must not leak into verdicts.
-    let workspace = std::cell::RefCell::new(AnalysisWorkspace::new());
+    // The reference verdict accepts the solver's minimal budget and
+    // refuses one well below the bisection's 1e-9 stop width.
     check(192, |rng| {
         let demand = arb_any_demand(rng);
-        let period = rng.gen_range(0.5f64..20.0);
-        let resource = PeriodicResource::new(period, rng.gen_range(0.0f64..=1.0) * period);
-        // The workspace streams demand values point by point; the
-        // reference materializes the checkpoint vector. Same booleans,
-        // for every demand regime and both verdicts.
-        assert_eq!(
-            workspace.borrow_mut().can_schedule(&resource, &demand),
-            resource.can_schedule(&demand),
-            "verdict diverged for tasks {:?} against {resource:?}",
-            demand.pairs().collect::<Vec<_>>(),
+        let max_period = rng.gen_range(0.5f64..20.0);
+        let solver = MinBudgetSolver::new(demand.periods(), max_period).unwrap();
+        let period = max_period / f64::from(1u32 << rng.gen_range(0u32..5));
+        let Some(theta) = solver.min_budget(period, demand.wcets()).unwrap() else {
+            // Infeasible: not even a dedicated processor schedules it.
+            assert!(!PeriodicResource::new(period, period).can_schedule(&demand));
+            return;
+        };
+        let tasks = demand.pairs().collect::<Vec<_>>();
+        assert!(
+            PeriodicResource::new(period, theta).can_schedule(&demand),
+            "Γ({period}, {theta}) refuses {tasks:?}"
         );
+        if theta > 1e-6 {
+            assert!(
+                !PeriodicResource::new(period, theta - 1e-6).can_schedule(&demand),
+                "Γ({period}, {theta} − 1e-6) still schedules {tasks:?}"
+            );
+        }
     });
 }
 
-fn assert_workspace_budget_matches(workspace: &mut AnalysisWorkspace, demand: &Demand, period: f64) {
-    let reference = min_budget(demand, period);
-    let incremental = workspace.min_budget(demand, period);
-    assert_eq!(
-        incremental.map(f64::to_bits),
-        reference.map(f64::to_bits),
-        "budget diverged for tasks {:?} at period {period}: {incremental:?} vs {reference:?}",
-        demand.pairs().collect::<Vec<_>>(),
-    );
+/// A WCET vector over `demand`'s periods: each task's WCET rescaled,
+/// and now and then zeroed (the solver's reference route).
+fn arb_wcets(rng: &mut DetRng, demand: &Demand) -> Vec<f64> {
+    demand
+        .pairs()
+        .map(|(p, e)| match rng.gen_range(0u32..8) {
+            0 => 0.0,
+            1 => rng.gen_range(0.0f64..1.0) * p,
+            _ => (e * rng.gen_range(0.25f64..2.0)).min(p),
+        })
+        .collect()
 }
 
 #[test]
 fn workspace_min_budget_matches_fresh_demand_bitwise() {
-    let workspace = std::cell::RefCell::new(AnalysisWorkspace::new());
-    check(192, |rng| {
-        let demand = arb_any_demand(rng);
-        let period = rng.gen_range(0.5f64..20.0);
-        assert_workspace_budget_matches(&mut workspace.borrow_mut(), &demand, period);
-    });
-    check(192, |rng| {
-        let (demand, period) = arb_adversarial_case(rng);
-        assert_workspace_budget_matches(&mut workspace.borrow_mut(), &demand, period);
+    // One solver serves many WCET vectors at periods whose prefixes
+    // grow and shrink from search to search: the demand and threshold
+    // buffers of one search must not leak into the next. Incommensurate
+    // tasksets are left out: every period walks the same fallback
+    // horizon, so their prefixes never change length.
+    check(96, |rng| {
+        let demand = if rng.gen_range(0u32..2) == 0 {
+            arb_harmonic_demand(rng)
+        } else {
+            arb_general_demand(rng)
+        };
+        let max_period = p_min(&demand).max(rng.gen_range(0.5f64..20.0));
+        let solver = MinBudgetSolver::new(demand.periods(), max_period).unwrap();
+        for _ in 0..2 {
+            let wcets = arb_wcets(rng, &demand);
+            let drawn = Demand::new(demand.periods().iter().copied().zip(wcets).collect())
+                .expect("valid demand");
+            let period = max_period / rng.gen_range(1.0f64..16.0);
+            assert_search_matches(&solver, &drawn, period);
+        }
     });
 }
 
-fn assert_solver_budget_matches(demand: &Demand, period: f64) {
-    let solver = MinBudgetSolver::new(demand.periods(), period).unwrap();
-    // Zero-WCET draws exercise the solver's fallback route; all-
-    // positive draws its floor-table fast path. Both must land on the
-    // reference bit pattern.
-    assert_eq!(
-        solver.min_budget(demand.wcets()).map(f64::to_bits),
-        min_budget(demand, period).map(f64::to_bits),
-        "solver diverged for tasks {:?} at period {period}",
-        demand.pairs().collect::<Vec<_>>(),
-    );
+/// Checks a solver built at `max_period` at `max_period / divisor`
+/// for a divisor drawn from {1, 2, 4, 8, 16}: the period search's
+/// candidates, read from a prefix of the table.
+fn assert_candidate_budget_matches(rng: &mut DetRng, demand: &Demand, max_period: f64) {
+    let solver = MinBudgetSolver::new(demand.periods(), max_period).unwrap();
+    let divisor = f64::from(1u32 << rng.gen_range(0u32..5));
+    assert_search_matches(&solver, demand, max_period / divisor);
 }
 
 #[test]
 fn solver_floor_table_matches_fresh_demand_bitwise() {
+    // One table at Π_max serves every smaller period from its prefix.
+    // Zero-WCET draws exercise the solver's fallback route;
+    // all-positive draws its floor-table fast path.
+    //
+    // Π_max drawn apart from p_min: above it, the horizon 2Π can pass
+    // the hyperperiod, so smaller periods read a strict prefix.
     check(128, |rng| {
         let demand = arb_any_demand(rng);
-        let period = rng.gen_range(0.5f64..20.0);
-        assert_solver_budget_matches(&demand, period);
+        let max_period = rng.gen_range(0.5f64..20.0);
+        assert_candidate_budget_matches(rng, &demand, max_period);
     });
+    // The certified bisection's edges, each at its own period, from a
+    // table built at p_min whenever that period lies below it.
     check(192, |rng| {
         let (demand, period) = arb_adversarial_case(rng);
-        assert_solver_budget_matches(&demand, period);
+        let solver = MinBudgetSolver::new(demand.periods(), period.max(p_min(&demand))).unwrap();
+        assert_search_matches(&solver, &demand, period);
     });
 }
 
 #[test]
-fn batched_dbf_matches_per_point_reference_bitwise() {
-    // The batched task-major pass must reproduce the per-point `dbf`
-    // fold bit for bit on every demand regime — harmonic,
-    // incommensurate, and draws containing zero-WCET tasks.
-    let out = std::cell::RefCell::new(Vec::new());
-    check(192, |rng| {
+fn solver_serves_period_search_candidates_from_one_table() {
+    // The production shape: Π_max = p_min, queried at p_min/{1,2,4,8,16},
+    // on harmonic, general and incommensurate (fallback-horizon)
+    // tasksets.
+    check(128, |rng| {
         let demand = arb_any_demand(rng);
-        let period = rng.gen_range(0.5f64..20.0);
-        let horizon = analysis_horizon(&demand, period);
-        let points = demand.checkpoints(horizon, 512);
-        let mut out = out.borrow_mut();
-        demand.dbf_many(&points, &mut out);
-        assert_eq!(out.len(), points.len());
-        for (&t, &batched) in points.iter().zip(out.iter()) {
-            assert_eq!(
-                batched.to_bits(),
-                demand.dbf(t).to_bits(),
-                "dbf_many diverged at t={t} for tasks {:?}",
-                demand.pairs().collect::<Vec<_>>(),
-            );
-        }
+        let max_period = p_min(&demand);
+        assert_candidate_budget_matches(rng, &demand, max_period);
     });
+    // Streams the checkpoint cap cuts (fixed cases: each reference
+    // search walks 10⁵ points). With a hyperperiod of 0.003 ms the
+    // horizon is 2Π, so the cap bites at Π_max = 300 but not at
+    // Π_max/16, whose prefix ends near t = 37.5; without a hyperperiod
+    // every period walks the same capped 10 000 ms stream.
+    for (tasks, max_period) in [
+        (vec![(0.001, 0.0001), (0.0015, 0.0002)], 300.0),
+        (vec![(0.070001, 0.01), (0.070003, 0.02), (0.070007, 0.005)], 0.07),
+    ] {
+        let demand = Demand::new(tasks).expect("valid demand");
+        let horizon = analysis_horizon(&demand, max_period);
+        assert_eq!(demand.checkpoints(horizon, MAX_CHECKPOINTS).len(), MAX_CHECKPOINTS);
+        let solver = MinBudgetSolver::new(demand.periods(), max_period).unwrap();
+        for divisor in [1.0, 2.0, 4.0, 8.0, 16.0] {
+            assert_search_matches(&solver, &demand, max_period / divisor);
+        }
+    }
 }
 
 #[test]
