@@ -94,7 +94,9 @@
 
 use crate::degrade::{allocate_with_degradation, DegradationPolicy};
 use crate::error::AllocError;
-use crate::hypervisor_level::{evenly_partitioned, heuristic_with_features, HeuristicConfig};
+use crate::hypervisor_level::{
+    evenly_partitioned, heuristic_with_features, HeuristicConfig, Search,
+};
 use crate::kmeans::Features;
 use crate::result::{CoreAssignment, SystemAllocation};
 use crate::solution::Solution;
@@ -507,6 +509,9 @@ struct StateCache {
     /// The rejection memo: the reason of every solver rejection in
     /// this state, keyed by the newcomer's `vm_signature`.
     rejections: HashMap<u64, String>,
+    /// The buffers every repack's heuristic search in this state works
+    /// in; they hold no value from one search to the next.
+    search: Search,
 }
 
 /// Snapshot of the mutable engine state, for mode-change rollback and
@@ -753,6 +758,7 @@ impl AdmissionEngine {
     /// place, keeping its allocation for the next state.
     fn state_changed(&mut self) {
         self.cache.prefix = None;
+        self.cache.search = Search::default();
         if !self.cache.rejections.is_empty() {
             self.cache.rejections.clear();
             self.stats.memo_invalidations += 1;
@@ -944,6 +950,7 @@ impl AdmissionEngine {
     /// prefix is truncated back before returning.
     fn solve_from_prefix(&mut self, vm: &VmSpec) -> Result<SystemAllocation, String> {
         let (solution, platform) = (self.config.solution, self.platform);
+        let mut search = std::mem::take(&mut self.cache.search);
         let prefix = self
             .repack_prefix()
             .as_mut()
@@ -972,6 +979,7 @@ impl AdmissionEngine {
                         &platform,
                         HeuristicConfig::default(),
                         &mut rng,
+                        &mut search,
                     )
                 } else {
                     evenly_partitioned(&prefix.vcpus, &platform)
@@ -986,6 +994,7 @@ impl AdmissionEngine {
             });
         prefix.vcpus.truncate(incumbents);
         prefix.features.truncate(incumbents);
+        self.cache.search = search;
         solved
     }
 

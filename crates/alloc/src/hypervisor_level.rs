@@ -22,8 +22,8 @@
 //! The baseline discipline ([`evenly_partitioned`]) splits cache and
 //! bandwidth evenly over all cores and packs VCPUs best-fit decreasing.
 
-use crate::kmeans::{kmeans, Features};
-use crate::packing::{best_fit_open, sort_decreasing, Item};
+use crate::kmeans::{kmeans_into, Features, KmeansScratch};
+use crate::packing::{best_fit_open, least_loaded, sort_decreasing, Item};
 use crate::result::{AllocationOutcome, CoreAssignment, SystemAllocation};
 use vc2m_analysis::core_check::{core_schedulable, core_utilization, UTILIZATION_EPS};
 use vc2m_model::{Alloc, Platform, ResourceSpace, VcpuSpec};
@@ -62,19 +62,28 @@ pub fn heuristic<R: Rng>(
 ) -> AllocationOutcome {
     // Features are computed once; only the cluster count depends on m.
     let features = Features::from_surfaces(vcpus.iter().map(VcpuSpec::budget_surface));
-    heuristic_with_features(vcpus, &features, platform, config, rng)
+    heuristic_with_features(
+        vcpus,
+        &features,
+        platform,
+        config,
+        rng,
+        &mut Search::default(),
+    )
 }
 
 /// [`heuristic`] over VCPUs whose k-means feature rows the caller
 /// already holds: `features` must equal [`Features::from_surfaces`]
 /// over the budget surfaces of `vcpus`. The admission engine keeps the
-/// incumbents' rows across repacks and appends only the newcomer's.
+/// incumbents' rows across repacks and appends only the newcomer's,
+/// and passes the same `search` buffers to every repack of one state.
 pub(crate) fn heuristic_with_features<R: Rng>(
     vcpus: &[VcpuSpec],
     features: &Features,
     platform: &Platform,
     config: HeuristicConfig,
     rng: &mut R,
+    search: &mut Search,
 ) -> AllocationOutcome {
     debug_assert_eq!(features.len(), vcpus.len());
     if vcpus.is_empty() {
@@ -89,121 +98,406 @@ pub(crate) fn heuristic_with_features<R: Rng>(
         if reference_total > m as f64 + UTILIZATION_EPS {
             continue;
         }
-        let k = m.min(vcpus.len());
-        let clusters = kmeans(features, k, rng).members();
-        if let Ok(allocation) = search_core_count(vcpus, &clusters, platform, m, config, rng) {
+        let k = kmeans_into(features, m.min(vcpus.len()), rng, &mut search.kmeans);
+        search.sort_clusters(vcpus, k);
+        if let Ok(allocation) = search.core_count(vcpus, platform, m, config, rng) {
             return AllocationOutcome::schedulable(allocation);
         }
     }
     AllocationOutcome::unschedulable()
 }
 
-/// Phases 1–3 at core count `m`: `config.max_permutations` random
-/// cluster orders, each packed and then refined by Phase-2/3 rounds.
-///
-/// Every permutation draws its shuffle, but Phases 2 and 3 are a pure
-/// function of the packing and draw nothing, so a packing that already
-/// failed at this `m` is skipped: it would fail the same way again.
-/// Returns the first schedulable allocation, or the number of distinct
-/// packings that failed.
-fn search_core_count<R: Rng>(
+/// The buffers a heuristic search works in: k-means' and those of
+/// Phases 1–3. They are reused across core counts, permutations and
+/// balance rounds, and by the admission engine across the repacks of
+/// one state, so a search allocates only while they grow and when it
+/// builds the allocation it returns. No value outlives the step that
+/// wrote it, except the clusters [`Search::sort_clusters`] leaves for
+/// [`Search::core_count`].
+#[derive(Debug, Default)]
+pub(crate) struct Search {
+    kmeans: KmeansScratch,
+    /// Each cluster's VCPUs as items sized by reference utilization,
+    /// in decreasing order, cluster after cluster.
+    items: Vec<Item>,
+    /// Cluster `c`'s items are `items[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+    /// The permutation's cluster order.
+    order: Vec<usize>,
+    /// Phase 1's per-core reference utilization.
+    loads: Vec<f64>,
+    /// Each core's VCPUs, as Phase 1 packs them and Phase 3 moves them.
+    assignment: Vec<Vec<usize>>,
+    /// The permutation's packing, flat: each core's VCPUs followed by
+    /// [`CORE_END`].
+    packing: Vec<usize>,
+    /// Every distinct packing that failed at this core count, each
+    /// laid out as `packing`, one after the other.
+    failed: Vec<usize>,
+    /// Phase 2's per-core allocation.
+    allocs: Vec<Alloc>,
+    /// Phase 2's view of each core.
+    states: Vec<CoreState>,
+    /// Phase 3's (feasibility, utilization) of each core.
+    cores: Vec<CoreLoad>,
+}
+
+/// Ends a core's VCPUs in a flat packing; no VCPU index equals it.
+const CORE_END: usize = usize::MAX;
+
+impl Search {
+    /// Groups the VCPUs by the cluster the last clustering put them in
+    /// (`k` clusters, some possibly empty), each cluster's VCPUs sorted
+    /// once: only the cluster order varies between permutations.
+    fn sort_clusters(&mut self, vcpus: &[VcpuSpec], k: usize) {
+        let assignment = self.kmeans.assignment();
+        self.items.clear();
+        self.items.reserve(assignment.len());
+        self.starts.clear();
+        for c in 0..k {
+            let start = self.items.len();
+            self.starts.push(start);
+            self.items.extend(
+                (0..assignment.len())
+                    .filter(|&i| assignment[i] == c)
+                    .map(|i| Item::new(i, vcpus[i].reference_utilization())),
+            );
+            sort_decreasing(&mut self.items[start..]);
+        }
+        self.starts.push(self.items.len());
+    }
+
+    /// Phases 1–3 at core count `m` over the clusters
+    /// [`Search::sort_clusters`] left: `config.max_permutations` random
+    /// cluster orders, each packed and then refined by Phase-2/3
+    /// rounds.
+    ///
+    /// Every permutation draws its shuffle, but Phases 2 and 3 are a
+    /// pure function of the packing and draw nothing, so a packing that
+    /// already failed at this `m` is skipped: it would fail the same way
+    /// again. Returns the first schedulable allocation, or the number of
+    /// distinct packings that failed.
+    fn core_count<R: Rng>(
+        &mut self,
+        vcpus: &[VcpuSpec],
+        platform: &Platform,
+        m: usize,
+        config: HeuristicConfig,
+        rng: &mut R,
+    ) -> Result<SystemAllocation, usize> {
+        // Room for every packing this core count can fail with.
+        let stride = self.items.len() + m;
+        self.packing.clear();
+        self.packing.reserve(stride);
+        self.failed.clear();
+        self.failed.reserve(config.max_permutations * stride);
+        for _ in 0..config.max_permutations {
+            self.order.clear();
+            self.order.extend(0..self.starts.len() - 1);
+            rng.shuffle(&mut self.order);
+            self.pack_by_clusters(m);
+            self.packing.clear();
+            for core in &self.assignment {
+                self.packing.extend_from_slice(core);
+                self.packing.push(CORE_END);
+            }
+            if self
+                .failed
+                .chunks_exact(self.packing.len())
+                .any(|packing| packing == self.packing)
+            {
+                continue;
+            }
+            for _ in 0..config.max_balance_rounds {
+                if self.allocate_resources(vcpus, platform) {
+                    let allocation = self.build(vcpus);
+                    debug_assert!(allocation.verify(platform).is_ok());
+                    return Ok(allocation);
+                }
+                if !self.balance_load(vcpus) {
+                    break; // no benefit in balancing: new permutation
+                }
+            }
+            self.failed.extend_from_slice(&self.packing);
+        }
+        Err(self.failed.len() / self.packing.len().max(1))
+    }
+
+    /// Phase 1: packs the clusters, in `order`, onto `m` cores,
+    /// worst-fit in decreasing reference utilization, with core loads
+    /// carried across clusters.
+    fn pack_by_clusters(&mut self, m: usize) {
+        // Room for every VCPU on every core: no core reallocates while
+        // Phase 1 packs or Phase 3 moves VCPUs onto it.
+        let total = self.items.len();
+        self.assignment.resize_with(m, || Vec::with_capacity(total));
+        for core in &mut self.assignment {
+            core.clear();
+        }
+        self.loads.clear();
+        self.loads.resize(m, 0.0);
+        for &cluster in &self.order {
+            for item in &self.items[self.starts[cluster]..self.starts[cluster + 1]] {
+                let best = least_loaded(&self.loads);
+                self.assignment[best].push(item.id);
+                self.loads[best] += item.size;
+            }
+        }
+    }
+
+    /// Phase 2: greedy marginal-utility resource allocation. Every core
+    /// starts at `(Cmin, Bmin)`; spare partitions go one at a time to
+    /// the unschedulable core with the highest utilization reduction.
+    ///
+    /// A core's state depends only on its own VCPUs and allocation, so
+    /// it is computed once per core and then only for the core just
+    /// upgraded, whose new utilization is the upgrade's sum its state
+    /// already holds. Candidates are scanned in core order, cache
+    /// before bandwidth, and a later one wins only with a strictly
+    /// larger gain; the pools are checked at selection time.
+    ///
+    /// Leaves each core's allocation in `allocs` and its state in
+    /// `states`, and returns whether every core ended up schedulable.
+    fn allocate_resources(&mut self, vcpus: &[VcpuSpec], platform: &Platform) -> bool {
+        let space = platform.resources();
+        let m = self.assignment.len();
+        let Search {
+            assignment,
+            allocs,
+            states,
+            ..
+        } = self;
+        allocs.clear();
+        allocs.resize(m, space.minimum());
+        let mut cache_left = space.cache_max() - space.cache_min() * m as u32;
+        let mut bw_left = space.bw_max() - space.bw_min() * m as u32;
+        states.clear();
+        states
+            .extend((0..m).map(|k| CoreState::of(vcpus, &assignment[k], allocs[k], &space, None)));
+
+        loop {
+            let mut all_schedulable = true;
+            let mut best: Option<(usize, bool, f64)> = None; // (core, is_cache, gain)
+            for (k, state) in states.iter().enumerate() {
+                if state.load.schedulable() {
+                    continue;
+                }
+                all_schedulable = false;
+                let now = state.load.utilization;
+                let candidates = [
+                    (true, state.cache_up.filter(|_| cache_left > 0)),
+                    (false, state.bw_up.filter(|_| bw_left > 0)),
+                ];
+                for (is_cache, after) in candidates {
+                    if let Some(after) = after {
+                        let gain = now - after;
+                        if best.is_none_or(|(_, _, g)| gain > g) {
+                            best = Some((k, is_cache, gain));
+                        }
+                    }
+                }
+            }
+            if all_schedulable {
+                return true;
+            }
+            match best {
+                Some((k, is_cache, gain)) if gain > UTILIZATION_EPS => {
+                    let Alloc { cache, bandwidth } = allocs[k];
+                    let now = if is_cache {
+                        cache_left -= 1;
+                        allocs[k] = Alloc::new(cache + 1, bandwidth);
+                        states[k].cache_up
+                    } else {
+                        bw_left -= 1;
+                        allocs[k] = Alloc::new(cache, bandwidth + 1);
+                        states[k].bw_up
+                    };
+                    states[k] = CoreState::of(vcpus, &assignment[k], allocs[k], &space, now);
+                }
+                // No spare partition has any impact on utilization.
+                _ => return false,
+            }
+        }
+    }
+
+    /// Phase 3: migrates VCPUs off unschedulable cores, at the
+    /// allocations Phase 2 left. For each unschedulable core
+    /// (largest-utilization VCPU first), the VCPU moves to the
+    /// schedulable core that will have the smallest utilization after
+    /// the migration. Returns whether anything moved.
+    ///
+    /// Each core's (feasibility, utilization) starts from Phase 2's
+    /// state and is kept current: a source core is summed afresh after
+    /// losing a VCPU, and a destination's new utilization is its old
+    /// one plus the moved VCPU's. That sum is exact, because `push`
+    /// appends the VCPU at the end of the member order and the
+    /// utilization sums in member order.
+    fn balance_load(&mut self, vcpus: &[VcpuSpec]) -> bool {
+        let Search {
+            assignment,
+            allocs,
+            states,
+            cores,
+            ..
+        } = self;
+        let m = assignment.len();
+        cores.clear();
+        cores.extend(states.iter().map(|state| state.load));
+        debug_assert!(loads_match(vcpus, assignment, allocs, cores));
+        let mut moved_any = false;
+        let mut moves_left = vcpus.len(); // global guard against cycles
+
+        for k in 0..m {
+            loop {
+                if moves_left == 0 || cores[k].schedulable() || assignment[k].is_empty() {
+                    break;
+                }
+                // Largest-utilization VCPU on the source core, the last
+                // on ties.
+                let (mut pos, mut top) = (0, f64::NEG_INFINITY);
+                for (p, &i) in assignment[k].iter().enumerate() {
+                    let u = vcpus[i].utilization(allocs[k]);
+                    if u >= top {
+                        (pos, top) = (p, u);
+                    }
+                }
+                let vcpu_idx = assignment[k][pos];
+                // Destination: schedulable core with smallest post-move
+                // utilization, the lowest index on ties.
+                let mut dest: Option<(usize, f64)> = None;
+                for (j, core) in cores.iter().enumerate() {
+                    if j == k || !core.schedulable() {
+                        continue;
+                    }
+                    let after = core.utilization + vcpus[vcpu_idx].utilization(allocs[j]);
+                    if dest.is_none_or(|(_, best)| after < best) {
+                        dest = Some((j, after));
+                    }
+                }
+                match dest {
+                    Some((j, after)) if after <= 1.0 + UTILIZATION_EPS => {
+                        assignment[k].remove(pos);
+                        assignment[j].push(vcpu_idx);
+                        cores[j] = CoreLoad {
+                            feasible: vcpus[vcpu_idx].is_feasible_at(allocs[j]),
+                            utilization: after,
+                        };
+                        cores[k] = CoreLoad::of(vcpus, &assignment[k], allocs[k]);
+                        debug_assert!(loads_match(vcpus, assignment, allocs, cores));
+                        moved_any = true;
+                        moves_left -= 1;
+                    }
+                    _ => break, // no destination can absorb anything useful
+                }
+            }
+        }
+        moved_any
+    }
+
+    /// The schedulable allocation Phase 2 just found: a copy of the
+    /// VCPUs, each core's VCPUs and its allocation.
+    fn build(&self, vcpus: &[VcpuSpec]) -> SystemAllocation {
+        let cores = self
+            .assignment
+            .iter()
+            .zip(&self.allocs)
+            .map(|(members, &alloc)| CoreAssignment {
+                vcpus: members.clone(),
+                alloc,
+            })
+            .collect();
+        SystemAllocation::new(vcpus.to_vec(), cores)
+    }
+}
+
+/// Whether every cached (feasibility, utilization) equals the
+/// from-scratch `core_schedulable` verdict and `core_utilization` sum
+/// (compared with `==`, under which the `-0.0` an empty
+/// `core_utilization` starts from equals the cache's `0.0`).
+fn loads_match(
     vcpus: &[VcpuSpec],
-    clusters: &[Vec<usize>],
-    platform: &Platform,
-    m: usize,
-    config: HeuristicConfig,
-    rng: &mut R,
-) -> Result<SystemAllocation, usize> {
-    // Only the cluster order varies between permutations, so each
-    // cluster's VCPUs are sorted once.
-    let sorted: Vec<Vec<Item>> = clusters
+    assignment: &[Vec<usize>],
+    allocs: &[Alloc],
+    cores: &[CoreLoad],
+) -> bool {
+    assignment
         .iter()
-        .map(|members| {
-            let mut items: Vec<Item> = members
-                .iter()
-                .map(|&i| Item::new(i, vcpus[i].reference_utilization()))
-                .collect();
-            sort_decreasing(&mut items);
-            items
+        .zip(allocs)
+        .zip(cores)
+        .all(|((members, &alloc), core)| {
+            let members = || members.iter().map(|&i| &vcpus[i]);
+            core.schedulable() == core_schedulable(members(), alloc)
+                && core.feasible == members().all(|v| v.is_feasible_at(alloc))
+                && core.utilization == core_utilization(members(), alloc)
         })
-        .collect();
-    let mut failed: Vec<Vec<Vec<usize>>> = Vec::new();
-    for _ in 0..config.max_permutations {
-        let mut order: Vec<usize> = (0..clusters.len()).collect();
-        rng.shuffle(&mut order);
-        let packing = pack_by_clusters(&sorted, &order, m);
-        if failed.contains(&packing) {
-            continue;
-        }
-        let mut assignment = packing.clone();
-        for _ in 0..config.max_balance_rounds {
-            let (allocs, schedulable) = allocate_resources(vcpus, &assignment, platform, m);
-            if schedulable {
-                let allocation = build(vcpus, assignment, allocs);
-                debug_assert!(allocation.verify(platform).is_ok());
-                return Ok(allocation);
-            }
-            if !balance_load(vcpus, &mut assignment, &allocs) {
-                break; // no benefit in balancing: new permutation
-            }
-        }
-        failed.push(packing);
-    }
-    Err(failed.len())
 }
 
-/// Phase 1: packs clusters (in `order`) onto `m` cores, worst-fit in
-/// decreasing reference utilization, with core loads carried across
-/// clusters. `sorted` holds each cluster's VCPUs as items sized by
-/// reference utilization, already in decreasing order.
-fn pack_by_clusters(sorted: &[Vec<Item>], order: &[usize], m: usize) -> Vec<Vec<usize>> {
-    // Room for every VCPU on every core: no core reallocates mid-pack.
-    let total: usize = sorted.iter().map(Vec::len).sum();
-    let mut cores: Vec<Vec<usize>> = (0..m).map(|_| Vec::with_capacity(total)).collect();
-    let mut loads = vec![0.0f64; m];
-    for &cluster in order {
-        for item in &sorted[cluster] {
-            // Audited expects: loads are sums of finite utilizations,
-            // and `m >= 1` (the caller loops `m` from 1).
-            #[allow(clippy::expect_used)]
-            let (best, _) = loads
-                .iter()
-                .enumerate()
-                .min_by(|(i, a), (j, b)| a.partial_cmp(b).expect("loads are finite").then(i.cmp(j)))
-                .expect("m >= 1");
-            cores[best].push(item.id);
-            loads[best] += item.size;
-        }
-    }
-    cores
+/// One core at its current allocation: whether every VCPU's budget
+/// fits its period, and the VCPUs' total utilization, summed in member
+/// order from `0.0`, as `core_schedulable` sums it.
+#[derive(Debug, Clone, Copy)]
+struct CoreLoad {
+    feasible: bool,
+    utilization: f64,
 }
 
-/// Phase-2 view of one core at its current allocation: whether it is
-/// schedulable and, if not, the utilization one more partition of each
-/// resource would save (`None` at that resource's maximum).
+impl CoreLoad {
+    /// The load of a core holding `members` at `alloc`, summed afresh.
+    fn of(vcpus: &[VcpuSpec], members: &[usize], alloc: Alloc) -> Self {
+        let (mut feasible, mut utilization) = (true, 0.0);
+        for &i in members {
+            let budget = vcpus[i].budget(alloc);
+            feasible &= vcpus[i].fits_period(budget);
+            utilization += budget / vcpus[i].period();
+        }
+        CoreLoad {
+            feasible,
+            utilization,
+        }
+    }
+
+    /// `core_schedulable`'s verdict.
+    fn schedulable(self) -> bool {
+        self.feasible && self.utilization <= 1.0 + UTILIZATION_EPS
+    }
+}
+
+/// Phase-2 view of one core at its current allocation: its load, and
+/// the utilization after one more partition of each resource (`None`
+/// at that resource's maximum).
+#[derive(Debug, Clone, Copy)]
 struct CoreState {
-    schedulable: bool,
-    cache_gain: Option<f64>,
-    bw_gain: Option<f64>,
+    load: CoreLoad,
+    cache_up: Option<f64>,
+    bw_up: Option<f64>,
 }
 
 impl CoreState {
     /// One pass over the members, in order, reads each budget surface
     /// at `alloc` and at both upgrades through precomputed offsets. The
-    /// three utilization sums accumulate in member order, the order
+    /// utilization sums accumulate in member order, the order
     /// `core_schedulable` and `core_utilization` sum in, so the verdict
-    /// and the gains are theirs bit for bit.
-    fn of(vcpus: &[VcpuSpec], members: &[usize], alloc: Alloc, space: &ResourceSpace) -> Self {
+    /// and the sums are theirs bit for bit. `now`, when known, is the
+    /// utilization at `alloc`: the sum the upgrade to `alloc` held.
+    fn of(
+        vcpus: &[VcpuSpec],
+        members: &[usize],
+        alloc: Alloc,
+        space: &ResourceSpace,
+        now: Option<f64>,
+    ) -> Self {
         let at = space.index_of(alloc);
         let cache_up = (alloc.cache < space.cache_max()).then_some(at + space.bw_levels());
         let bw_up = (alloc.bandwidth < space.bw_max()).then_some(at + 1);
-        let (mut feasible, mut now, mut cache_sum, mut bw_sum) = (true, 0.0, 0.0, 0.0);
+        let (mut feasible, mut sum, mut cache_sum, mut bw_sum) = (true, 0.0, 0.0, 0.0);
         for &i in members {
             let vcpu = &vcpus[i];
             debug_assert_eq!(vcpu.budget_surface().space(), space);
             let (budgets, period) = (vcpu.budget_surface().as_slice(), vcpu.period());
             feasible &= vcpu.fits_period(budgets[at]);
-            now += budgets[at] / period;
+            if now.is_none() {
+                sum += budgets[at] / period;
+            }
             if let Some(up) = cache_up {
                 cache_sum += budgets[up] / period;
             }
@@ -211,152 +505,15 @@ impl CoreState {
                 bw_sum += budgets[up] / period;
             }
         }
-        let schedulable = feasible && now <= 1.0 + UTILIZATION_EPS;
-        let gain = |up: Option<usize>, sum: f64| up.filter(|_| !schedulable).map(|_| now - sum);
         CoreState {
-            schedulable,
-            cache_gain: gain(cache_up, cache_sum),
-            bw_gain: gain(bw_up, bw_sum),
+            load: CoreLoad {
+                feasible,
+                utilization: now.unwrap_or(sum),
+            },
+            cache_up: cache_up.map(|_| cache_sum),
+            bw_up: bw_up.map(|_| bw_sum),
         }
     }
-}
-
-/// Phase 2: greedy marginal-utility resource allocation. Every core
-/// starts at `(Cmin, Bmin)`; spare partitions go one at a time to the
-/// unschedulable core with the highest utilization reduction.
-///
-/// A core's state depends only on its own VCPUs and allocation, so it
-/// is computed once per core and then only for the core just upgraded.
-/// Candidates are scanned in core order, cache before bandwidth, and a
-/// later one wins only with a strictly larger gain; the pools are
-/// checked at selection time.
-///
-/// Returns the per-core allocations and whether every core ended up
-/// schedulable.
-fn allocate_resources(
-    vcpus: &[VcpuSpec],
-    assignment: &[Vec<usize>],
-    platform: &Platform,
-    m: usize,
-) -> (Vec<Alloc>, bool) {
-    let space = platform.resources();
-    let mut allocs = vec![space.minimum(); m];
-    let mut cache_left = space.cache_max() - space.cache_min() * m as u32;
-    let mut bw_left = space.bw_max() - space.bw_min() * m as u32;
-    let mut states: Vec<CoreState> = (0..m)
-        .map(|k| CoreState::of(vcpus, &assignment[k], allocs[k], &space))
-        .collect();
-
-    loop {
-        let mut all_schedulable = true;
-        let mut best: Option<(usize, bool, f64)> = None; // (core, is_cache, gain)
-        for (k, state) in states.iter().enumerate().filter(|(_, s)| !s.schedulable) {
-            all_schedulable = false;
-            let candidates = [
-                (true, state.cache_gain.filter(|_| cache_left > 0)),
-                (false, state.bw_gain.filter(|_| bw_left > 0)),
-            ];
-            for (is_cache, gain) in candidates {
-                if let Some(gain) = gain {
-                    if best.is_none_or(|(_, _, g)| gain > g) {
-                        best = Some((k, is_cache, gain));
-                    }
-                }
-            }
-        }
-        if all_schedulable {
-            return (allocs, true);
-        }
-        match best {
-            Some((k, is_cache, gain)) if gain > UTILIZATION_EPS => {
-                let Alloc { cache, bandwidth } = allocs[k];
-                allocs[k] = if is_cache {
-                    cache_left -= 1;
-                    Alloc::new(cache + 1, bandwidth)
-                } else {
-                    bw_left -= 1;
-                    Alloc::new(cache, bandwidth + 1)
-                };
-                states[k] = CoreState::of(vcpus, &assignment[k], allocs[k], &space);
-            }
-            // No spare partition has any impact on utilization.
-            _ => return (allocs, false),
-        }
-    }
-}
-
-/// Phase 3: migrates VCPUs off unschedulable cores. For each
-/// unschedulable core (largest-utilization VCPU first), the VCPU moves
-/// to the schedulable core that will have the smallest utilization
-/// after the migration. Returns whether anything moved.
-fn balance_load(vcpus: &[VcpuSpec], assignment: &mut [Vec<usize>], allocs: &[Alloc]) -> bool {
-    let m = assignment.len();
-    let mut moved_any = false;
-    let mut moves_left = vcpus.len(); // global guard against cycles
-
-    for k in 0..m {
-        loop {
-            if moves_left == 0
-                || core_schedulable(assignment[k].iter().map(|&i| &vcpus[i]), allocs[k])
-                || assignment[k].is_empty()
-            {
-                break;
-            }
-            // Largest-utilization VCPU on the source core. Audited
-            // expects: budgets and periods are finite and positive, and
-            // the loop guard above left the core non-empty.
-            #[allow(clippy::expect_used)]
-            let (pos, &vcpu_idx) = assignment[k]
-                .iter()
-                .enumerate()
-                .max_by(|(_, &a), (_, &b)| {
-                    vcpus[a]
-                        .utilization(allocs[k])
-                        .partial_cmp(&vcpus[b].utilization(allocs[k]))
-                        .expect("utilizations are finite")
-                })
-                .expect("core is non-empty");
-            // Destination: schedulable core with smallest post-move
-            // utilization. Audited expect: utilizations are finite.
-            #[allow(clippy::expect_used)]
-            let dest = (0..m)
-                .filter(|&j| j != k)
-                .filter(|&j| core_schedulable(assignment[j].iter().map(|&i| &vcpus[i]), allocs[j]))
-                .map(|j| {
-                    let after =
-                        core_utilization(assignment[j].iter().map(|&i| &vcpus[i]), allocs[j])
-                            + vcpus[vcpu_idx].utilization(allocs[j]);
-                    (j, after)
-                })
-                .min_by(|(i, a), (j, b)| {
-                    a.partial_cmp(b)
-                        .expect("utilizations are finite")
-                        .then(i.cmp(j))
-                });
-            match dest {
-                Some((j, after)) if after <= 1.0 + UTILIZATION_EPS => {
-                    assignment[k].remove(pos);
-                    assignment[j].push(vcpu_idx);
-                    moved_any = true;
-                    moves_left -= 1;
-                }
-                _ => break, // no destination can absorb anything useful
-            }
-        }
-    }
-    moved_any
-}
-
-fn build(vcpus: &[VcpuSpec], assignment: Vec<Vec<usize>>, allocs: Vec<Alloc>) -> SystemAllocation {
-    let cores = assignment
-        .into_iter()
-        .zip(allocs)
-        .map(|(vcpu_indices, alloc)| CoreAssignment {
-            vcpus: vcpu_indices,
-            alloc,
-        })
-        .collect();
-    SystemAllocation::new(vcpus.to_vec(), cores)
 }
 
 /// The baseline hypervisor-level discipline: cache and bandwidth are
@@ -391,9 +548,11 @@ pub fn evenly_partitioned(vcpus: &[VcpuSpec], platform: &Platform) -> Allocation
     if bins.len() > m {
         return AllocationOutcome::unschedulable();
     }
-    let assignment: Vec<Vec<usize>> = bins;
-    let allocs = vec![even; assignment.len()];
-    let allocation = build(vcpus, assignment, allocs);
+    let cores = bins
+        .into_iter()
+        .map(|vcpus| CoreAssignment { vcpus, alloc: even })
+        .collect();
+    let allocation = SystemAllocation::new(vcpus.to_vec(), cores);
     if allocation.is_schedulable() && allocation.verify(platform).is_ok() {
         AllocationOutcome::schedulable(allocation)
     } else {
@@ -592,17 +751,17 @@ mod tests {
         // flat surfaces leave Phase 2 nothing to gain. The ten
         // permutations can only produce the two cluster orders.
         let vcpus: Vec<VcpuSpec> = (0..4).map(|i| flat_vcpu(i, 10.0, 6.0)).collect();
-        let clusters = vec![vec![0, 1], vec![2, 3]];
+        let mut search = Search::default();
+        for cluster in [[0, 1], [2, 3]] {
+            search.starts.push(search.items.len());
+            search
+                .items
+                .extend(cluster.map(|i| Item::new(i, vcpus[i].reference_utilization())));
+        }
+        search.starts.push(search.items.len());
         let config = HeuristicConfig::default();
         let mut searched = rng();
-        let outcome = search_core_count(
-            &vcpus,
-            &clusters,
-            &Platform::platform_a(),
-            2,
-            config,
-            &mut searched,
-        );
+        let outcome = search.core_count(&vcpus, &Platform::platform_a(), 2, config, &mut searched);
         assert_eq!(outcome.err(), Some(2), "exactly two distinct packings run");
         // Every permutation still drew its shuffle.
         let mut shuffled = rng();

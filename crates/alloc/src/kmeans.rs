@@ -289,17 +289,54 @@ impl Clustering {
     }
 }
 
-/// The centroids of the Lloyd iteration under way.
+/// The buffers one clustering works in. [`kmeans`] makes a fresh set
+/// per call; the hypervisor-level search keeps one set for all its
+/// clusterings, so that they allocate nothing once the buffers have
+/// grown. No value survives from one clustering to the next.
+#[derive(Debug, Default)]
+pub(crate) struct KmeansScratch {
+    /// The centroids, point-major: the k-means++ seeds, then the
+    /// column path's centroids.
+    rows: Vec<f64>,
+    /// `columns[c * n + i]`: the squared distance from point `i` to
+    /// centroid `c`.
+    columns: Vec<f64>,
+    /// k-means++'s squared distance from each point to its nearest
+    /// seed so far.
+    weights: Vec<f64>,
+    /// The cluster of each point.
+    assignment: Vec<usize>,
+    /// The update's per-cluster coordinate sums, or the pairwise
+    /// table's per-point distance sums.
+    sums: Vec<f64>,
+    /// Points per cluster of `assignment`.
+    counts: Vec<usize>,
+    /// The assignment whose cluster means are the centroids, while
+    /// the pairwise table leaves them implicit.
+    sets: Vec<usize>,
+    /// Points per cluster of `sets`, while their means are computed.
+    set_counts: Vec<usize>,
+}
+
+impl KmeansScratch {
+    /// The cluster of each point, as the last clustering left it.
+    pub(crate) fn assignment(&self) -> &[usize] {
+        &self.assignment
+    }
+}
+
+/// Where the centroids of the Lloyd iteration under way are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Centroids {
-    /// The k-means++ seeds (the first iteration), point-major, whose
+    /// In `rows`: the k-means++ seeds (the first iteration), whose
     /// columns seeding computed.
-    Seeds(Vec<f64>),
-    /// Materialised, point-major, as the column path holds them.
-    Rows(Vec<f64>),
-    /// The means of the clusters of this assignment, every one
-    /// non-empty, left implicit: the pairwise table gives each point's
-    /// distance to them.
-    Means(Vec<usize>),
+    Seeds,
+    /// In `rows`, materialised as the column path holds them.
+    Rows,
+    /// The means of the clusters of `sets`, every one non-empty, left
+    /// implicit: the pairwise table gives each point's distance to
+    /// them.
+    Means,
 }
 
 /// Runs k-means over `points`, producing at most `k` clusters.
@@ -312,12 +349,33 @@ enum Centroids {
 ///
 /// Panics if `k` is zero while points are non-empty.
 pub fn kmeans<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Clustering {
+    let mut scratch = KmeansScratch::default();
+    let k = kmeans_into(points, k, rng, &mut scratch);
+    Clustering {
+        assignment: std::mem::take(&mut scratch.assignment),
+        k,
+    }
+}
+
+/// [`kmeans`] over the buffers of `scratch`: returns the number of
+/// clusters and leaves each point's cluster in
+/// [`KmeansScratch::assignment`]. A fresh `scratch` allocates the
+/// buffers [`kmeans`] always did, in the same order (seed rows,
+/// columns, weights, then assignment, sums, counts).
+///
+/// # Panics
+///
+/// Panics if `k` is zero while points are non-empty.
+pub(crate) fn kmeans_into<R: Rng>(
+    points: &Features,
+    k: usize,
+    rng: &mut R,
+    scratch: &mut KmeansScratch,
+) -> usize {
     let n = points.len();
+    scratch.assignment.clear();
     if n == 0 {
-        return Clustering {
-            assignment: Vec::new(),
-            k: 0,
-        };
+        return 0;
     }
     assert!(k > 0, "k must be positive for a non-empty point set");
     let dim = points.dim();
@@ -326,51 +384,61 @@ pub fn kmeans<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Clustering {
         // The first seed is still drawn; after that every point sits
         // in the only cluster, which cannot empty, so nothing moves.
         let _ = rng.gen_range(0..n);
-        return Clustering {
-            assignment: vec![0; n],
-            k,
-        };
+        scratch.assignment.resize(n, 0);
+        return k;
     }
 
-    // `columns[c * n + i]` is the squared distance from point `i` to
-    // centroid `c`. The first iteration's centroids are the seeds
-    // themselves, whose columns seeding already computed.
-    let (seeds, mut columns) = init_plus_plus(points, k, rng);
+    // The first iteration's centroids are the seeds themselves, whose
+    // columns seeding already computed.
+    init_plus_plus(points, k, rng, scratch);
+    let KmeansScratch {
+        rows,
+        columns,
+        assignment,
+        sums,
+        counts,
+        sets,
+        set_counts,
+        ..
+    } = scratch;
     let table = points.distances.as_ref();
     let margin = table.map_or(f64::INFINITY, |table| certify_margin(table, dim));
-    let mut centroids = Centroids::Seeds(seeds);
-    let mut assignment = vec![0usize; n];
-    let mut sums = vec![0.0; k * dim];
-    let mut counts = vec![0usize; k];
+    let mut centroids = Centroids::Seeds;
+    assignment.resize(n, 0);
+    sums.clear();
+    sums.resize(k * dim, 0.0);
+    counts.clear();
+    counts.resize(k, 0);
     for _ in 0..MAX_ITERATIONS {
         #[cfg(test)]
-        let from_table = matches!(centroids, Centroids::Means(_));
-        let certified = match (&centroids, table) {
-            (Centroids::Means(sets), Some(table)) => {
-                assign_from_table(table, sets, &counts, margin, &mut sums, &mut assignment)
+        let from_table = centroids == Centroids::Means;
+        let certified = match (centroids, table) {
+            (Centroids::Means, Some(table)) => {
+                assign_from_table(table, sets, counts, margin, sums, assignment)
             }
             _ => None,
         };
         let mut changed = match certified {
             Some(changed) => changed,
             None => {
-                if let Centroids::Means(sets) = &centroids {
+                if centroids == Centroids::Means {
                     #[cfg(test)]
                     note(|h| h.ambiguous += 1);
                     assignment.copy_from_slice(sets);
-                    centroids = Centroids::Rows(means(points, k, sets));
+                    means_into(points, k, sets, rows, set_counts);
+                    centroids = Centroids::Rows;
                 }
-                if let Centroids::Rows(rows) = &centroids {
+                if centroids == Centroids::Rows {
                     columns.clear();
                     for centroid in rows.chunks_exact(dim) {
-                        push_column(points, centroid, n, &mut columns);
+                        push_column(points, centroid, n, columns);
                     }
                 }
-                assign(&columns, k, &mut assignment)
+                assign(columns, k, assignment)
             }
         };
         counts.fill(0);
-        for &c in &assignment {
+        for &c in assignment.iter() {
             counts[c] += 1;
         }
         let full = counts.iter().all(|&count| count > 0);
@@ -382,32 +450,28 @@ pub fn kmeans<R: Rng>(points: &Features, k: usize, rng: &mut R) -> Clustering {
         // With no cluster to refill, the update sets every centroid to
         // its cluster's mean, which the table leaves implicit.
         if full && table.is_some() {
-            match &mut centroids {
-                Centroids::Means(sets) => sets.copy_from_slice(&assignment),
-                _ => centroids = Centroids::Means(assignment.clone()),
-            }
+            sets.clear();
+            sets.extend_from_slice(assignment);
+            centroids = Centroids::Means;
             continue;
         }
-        let mut rows = match centroids {
-            Centroids::Seeds(rows) | Centroids::Rows(rows) => rows,
-            Centroids::Means(sets) => {
-                #[cfg(test)]
-                note(|h| h.empty += 1);
-                means(points, k, &sets)
-            }
-        };
-        let stole = update(points, &mut assignment, &mut counts, &mut rows, &mut sums);
+        if centroids == Centroids::Means {
+            #[cfg(test)]
+            note(|h| h.empty += 1);
+            means_into(points, k, sets, rows, set_counts);
+        }
+        let stole = update(points, assignment, counts, rows, sums);
         #[cfg(test)]
         if from_table {
             note(|h| h.steals += u64::from(stole));
         }
-        centroids = Centroids::Rows(rows);
+        centroids = Centroids::Rows;
         changed |= stole;
         if !changed {
             break;
         }
     }
-    Clustering { assignment, k }
+    k
 }
 
 /// The column path's update step: each non-empty cluster's centroid
@@ -477,24 +541,32 @@ fn update(
 }
 
 /// The centroids an update without steals leaves behind: the mean of
-/// each cluster of `sets`, summed in point order, point-major.
-fn means(points: &Features, k: usize, sets: &[usize]) -> Vec<f64> {
+/// each cluster of `sets`, summed in point order, point-major, written
+/// to `rows`; `counts` receives each cluster's size.
+fn means_into(
+    points: &Features,
+    k: usize,
+    sets: &[usize],
+    rows: &mut Vec<f64>,
+    counts: &mut Vec<usize>,
+) {
     let dim = points.dim();
-    let mut rows = vec![0.0; k * dim];
-    let mut counts = vec![0usize; k];
+    rows.clear();
+    rows.resize(k * dim, 0.0);
+    counts.clear();
+    counts.resize(k, 0);
     for (i, &c) in sets.iter().enumerate() {
         counts[c] += 1;
         for (s, v) in rows[c * dim..(c + 1) * dim].iter_mut().zip(points.row(i)) {
             *s += v;
         }
     }
-    for (row, &count) in rows.chunks_exact_mut(dim).zip(&counts) {
+    for (row, &count) in rows.chunks_exact_mut(dim).zip(counts.iter()) {
         let count = count as f64;
         for d in row {
             *d /= count;
         }
     }
-    rows
 }
 
 /// The assignment step from `columns`: each point joins its nearest
@@ -625,22 +697,32 @@ fn certify_margin(table: &Distances, dim: usize) -> f64 {
     2.0 * delta
 }
 
-/// k-means++ seeding. Returns `k` centroids, point-major, and the
-/// squared distance from every point to each of them, column-major
-/// (`columns[c * n + i]` for point `i` and centroid `c`).
+/// k-means++ seeding: leaves `k` centroids in `scratch.rows`,
+/// point-major, and the squared distance from every point to each of
+/// them in `scratch.columns`, column-major (`columns[c * n + i]` for
+/// point `i` and centroid `c`).
 ///
 /// Each point keeps its squared distance to the nearest centroid so
 /// far, lowered as each centroid is chosen: the same running
 /// `f64::min` the from-scratch fold over all centroids computes.
-fn init_plus_plus<R: Rng>(points: &Features, k: usize, rng: &mut R) -> (Vec<f64>, Vec<f64>) {
+fn init_plus_plus<R: Rng>(points: &Features, k: usize, rng: &mut R, scratch: &mut KmeansScratch) {
     let (n, dim) = (points.len(), points.dim());
-    let mut centroids = Vec::with_capacity(k * dim);
-    let mut columns = Vec::with_capacity(k * n);
+    let KmeansScratch {
+        rows: centroids,
+        columns,
+        weights,
+        ..
+    } = scratch;
+    centroids.clear();
+    centroids.reserve(k * dim);
+    columns.clear();
+    columns.reserve(k * n);
     let mut seed = rng.gen_range(0..n);
     centroids.extend_from_slice(points.row(seed));
-    let mut weights = vec![f64::INFINITY; n];
+    weights.clear();
+    weights.resize(n, f64::INFINITY);
     for c in 1..k {
-        push_seed_column(points, seed, &mut columns);
+        push_seed_column(points, seed, columns);
         for (w, d) in weights.iter_mut().zip(&columns[(c - 1) * n..]) {
             *w = w.min(*d);
         }
@@ -662,8 +744,7 @@ fn init_plus_plus<R: Rng>(points: &Features, k: usize, rng: &mut R) -> (Vec<f64>
         seed = chosen;
         centroids.extend_from_slice(points.row(seed));
     }
-    push_seed_column(points, seed, &mut columns);
-    (centroids, columns)
+    push_seed_column(points, seed, columns);
 }
 
 /// Appends the squared distance from every point to point `seed`: read
@@ -697,7 +778,37 @@ fn distance_sq(a: &[f64], b: &[f64]) -> f64 {
 /// to `centroid`, in point order, computed one group of `LANES` points
 /// at a time. Every entry is bit-identical to
 /// `distance_sq(points.row(i), centroid)`.
+///
+/// One body is compiled twice: for the baseline target, and for AVX2,
+/// which holds a group's four accumulators in one register. The AVX2
+/// variant runs wherever the CPU has AVX2. Each lane does the same IEEE
+/// subtract, multiply and add in the same order in both, and Rust never
+/// contracts a multiply and an add into a fused multiply-add, so both
+/// write the same bits.
 fn push_column(points: &Features, centroid: &[f64], count: usize, out: &mut Vec<f64>) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU running this has AVX2, checked just above,
+        // which is the only requirement of the call.
+        return unsafe { push_column_avx2(points, centroid, count, out) };
+    }
+    push_column_portable(points, centroid, count, out);
+}
+
+/// [`push_column`]'s body compiled for AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn push_column_avx2(points: &Features, centroid: &[f64], count: usize, out: &mut Vec<f64>) {
+    push_column_body(points, centroid, count, out);
+}
+
+/// [`push_column`]'s body compiled for the baseline target.
+fn push_column_portable(points: &Features, centroid: &[f64], count: usize, out: &mut Vec<f64>) {
+    push_column_body(points, centroid, count, out);
+}
+
+#[inline(always)]
+fn push_column_body(points: &Features, centroid: &[f64], count: usize, out: &mut Vec<f64>) {
     let dim = points.dim();
     for group in 0..count.div_ceil(LANES) {
         let mut acc = [0.0; LANES];
@@ -748,6 +859,7 @@ fn note(f: impl FnOnce(&mut Handovers)) {
 mod tests {
     use super::*;
     use vc2m_rng::{cases::check, DetRng};
+    use vc2m_workload::ParsecBenchmark;
 
     fn rng() -> DetRng {
         DetRng::seed_from_u64(17)
@@ -875,6 +987,78 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// Rows of `dim` values `scale · x` with `x` drawn from `[-4, 4)`.
+    fn scaled_rows(rng: &mut DetRng, n: usize, dim: usize, scale: f64) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| {
+                (0..dim)
+                    .map(|_| scale * rng.gen_range(-4.0f64..4.0))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn avx2_and_portable_columns_match_bitwise() {
+        #[cfg(not(target_arch = "x86_64"))]
+        eprintln!("avx2_and_portable_columns_match_bitwise: skipped, not an x86_64 target");
+        #[cfg(target_arch = "x86_64")]
+        {
+            if !std::arch::is_x86_feature_detected!("avx2") {
+                eprintln!("avx2_and_portable_columns_match_bitwise: skipped, this CPU has no AVX2");
+                return;
+            }
+            let space = vc2m_model::Platform::platform_a().resources();
+            check(256, |rng| {
+                let n = rng.gen_range(1usize..=24);
+                let dim = rng.gen_range(1usize..=40);
+                let points = match rng.gen_range(0usize..5) {
+                    0 => features(&scaled_rows(rng, n, dim, 1.0)),
+                    1 => Features::from_surfaces(
+                        &(0..n)
+                            .map(|_| {
+                                ParsecBenchmark::sample(rng)
+                                    .profile()
+                                    .slowdown_surface(&space)
+                            })
+                            .collect::<Vec<_>>(),
+                    ),
+                    2 => features(&near_tie_rows(rng)),
+                    // Differences and squares that are subnormal or
+                    // underflow to zero.
+                    3 => features(&scaled_rows(rng, n, dim, f64::MIN_POSITIVE)),
+                    // Squared norms near `NORM_LIMIT`.
+                    _ => features(&scaled_rows(
+                        rng,
+                        n,
+                        dim,
+                        (NORM_LIMIT / dim as f64).sqrt() / 4.0,
+                    )),
+                };
+                let (n, dim) = (points.len(), points.dim());
+                let mut centroids: Vec<Vec<f64>> = (0..n).map(|i| points.row(i).to_vec()).collect();
+                let scale = points.row(0).iter().fold(0.0f64, |m, x| m.max(x.abs()));
+                centroids.push(scaled_rows(rng, 1, dim, scale / 4.0).remove(0));
+                for centroid in &centroids {
+                    // Every count, so `count mod 4` takes each value.
+                    for count in 1..=n {
+                        let (mut avx2, mut portable) = (Vec::new(), Vec::new());
+                        // SAFETY: this CPU has AVX2, checked above.
+                        unsafe { push_column_avx2(&points, centroid, count, &mut avx2) };
+                        push_column_portable(&points, centroid, count, &mut portable);
+                        let bits =
+                            |column: &[f64]| column.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&avx2),
+                            bits(&portable),
+                            "count {count} of {n}, dim {dim}"
+                        );
+                    }
+                }
+            });
+        }
     }
 
     #[test]

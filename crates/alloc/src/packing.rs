@@ -35,11 +35,15 @@ impl Item {
 
 /// Sorts items by decreasing size (ties broken by id for determinism).
 ///
+/// The sort is unstable, so it never allocates: items that compare
+/// equal have the same id and equal sizes, and every caller's ids are
+/// distinct indices.
+///
 /// # Panics
 ///
 /// Panics if a size is NaN, which [`Item::new`] never builds.
 pub fn sort_decreasing(items: &mut [Item]) {
-    items.sort_by(|a, b| {
+    items.sort_unstable_by(|a, b| {
         // Invariant: every item in this crate comes from `Item::new`,
         // which admits only finite sizes.
         #[allow(clippy::expect_used)]

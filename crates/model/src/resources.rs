@@ -96,6 +96,7 @@ impl ResourceSpace {
     }
 
     /// Total cache partitions on the platform (`C`).
+    #[inline]
     pub fn cache_max(&self) -> u32 {
         self.cache_max
     }
@@ -106,23 +107,27 @@ impl ResourceSpace {
     }
 
     /// Total bandwidth partitions on the platform (`B`).
+    #[inline]
     pub fn bw_max(&self) -> u32 {
         self.bw_max
     }
 
     /// The reference allocation `(C, B)` — all cache, all bandwidth —
     /// against which reference WCETs and slowdown vectors are defined.
+    #[inline]
     pub fn reference(&self) -> Alloc {
         Alloc::new(self.cache_max, self.bw_max)
     }
 
     /// The minimum allocation `(Cmin, Bmin)`, the starting point of the
     /// hypervisor-level resource-allocation phase.
+    #[inline]
     pub fn minimum(&self) -> Alloc {
         Alloc::new(self.cache_min, self.bw_min)
     }
 
     /// Whether `alloc` lies inside this space.
+    #[inline]
     pub fn contains(&self, alloc: Alloc) -> bool {
         (self.cache_min..=self.cache_max).contains(&alloc.cache)
             && (self.bw_min..=self.bw_max).contains(&alloc.bandwidth)
@@ -151,6 +156,7 @@ impl ResourceSpace {
     }
 
     /// Number of valid bandwidth levels (`B - Bmin + 1`).
+    #[inline]
     pub fn bw_levels(&self) -> usize {
         (self.bw_max - self.bw_min + 1) as usize
     }
@@ -173,6 +179,7 @@ impl ResourceSpace {
     ///
     /// Panics if `alloc` is outside the space; use [`ResourceSpace::check`]
     /// first when the allocation is untrusted.
+    #[inline]
     pub fn index_of(&self, alloc: Alloc) -> usize {
         assert!(
             self.contains(alloc),

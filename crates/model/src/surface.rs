@@ -92,18 +92,21 @@ impl Surface {
     /// # Panics
     ///
     /// Panics if `alloc` lies outside the surface's resource space.
+    #[inline]
     pub fn at(&self, alloc: Alloc) -> f64 {
         self.values[self.space.index_of(alloc)]
     }
 
     /// Every value in the row-major order of [`ResourceSpace::index_of`]:
     /// entry `space.index_of(alloc)` is `self.at(alloc)`.
+    #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.values
     }
 
     /// Value at the reference allocation `(C, B)` — the reference WCET
     /// e*ᵢ for tasks, or the reference budget Θ*ⱼ for VCPUs.
+    #[inline]
     pub fn reference(&self) -> f64 {
         self.at(self.space.reference())
     }

@@ -71,11 +71,13 @@ impl VcpuSpec {
     }
 
     /// The VCPU's period Πⱼ in milliseconds.
+    #[inline]
     pub fn period(&self) -> f64 {
         self.period_ms
     }
 
     /// The budget surface Θⱼ(c,b).
+    #[inline]
     pub fn budget_surface(&self) -> &BudgetSurface {
         &self.budget
     }
@@ -85,17 +87,20 @@ impl VcpuSpec {
     /// # Panics
     ///
     /// Panics if `alloc` is outside the platform's resource space.
+    #[inline]
     pub fn budget(&self, alloc: Alloc) -> f64 {
         self.budget.at(alloc)
     }
 
     /// The reference budget Θ*ⱼ = Θⱼ(C,B).
+    #[inline]
     pub fn reference_budget(&self) -> f64 {
         self.budget.reference()
     }
 
     /// Reference CPU-bandwidth Θ*ⱼ/Πⱼ — the load metric used by the
     /// hypervisor-level packing phases.
+    #[inline]
     pub fn reference_utilization(&self) -> f64 {
         self.reference_budget() / self.period_ms
     }
@@ -105,6 +110,7 @@ impl VcpuSpec {
     /// # Panics
     ///
     /// Panics if `alloc` is outside the platform's resource space.
+    #[inline]
     pub fn utilization(&self, alloc: Alloc) -> f64 {
         self.budget(alloc) / self.period_ms
     }
@@ -115,6 +121,7 @@ impl VcpuSpec {
     /// # Panics
     ///
     /// Panics if `alloc` is outside the platform's resource space.
+    #[inline]
     pub fn is_feasible_at(&self, alloc: Alloc) -> bool {
         self.fits_period(self.budget(alloc))
     }
@@ -122,6 +129,7 @@ impl VcpuSpec {
     /// Whether `budget` fits within the VCPU's period: the test
     /// [`VcpuSpec::is_feasible_at`] applies to the budget at an
     /// allocation.
+    #[inline]
     pub fn fits_period(&self, budget: f64) -> bool {
         budget <= self.period_ms + 1e-12
     }

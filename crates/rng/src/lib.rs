@@ -269,6 +269,7 @@ impl DetRng {
 }
 
 impl Rng for DetRng {
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])

@@ -181,6 +181,14 @@ pub enum SolverError {
     /// A resource period that is not positive and finite, or, for a
     /// search, exceeds the period the solver was built for.
     Period(f64),
+    /// A WCET vector whose length differs from the solver's period
+    /// vector.
+    Arity {
+        /// The number of periods the solver was built for.
+        expected: usize,
+        /// The number of WCETs given.
+        got: usize,
+    },
 }
 
 impl fmt::Display for SolverError {
@@ -191,6 +199,9 @@ impl fmt::Display for SolverError {
                 f,
                 "resource period must be positive, finite and at most the solver's, got {period}"
             ),
+            SolverError::Arity { expected, got } => {
+                write!(f, "expected {expected} WCETs, one per period, got {got}")
+            }
         }
     }
 }
@@ -199,7 +210,7 @@ impl std::error::Error for SolverError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SolverError::Demand(e) => Some(e),
-            SolverError::Period(_) => None,
+            SolverError::Period(_) | SolverError::Arity { .. } => None,
         }
     }
 }
@@ -308,11 +319,9 @@ impl MinBudgetSolver {
     /// * [`SolverError::Period`] if `period` is not positive or
     ///   exceeds [`max_period`](Self::max_period) (NaN included): the
     ///   checkpoint table does not reach that period's horizon;
+    /// * [`SolverError::Arity`] if `wcets` and the solver's periods
+    ///   differ in length;
     /// * [`SolverError::Demand`] for a negative or non-finite WCET.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wcets` has the wrong length.
     // The negated comparisons are load-bearing: `!(e > 0.0)` routes
     // NaN WCETs to the fallback (where `Demand::new` rejects them),
     // `!(period > 0.0)` refuses a NaN period, and the feasibility
@@ -323,11 +332,12 @@ impl MinBudgetSolver {
         if !(period > 0.0 && period <= self.max_period) {
             return Err(SolverError::Period(period));
         }
-        assert_eq!(
-            wcets.len(),
-            self.periods.len(),
-            "WCET vector length must match the solver's period vector"
-        );
+        if wcets.len() != self.periods.len() {
+            return Err(SolverError::Arity {
+                expected: self.periods.len(),
+                got: wcets.len(),
+            });
+        }
         tick(|c| c.min_budget_calls += 1);
         if wcets.iter().all(|&e| e == 0.0) {
             return Ok(Some(0.0));
@@ -786,9 +796,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length must match")]
     fn solver_rejects_wrong_arity() {
-        let _ = MinBudgetSolver::new(&[10.0, 20.0], 5.0).unwrap().min_budget(5.0, &[1.0]);
+        assert_eq!(
+            MinBudgetSolver::new(&[10.0, 20.0], 5.0).unwrap().min_budget(5.0, &[1.0]),
+            Err(SolverError::Arity {
+                expected: 2,
+                got: 1
+            })
+        );
     }
 
     #[test]
